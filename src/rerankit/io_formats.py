@@ -122,6 +122,9 @@ def parse_npy_header(data: bytes) -> tuple[NpyHeader, int]:
 def read_npy(data: bytes) -> np.ndarray:
     """Decode NPY v1.0 bytes into a float64 matrix.
 
+    A float64 payload is not copied: the result is a read-only view of
+    `data`. A float32 payload is converted into a new, writable array.
+
     Raises:
         NpyFormatError: bad magic, unsupported version/dtype/rank/order,
             malformed header, or a payload whose size does not match the
@@ -131,7 +134,7 @@ def read_npy(data: bytes) -> np.ndarray:
     dtype = _DESCR_TO_DTYPE[header.descr]
     rows, cols = header.shape
     expected = rows * cols * dtype.itemsize
-    payload = data[offset:]
+    payload = memoryview(data)[offset:]
     if len(payload) < expected:
         raise NpyFormatError(
             f"truncated payload: expected {expected} bytes, got {len(payload)}",
@@ -143,7 +146,7 @@ def read_npy(data: bytes) -> np.ndarray:
             offset=offset + expected,
         )
     arr = np.frombuffer(payload, dtype=dtype).reshape(rows, cols)
-    return arr.astype(np.float64)
+    return arr.astype(np.float64, copy=False)
 
 
 def write_npy(matrix, precision: str = "float32") -> bytes:

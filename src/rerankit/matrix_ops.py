@@ -1,6 +1,6 @@
 """Dense matrix primitives shared across the toolkit.
 
-Row normalization, blocked pairwise squared-Euclidean distances, and
+Row normalization, row-striped pairwise squared-Euclidean distances, and
 deterministic smallest-k selection. All computation is done in float64
 regardless of input storage precision; the GEMM-style distance expansion
 loses too much accuracy in float32.
@@ -14,6 +14,11 @@ import numpy as np
 # Cap on elements touched per internal row chunk; keeps argpartition's
 # int64 index buffer near 128 MB even for very wide matrices.
 _CHUNK_ELEMS = 16_000_000
+
+# Target entries per row stripe of the distance and normalization passes:
+# 2M float64 entries (16 MB) keep each stripe's elementwise passes in the
+# last-level cache.
+_STRIPE_ELEMS = 2_000_000
 
 
 class TopKResult(NamedTuple):
@@ -83,6 +88,8 @@ def l2_normalize_rows(m) -> np.ndarray:
 
     Rows are pre-scaled by their max-abs entry so the squared sum neither
     underflows (denormal coordinates) nor overflows (entries near 1e200).
+    Row stripes are written into one output buffer, so the only scratch
+    is one stripe.
 
     Args:
         m: (N, d) array-like, all values finite.
@@ -91,27 +98,36 @@ def l2_normalize_rows(m) -> np.ndarray:
         np.ndarray: (N, d) float64 with unit-norm (or zero) rows.
     """
     arr = as_feature_matrix(m)
-    scales = np.max(np.abs(arr), axis=1)
-    safe_scales = np.where(scales == 0.0, 1.0, scales)
-    scaled = arr / safe_scales[:, None]
-    norms = np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
-    divisors = np.where(norms == 0.0, 1.0, norms)
-    return scaled / divisors[:, None]
+    out = np.empty(arr.shape, dtype=np.float64)
+    rows = max(1, _STRIPE_ELEMS // arr.shape[1])
+    for i0 in range(0, arr.shape[0], rows):
+        part = arr[i0 : i0 + rows]
+        scaled = out[i0 : i0 + rows]
+        scales = np.max(np.abs(part), axis=1)
+        safe_scales = np.where(scales == 0.0, 1.0, scales)
+        np.divide(part, safe_scales[:, None], out=scaled)
+        norms = np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+        divisors = np.where(norms == 0.0, 1.0, norms)
+        scaled /= divisors[:, None]
+    return out
 
 
 def pairwise_sq_euclidean(a, b, block: int = 4096) -> np.ndarray:
-    """Blocked squared-Euclidean distance matrix between two row sets.
+    """Squared-Euclidean distance matrix between two row sets, by row stripes.
 
-    Uses the expansion |x|^2 + |y|^2 - 2<x,y> computed tile by tile in
-    row/column blocks of size `block`, so peak scratch memory stays at
-    one block-sized buffer beyond the output itself. Tiny negative
-    rounding artifacts are clamped to zero. When both arguments are the
-    same matrix the diagonal is set to exactly zero.
+    Uses the expansion |x|^2 + |y|^2 - 2<x,y>. Each full-width stripe of
+    at most `block` rows (and about _STRIPE_ELEMS entries) is one GEMM of
+    the -2-scaled rows written straight into the output, followed by the
+    norm additions while the stripe is still in cache; scratch memory is
+    one stripe of `a`. Scaling by -2 is exact, so the values equal those
+    of scaling the product. Tiny negative rounding artifacts are clamped
+    to zero. When both arguments are the same matrix the diagonal is set
+    to exactly zero.
 
     Args:
         a: (N, d) array-like.
         b: (M, d) array-like with matching d.
-        block: tile edge length, >= 1.
+        block: upper bound on the rows of one stripe, >= 1.
 
     Returns:
         np.ndarray: (N, M) float64, non-negative.
@@ -135,25 +151,14 @@ def pairwise_sq_euclidean(a, b, block: int = 4096) -> np.ndarray:
 
     out = np.empty((n, m), dtype=np.float64)
     bt = arr_b.T
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        if m <= block:
-            # whole row stripe in one GEMM, written in place
-            stripe = out[i0:i1]
-            np.matmul(arr_a[i0:i1], bt, out=stripe)
-            stripe *= -2.0
-            stripe += a_sq[i0:i1, None]
-            stripe += b_sq[None, :]
-            np.maximum(stripe, 0.0, out=stripe)
-        else:
-            for j0 in range(0, m, block):
-                j1 = min(j0 + block, m)
-                tile = arr_a[i0:i1] @ bt[:, j0:j1]
-                tile *= -2.0
-                tile += a_sq[i0:i1, None]
-                tile += b_sq[None, j0:j1]
-                np.maximum(tile, 0.0, out=tile)
-                out[i0:i1, j0:j1] = tile
+    rows = max(1, min(block, _STRIPE_ELEMS // max(m, 1)))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        stripe = out[i0:i1]
+        np.matmul(arr_a[i0:i1] * -2.0, bt, out=stripe)
+        stripe += a_sq[i0:i1, None]
+        stripe += b_sq[None, :]
+        np.maximum(stripe, 0.0, out=stripe)
     if same:
         np.fill_diagonal(out, 0.0)
     return out

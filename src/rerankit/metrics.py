@@ -9,6 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Query rows are scanned in stripes of about this many distance entries;
+# 128k float64 entries (1 MiB) stay in one core's L2 cache while every
+# positive of the stripe is counted against them.
+_STRIPE_ENTRIES = 1 << 17
+
 
 @dataclass(frozen=True)
 class SampleLabels:
@@ -70,6 +75,12 @@ def rank_gallery(distance_row) -> np.ndarray:
     return np.argsort(row, kind="stable")
 
 
+def _ap_from_ranks(ranks: np.ndarray) -> float:
+    """AP from the ascending 0-based ranks of a query's positives."""
+    hits = np.arange(1, ranks.size + 1, dtype=np.float64)
+    return float(np.mean(hits / (ranks + 1.0)))
+
+
 def average_precision(ranked_matches) -> float:
     """AP of a ranked binary match vector: mean of precision at each hit.
 
@@ -81,8 +92,7 @@ def average_precision(ranked_matches) -> float:
     positions = np.flatnonzero(matches)
     if positions.size == 0:
         raise ValueError("no positive match in ranking; query must be excluded")
-    hits = np.arange(1, positions.size + 1, dtype=np.float64)
-    return float(np.mean(hits / (positions + 1.0)))
+    return _ap_from_ranks(positions)
 
 
 def evaluate(
@@ -97,8 +107,15 @@ def evaluate(
     same-pid/same-camid entries are dropped, and the query contributes to
     CMC/mAP if at least one positive remains.
 
+    No distance row is sorted: the rank of a positive is the number of
+    non-junk gallery entries whose (distance, index) pair comes before its
+    own, counted with one compare pass per positive over a stripe of query
+    rows; only each query's few same-pid entries are sorted. Work is
+    O(Nq * Ng * positives per query) and scratch memory is one stripe,
+    independent of the matrix size.
+
     Args:
-        distances: (Nq, Ng) finite matrix; only ordering matters.
+        distances: (Nq, Ng) matrix, +-inf allowed; only ordering matters.
         query_labels / gallery_labels: per-sample pid and camid.
         max_rank: CMC curve length (clamped to the gallery size).
 
@@ -122,33 +139,87 @@ def evaluate(
         )
     if max_rank < 1:
         raise ValueError(f"max_rank must be >= 1, got {max_rank}")
-    if np.isnan(dist).any():
-        raise ValueError("distance matrix contains NaN")
     num_ranks = min(max_rank, num_g)
 
-    order = np.argsort(dist, axis=1, kind="stable")
-    g_pids = gallery_labels.pids
-    g_camids = gallery_labels.camids
+    # gallery indices grouped by pid, ascending index inside each group
+    g_order = np.argsort(gallery_labels.pids, kind="stable")
+    grouped_pids = gallery_labels.pids[g_order]
+    seg_lo = np.searchsorted(grouped_pids, query_labels.pids, side="left")
+    seg_len = np.searchsorted(grouped_pids, query_labels.pids, side="right") - seg_lo
 
-    first_hit_counts = np.zeros(num_ranks, dtype=np.int64)
+    stripe_rows = max(1, _STRIPE_ENTRIES // max(num_g, 1))
+    mask = np.empty((min(stripe_rows, num_q), num_g), dtype=bool)
+    first_hits = []
     ap_values = []
-    for qi in range(num_q):
-        ranked = order[qi]
-        same_pid = g_pids[ranked] == query_labels.pids[qi]
-        junk = same_pid & (g_camids[ranked] == query_labels.camids[qi])
-        matches = same_pid[~junk]
-        positions = np.flatnonzero(matches)
-        if positions.size == 0:
-            continue  # no cross-camera positive: excluded from both metrics
-        if positions[0] < num_ranks:
-            first_hit_counts[positions[0]] += 1
-        hits = np.arange(1, positions.size + 1, dtype=np.float64)
-        ap_values.append(np.mean(hits / (positions + 1.0)))
+    for i0 in range(0, num_q, stripe_rows):
+        i1 = min(i0 + stripe_rows, num_q)
+        stripe = dist[i0:i1]
+        hit = mask[: i1 - i0]
+        if np.isnan(stripe, out=hit).any():
+            raise ValueError("distance matrix contains NaN")
+        ranks, num_pos = _stripe_ranks(
+            stripe,
+            g_order,
+            seg_lo[i0:i1],
+            seg_len[i0:i1],
+            query_labels.camids[i0:i1],
+            gallery_labels.camids,
+            hit,
+        )
+        for r in np.flatnonzero(num_pos):
+            row = ranks[r, : num_pos[r]]
+            ap_values.append(_ap_from_ranks(row))
+            first_hits.append(row[0])
 
     num_valid = len(ap_values)
     if num_valid == 0:
         raise ValueError("no valid query: every query lacks a cross-camera positive")
+    first = np.asarray(first_hits, dtype=np.int64)
+    first_hit_counts = np.bincount(first[first < num_ranks], minlength=num_ranks)
     cmc = np.cumsum(first_hit_counts) / num_valid
     return EvalReport(
         cmc=cmc, mean_ap=float(np.mean(ap_values)), num_valid_queries=num_valid
     )
+
+
+def _stripe_ranks(stripe, g_order, seg_lo, seg_len, q_camids, g_camids, hit):
+    """Ascending ranks of each query row's positives among its non-junk entries.
+
+    Returns (ranks, num_pos): ranks is (rows, max positives) int64 and only
+    its first num_pos[r] entries of row r are meaningful. `hit` is a
+    boolean scratch buffer shaped like `stripe`.
+    """
+    rows, num_g = stripe.shape
+    width = int(seg_len.max(initial=0))
+    slot = np.arange(width)
+    in_seg = slot < seg_len[:, None]
+    same = g_order[np.where(in_seg, seg_lo[:, None] + slot, 0)]
+    positive = in_seg & (g_camids[same] != q_camids[:, None])
+    # Same-pid entries in (distance, index) order: slots already ascend by
+    # gallery index, so a stable sort suffices, and +inf padding stays
+    # behind every real slot. The s-th positive in that order has s
+    # positives and at[:, s] - s junk entries before it.
+    values = np.take_along_axis(stripe, same, axis=1)
+    values[~in_seg] = np.inf
+    order = np.argsort(values, axis=1, kind="stable")
+    positive = np.take_along_axis(positive, order, axis=1)
+    num_pos = np.count_nonzero(positive, axis=1)
+    width_pos = int(num_pos.max(initial=0))
+    at = np.argsort(~positive, axis=1, kind="stable")[:, :width_pos]
+    perm = np.take_along_axis(order, at, axis=1)
+    pos_idx = np.take_along_axis(same, perm, axis=1)
+    pos_val = np.take_along_axis(values, perm, axis=1)
+    pos_val[np.arange(width_pos) >= num_pos[:, None]] = np.nan  # compares false
+    ranks = np.arange(width_pos) - at
+
+    count_dtype = np.uint16 if num_g < 1 << 16 else np.int64
+    for s in range(width_pos):
+        threshold = pos_val[:, s, None]
+        np.less(stripe, threshold, out=hit)
+        ranks[:, s] += hit.view(np.uint8).sum(axis=1, dtype=count_dtype)
+        np.equal(stripe, threshold, out=hit)
+        if np.count_nonzero(hit) > np.count_nonzero(num_pos > s):
+            # an equal distance besides the positive itself: index breaks the tie
+            hit &= np.arange(num_g) < pos_idx[:, s, None]
+            ranks[:, s] += hit.view(np.uint8).sum(axis=1, dtype=count_dtype)
+    return ranks, num_pos

@@ -152,7 +152,8 @@ def optimize(
         )
     else:
         sim = _similarity_streamed(qg, fg, cfg.k2, cfg.fill_value)
-    return qg - sim
+    qg -= sim
+    return qg
 
 
 def _filtered_row_stats(indices, values, num_cols, k_eff, fill):

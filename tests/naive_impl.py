@@ -209,3 +209,34 @@ def naive_evaluate(dist, q_pids, q_camids, g_pids, g_camids, max_rank=50):
         raise ValueError("no valid query")
     cmc = np.asarray(cmc_rows, dtype=np.float64).mean(axis=0)
     return cmc, float(np.mean(aps)), len(aps)
+
+
+def argsort_evaluate(dist, q_pids, q_camids, g_pids, g_camids, max_rank=50):
+    """Full stable argsort of every row, then a per-query scan.
+
+    Agrees with `naive_evaluate` but runs in seconds on thousands of
+    queries, so it can check the evaluator at benchmark scale.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
+    q_pids, q_camids = np.asarray(q_pids), np.asarray(q_camids)
+    g_pids, g_camids = np.asarray(g_pids), np.asarray(g_camids)
+    num_q, num_g = dist.shape
+    num_ranks = min(max_rank, num_g)
+    order = np.argsort(dist, axis=1, kind="stable")
+    first_hit_counts = np.zeros(num_ranks, dtype=np.int64)
+    aps = []
+    for qi in range(num_q):
+        ranked = order[qi]
+        same_pid = g_pids[ranked] == q_pids[qi]
+        junk = same_pid & (g_camids[ranked] == q_camids[qi])
+        positions = np.flatnonzero(same_pid[~junk])
+        if positions.size == 0:
+            continue
+        if positions[0] < num_ranks:
+            first_hit_counts[positions[0]] += 1
+        hits = np.arange(1, positions.size + 1, dtype=np.float64)
+        aps.append(np.mean(hits / (positions + 1.0)))
+    if not aps:
+        raise ValueError("no valid query")
+    cmc = np.cumsum(first_hit_counts) / len(aps)
+    return cmc, float(np.mean(aps)), len(aps)

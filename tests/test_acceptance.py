@@ -338,6 +338,29 @@ def test_criterion_7_performance_pairwise():
           f"(machine GEMM reference {gemm_seconds:.2f}s), scratch under 3 block tiles")
 
 
+def test_criterion_7_performance_evaluate():
+    """Evaluator scratch stays below a quarter of the distance matrix.
+
+    A full argsort would hold an int64 order array as large as the
+    matrix itself; counting ranks stripe by stripe needs one stripe.
+    """
+    rng = np.random.default_rng(20240017)
+    num_q, num_g = 2_000, 8_000
+    dist = rng.random((num_q, num_g))
+    q = SampleLabels(np.arange(num_q) % 1_000, rng.integers(0, 4, num_q))
+    g = SampleLabels(np.arange(num_g) % 1_000, rng.integers(0, 4, num_g))
+
+    tracemalloc.start()
+    report = evaluate(dist, q, g)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert report.num_valid_queries > 0
+    assert peak < dist.nbytes / 4, (
+        f"evaluate scratch {peak} B is not below a quarter of the matrix ({dist.nbytes} B)"
+    )
+    print(f"[criterion 7c] PASS - evaluate on {num_q} x {num_g} peaks at {peak} B of scratch")
+
+
 def _peak_rss_of_rerank(data_dir: Path, out_dir: Path, batch_args: list) -> int:
     """Run a rerank in a fresh interpreter; return its peak RSS in KB."""
     code = (

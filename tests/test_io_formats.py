@@ -148,6 +148,11 @@ class TestWriteNpy:
         assert_array_equal(read_npy(data), m)
         assert write_npy(read_npy(data), precision="float64") == data
 
+    def test_float64_read_is_read_only_view(self):
+        m = np.arange(6, dtype=np.float64).reshape(2, 3)
+        assert not read_npy(write_npy(m, precision="float64")).flags.writeable
+        assert read_npy(write_npy(m, precision="float32")).flags.writeable
+
     def test_descr_strings(self):
         header, _ = parse_npy_header(write_npy(np.zeros((1, 1)), precision="float32"))
         assert header.descr == "<f4"

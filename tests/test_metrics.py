@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
+import rerankit.metrics as metrics
 from rerankit.metrics import (
     EvalReport,
     SampleLabels,
@@ -10,7 +16,7 @@ from rerankit.metrics import (
     rank_gallery,
 )
 
-from naive_impl import naive_evaluate
+from naive_impl import argsort_evaluate, naive_evaluate
 
 
 def labels(pids, camids):
@@ -127,6 +133,85 @@ class TestEvaluate:
         dist = np.array([[0.3, 0.1]])
         report = evaluate(dist, labels([1], [0]), labels([1, 1], [1, 2]), max_rank=50)
         assert report.cmc.shape == (2,)
+
+    def test_junk_tied_with_positive_at_inf_not_counted(self):
+        # gallery 0 is junk (same pid and camera), gallery 1 the positive;
+        # only the finite entry 2 ranks before the positive
+        dist = np.array([[np.inf, np.inf, 0.5]])
+        report = evaluate(dist, labels([1], [0]), labels([1, 1, 2], [0, 1, 0]), max_rank=3)
+        assert report.mean_ap == 0.5
+        assert_array_equal(report.cmc, [0.0, 1.0, 1.0])
+
+    def test_equal_distances_ranked_by_index(self):
+        dist = np.array([[0.2, 0.2, 0.2, 0.1]])
+        q = labels([1], [0])
+        g = labels([2, 1, 1, 3], [0, 1, 0, 1])  # gallery 2 is junk
+        report = evaluate(dist, q, g, max_rank=4)
+        assert report.mean_ap == 1.0 / 3.0  # entries 3, 0 come first
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_oracle(self, data):
+        num_q = data.draw(st.integers(1, 6), label="num_q")
+        num_g = data.draw(st.integers(1, 24), label="num_g")
+        entries = st.one_of(
+            st.integers(-2, 2).map(float),  # dense ties
+            st.floats(-1.0, 1.0),
+            st.sampled_from([np.inf, -np.inf]),
+        )
+        dist = data.draw(arrays(np.float64, (num_q, num_g), elements=entries), label="dist")
+        ids = st.integers(0, 3)
+        q_pids, q_cams, g_pids, g_cams = (
+            data.draw(arrays(np.int64, n, elements=ids), label=name)
+            for n, name in ((num_q, "q_pids"), (num_q, "q_cams"), (num_g, "g_pids"), (num_g, "g_cams"))
+        )
+        max_rank = data.draw(st.integers(1, num_g + 2), label="max_rank")
+        # one to three query rows per stripe, so queries split across stripes
+        stripe = data.draw(st.integers(1, 3 * num_g), label="stripe_entries")
+        q, g = labels(q_pids, q_cams), labels(g_pids, g_cams)
+        with mock.patch.object(metrics, "_STRIPE_ENTRIES", stripe):
+            try:
+                exp_cmc, exp_map, exp_valid = naive_evaluate(
+                    dist, q_pids, q_cams, g_pids, g_cams, max_rank=max_rank
+                )
+            except ValueError:
+                with pytest.raises(ValueError, match="no valid query"):
+                    evaluate(dist, q, g, max_rank=max_rank)
+                return
+            report = evaluate(dist, q, g, max_rank=max_rank)
+        assert_allclose(report.cmc, exp_cmc, rtol=0, atol=1e-12)
+        assert abs(report.mean_ap - exp_map) <= 1e-12
+        assert report.num_valid_queries == exp_valid
+
+    def test_nan_rejected_in_later_stripe(self):
+        dist = np.zeros((4, 3))
+        dist[3, 1] = np.nan
+        q, g = labels([1, 1, 1, 1], [0, 0, 0, 0]), labels([1, 1, 2], [1, 1, 1])
+        with mock.patch.object(metrics, "_STRIPE_ENTRIES", 3):
+            with pytest.raises(ValueError, match="NaN"):
+                evaluate(dist, q, g)
+
+
+@pytest.mark.slow
+def test_matches_argsort_oracle_at_benchmark_scale():
+    """3,200 x 12,800 with ties, +-inf and junk: identical to a full stable argsort."""
+    rng = np.random.default_rng(20240071)
+    num_q, num_g = 3_200, 12_800
+    g_pids = np.repeat(np.arange(1_600), 8)
+    q_pids = np.repeat(np.arange(1_600), 2)
+    g_cams = rng.integers(0, 4, num_g)
+    q_cams = rng.integers(0, 4, num_q)
+    dist = rng.random((num_q, num_g))
+    same_pid_cols = q_pids[:, None] * 8 + np.arange(8)
+    dist[np.arange(num_q)[:, None], same_pid_cols] *= 0.05  # positives rank high
+    dist[::7] = np.round(dist[::7] * 50.0)  # dense ties
+    dist[1::11, ::97] = np.inf
+    dist[2::13, ::89] = -np.inf
+    report = evaluate(dist, labels(q_pids, q_cams), labels(g_pids, g_cams))
+    exp_cmc, exp_map, exp_valid = argsort_evaluate(dist, q_pids, q_cams, g_pids, g_cams)
+    assert_array_equal(report.cmc, exp_cmc)
+    assert report.mean_ap == exp_map
+    assert report.num_valid_queries == exp_valid
 
 
 class TestEvalReport:

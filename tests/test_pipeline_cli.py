@@ -7,10 +7,11 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from rerankit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
-from rerankit.enhance import DmonConfig
-from rerankit.io_formats import read_json, read_npy
+from rerankit.enhance import DmonConfig, enhance
+from rerankit.io_formats import read_json, read_npy, write_npy
 from rerankit.matrix_ops import l2_normalize_rows, pairwise_sq_euclidean
-from rerankit.optimize import AroConfig
+from rerankit.metrics import evaluate
+from rerankit.optimize import AroConfig, optimize
 from rerankit.pipeline import PipelineConfig, compute_refined_distances
 from rerankit.synthetic import SynthSpec, generate
 
@@ -365,6 +366,26 @@ class TestComputeRefinedDistances:
         )
         out = compute_refined_distances(fq, fg, cfg)
         assert np.all(np.isfinite(out))
+
+
+class TestReadOnlyInputs:
+    """float64 files load as read-only views; no stage may write into its input."""
+
+    def test_stages_accept_read_only_arrays(self):
+        fq, q_labels, fg, g_labels = generate(SynthSpec(num_ids=12, imgs_per_id=6, dim=16, seed=5))
+        ro_q = read_npy(write_npy(fq, precision="float64"))
+        ro_g = read_npy(write_npy(fg, precision="float64"))
+        assert not ro_q.flags.writeable and not ro_g.flags.writeable
+
+        cfg = DmonConfig()
+        assert_array_equal(enhance(ro_g, cfg), enhance(fg.copy(), cfg))
+        for limit in (8192, 0):  # dense and streamed ARO routes
+            dist = optimize(ro_q, ro_g, AroConfig(), dense_gallery_limit=limit)
+            assert_array_equal(dist, optimize(fq.copy(), fg.copy(), AroConfig(), dense_gallery_limit=limit))
+        ro_dist = read_npy(write_npy(dist, precision="float64"))
+        assert not ro_dist.flags.writeable
+        report = evaluate(ro_dist, q_labels, g_labels).to_json_dict()
+        assert report == evaluate(dist.copy(), q_labels, g_labels).to_json_dict()
 
 
 class TestVersionFlag:
