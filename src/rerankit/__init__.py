@@ -9,21 +9,14 @@ seeded synthetic data generator and a multi-command CLI.
 __version__ = "0.1.0"
 
 from .enhance import DmonConfig, NeighborOrders, enhance
-from .matrix_ops import (
-    DistanceMatrix,
-    TopKResult,
-    l2_normalize_rows,
-    pairwise_sq_euclidean,
-    topk_smallest,
-)
-from .metrics import EvalReport, SampleLabels, average_precision, evaluate, rank_gallery
+from .matrix_ops import TopKResult, l2_normalize_rows, pairwise_sq_euclidean, topk_smallest
+from .metrics import EvalReport, SampleLabels, average_precision, evaluate
 from .optimize import AroConfig, optimize
 from .synthetic import SynthSpec, generate
 
 __all__ = [
     "__version__",
     "AroConfig",
-    "DistanceMatrix",
     "DmonConfig",
     "EvalReport",
     "NeighborOrders",
@@ -37,6 +30,5 @@ __all__ = [
     "l2_normalize_rows",
     "optimize",
     "pairwise_sq_euclidean",
-    "rank_gallery",
     "topk_smallest",
 ]

@@ -6,7 +6,6 @@ regardless of input storage precision; the GEMM-style distance expansion
 loses too much accuracy in float32.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,42 +25,6 @@ class TopKResult(NamedTuple):
 
     indices: np.ndarray
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """A non-negative distance matrix tagged with whether entries are squared.
-
-    The neighbor-enhancement stage consumes unsquared Euclidean distances
-    while the query-gallery optimization stage consumes squared ones; the
-    tag keeps the two from being mixed up at module boundaries.
-    """
-
-    values: np.ndarray
-    squared: bool
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 2:
-            raise ValueError(f"distance matrix must be 2-D, got ndim={v.ndim}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("distance matrix contains non-finite entries")
-        if v.size and v.min() < 0.0:
-            raise ValueError("distance matrix contains negative entries")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-    def unsquared(self) -> "DistanceMatrix":
-        if not self.squared:
-            return self
-        return DistanceMatrix(np.sqrt(self.values), squared=False)
-
-    def to_squared(self) -> "DistanceMatrix":
-        if self.squared:
-            return self
-        return DistanceMatrix(np.square(self.values), squared=True)
 
 
 def as_feature_matrix(m, name: str = "features") -> np.ndarray:

@@ -65,16 +65,6 @@ class EvalReport:
         }
 
 
-def rank_gallery(distance_row) -> np.ndarray:
-    """Gallery indices sorted by ascending distance, ties by ascending index."""
-    row = np.asarray(distance_row, dtype=np.float64)
-    if row.ndim != 1:
-        raise ValueError(f"expected a 1-D distance row, got ndim={row.ndim}")
-    if np.isnan(row).any():
-        raise ValueError("distance row contains NaN")
-    return np.argsort(row, kind="stable")
-
-
 def _ap_from_ranks(ranks: np.ndarray) -> float:
     """AP from the ascending 0-based ranks of a query's positives."""
     hits = np.arange(1, ranks.size + 1, dtype=np.float64)

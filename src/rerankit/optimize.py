@@ -3,22 +3,23 @@
 The query-to-gallery distance matrix is refined using gallery-internal
 structure, without ever using query-query relations:
 
-1. Squared-Euclidean distance matrices: query-gallery and gallery-gallery.
+1. Squared-Euclidean distances: query-gallery (QG) and gallery-gallery (GG).
 2. Both are filtered per row to their k2 smallest entries; everything
-   else is replaced by a fill value (1 by default, 0 as a variant).
+   else reads as a fill value (1 by default, 0 as a variant).
 3. An asymmetric similarity matrix is formed as the product of the
    row-normalized filtered matrices: rownorm(QG) @ rownorm(GG)^T.
 4. The similarity is subtracted from the *raw* query-gallery distances.
    Resulting entries may be negative; only their ordering matters.
 
-For galleries larger than `dense_gallery_limit` the gallery-gallery
-matrix is never materialized: its top-k2 rows are found by streaming
-row blocks, and the similarity product is evaluated through a
-sparse-plus-constant decomposition of the filtered rows. Both routes
-produce the same values up to floating-point rounding.
+The Ng x Ng matrix GG is never built: gallery rows are scanned in
+blocks of `_SCAN_BLOCK_ROWS`, each block against the whole gallery, and
+only every row's top-k2 entries are kept. A filtered row is
+`fill` plus a k2-sparse residual, so the similarity product is evaluated
+through a sparse-plus-constant decomposition of the kept entries.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,70 +54,92 @@ class AroConfig:
             raise ValueError(f"fill_value must be 0.0 or 1.0, got {self.fill_value}")
 
 
-def build_distance_pair(query_feats, gallery_feats) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances query-to-gallery (Nq, Ng) and gallery-to-gallery (Ng, Ng).
+class FilteredRows(NamedTuple):
+    """Rows of width `num_cols` equal to `fill` except at their kept entries.
 
-    The gallery self-distance matrix has an exactly zero diagonal and is
-    symmetric to rounding.
+    `indices` and `values` are (rows, k) and hold each row's k smallest
+    entries, as `topk_smallest` returns them. `np.asarray` gives back the
+    dense fill-padded matrix.
     """
-    fq = as_feature_matrix(query_feats, "query features")
-    fg = as_feature_matrix(gallery_feats, "gallery features")
-    if fq.shape[1] != fg.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: query dim {fq.shape[1]}, gallery dim {fg.shape[1]}"
-        )
-    qg = pairwise_sq_euclidean(fq, fg)
-    gg = pairwise_sq_euclidean(fg, fg)
-    return qg, gg
+
+    indices: np.ndarray
+    values: np.ndarray
+    fill: float
+    num_cols: int
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.full((self.indices.shape[0], self.num_cols), self.fill, dtype=np.float64)
+        np.put_along_axis(out, self.indices, self.values, axis=1)
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
-def neighborhood_filter(distances, k2: int, fill: float) -> np.ndarray:
-    """Keep each row's k2 smallest entries; set the rest to `fill`.
+def neighborhood_filter(distances, k2: int, fill: float) -> FilteredRows:
+    """Keep each row's k2 smallest entries; every other entry reads as `fill`.
 
     Ties are broken by ascending column index and the self column is not
     excluded (a zero self-distance always survives the filter anyway).
-    If k2 covers every column the input is returned unchanged (copied).
+    If k2 covers every column the whole row is kept.
     """
     dist = np.asarray(distances, dtype=np.float64)
     if dist.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={dist.ndim}")
     if k2 < 1:
         raise ValueError(f"k2 must be >= 1, got {k2}")
-    n, m = dist.shape
-    if k2 >= m:
-        return dist.copy()
-    kept = topk_smallest(dist, k2, exclude_self=False)
-    out = np.full_like(dist, fill)
-    np.put_along_axis(out, kept.indices, kept.values, axis=1)
-    return out
+    kept = topk_smallest(dist, min(k2, dist.shape[1]), exclude_self=False)
+    return FilteredRows(kept.indices, kept.values, fill, dist.shape[1])
 
 
-def asymmetric_similarity(qg_filtered, gg_filtered) -> np.ndarray:
+def asymmetric_similarity(q_rows: FilteredRows, g_rows: FilteredRows) -> np.ndarray:
     """Cosine-style similarity of filtered query rows against gallery rows.
 
-    Computes rownorm(QG) @ rownorm(GG)^T. Zero rows contribute zeros.
-    The result is clamped into [0, 1] to absorb rounding excess.
+    Computes rownorm(Q) @ rownorm(G)^T, where each filtered row is its
+    fill constant plus a sparse residual on its kept entries: a dot
+    product is a constant, two residual sums and a sparse-sparse product.
+    Zero rows contribute zeros. The result is clamped into [0, 1] to
+    absorb rounding excess.
+
+    Raises:
+        ValueError: if the rows differ in width, or a kept distance or a
+            row norm is not finite (the squared distances overflowed).
     """
-    qg = np.asarray(qg_filtered, dtype=np.float64)
-    gg = np.asarray(gg_filtered, dtype=np.float64)
-    if qg.ndim != 2 or gg.ndim != 2 or gg.shape[0] != gg.shape[1]:
-        raise ValueError(f"expected (Nq, Ng) and (Ng, Ng), got {qg.shape} and {gg.shape}")
-    if qg.shape[1] != gg.shape[0]:
+    num_cols = q_rows.num_cols
+    if g_rows.num_cols != num_cols:
         raise ValueError(
-            f"shape mismatch: {qg.shape[1]} query columns vs {gg.shape[0]} gallery rows"
+            f"shape mismatch: {num_cols} query columns vs {g_rows.num_cols} gallery columns"
         )
-    sim = l2_normalize_rows(qg) @ l2_normalize_rows(gg).T
+    sides = []
+    for rows in (q_rows, g_rows):
+        n, k = rows.indices.shape
+        sq_norms = rows.fill * rows.fill * (num_cols - k) + np.einsum(
+            "ij,ij->i", rows.values, rows.values
+        )
+        if not np.isfinite(sq_norms).all():
+            raise ValueError(
+                "squared distances overflow float64: a kept distance or a row norm "
+                "is not finite; scale the features down or enable pre-normalization"
+            )
+        shifted = rows.values - rows.fill
+        residual = sp.csr_matrix(
+            (shifted.ravel(), (np.repeat(np.arange(n, dtype=np.int64), k), rows.indices.ravel())),
+            shape=(n, num_cols),
+        )
+        norms = np.sqrt(sq_norms)
+        norms[norms == 0.0] = np.inf  # zero rows contribute zero similarity
+        sides.append((residual, shifted.sum(axis=1), norms))
+    (q_sparse, q_resid, q_norms), (g_sparse, g_resid, g_norms) = sides
+
+    sim = (q_sparse @ g_sparse.T).toarray().astype(np.float64, copy=False)
+    if q_rows.fill != 0.0 or g_rows.fill != 0.0:
+        sim += q_rows.fill * g_rows.fill * num_cols
+        sim += g_rows.fill * q_resid[:, None]
+        sim += q_rows.fill * g_resid[None, :]
+    sim /= q_norms[:, None]
+    sim /= g_norms[None, :]
     np.clip(sim, 0.0, 1.0, out=sim)
     return sim
 
 
-def optimize(
-    query_feats,
-    gallery_feats,
-    cfg: AroConfig,
-    *,
-    dense_gallery_limit: int = 8192,
-) -> np.ndarray:
+def optimize(query_feats, gallery_feats, cfg: AroConfig) -> np.ndarray:
     """Refine query-gallery distances via asymmetric similarity subtraction.
 
     Args:
@@ -124,12 +147,13 @@ def optimize(
         gallery_feats: (Ng, d) embeddings.
         cfg: AroConfig. With cfg.enabled False the raw squared
             query-gallery distances are returned unchanged.
-        dense_gallery_limit: largest gallery for which the gallery
-            self-distance matrix is materialized densely; above it the
-            streamed low-memory route is used.
 
     Returns:
         np.ndarray: (Nq, Ng) refined distances (entries may be negative).
+
+    Raises:
+        ValueError: on a dimension mismatch, or when the squared distances
+            overflow float64.
     """
     fq = as_feature_matrix(query_feats, "query features")
     fg = as_feature_matrix(gallery_feats, "gallery features")
@@ -143,78 +167,25 @@ def optimize(
     qg = pairwise_sq_euclidean(fq, fg)
     if not cfg.enabled:
         return qg
-    num_gallery = fg.shape[0]
-    if num_gallery <= dense_gallery_limit:
-        gg = pairwise_sq_euclidean(fg, fg)
-        sim = asymmetric_similarity(
-            neighborhood_filter(qg, cfg.k2, cfg.fill_value),
-            neighborhood_filter(gg, cfg.k2, cfg.fill_value),
-        )
-    else:
-        sim = _similarity_streamed(qg, fg, cfg.k2, cfg.fill_value)
-    qg -= sim
+    qg -= _similarity_streamed(qg, fg, cfg.k2, cfg.fill_value)
     return qg
 
 
-def _filtered_row_stats(indices, values, num_cols, k_eff, fill):
-    """Sparse representation and norms of fill-padded filtered rows.
-
-    A filtered row equals fill everywhere except at `indices`, where it
-    holds `values`. Returns (shifted CSR of values - fill, row sums of
-    values - fill, squared row norms).
-    """
-    n = indices.shape[0]
-    shifted = values - fill
-    rows = np.repeat(np.arange(n, dtype=np.int64), k_eff)
-    mat = sp.csr_matrix(
-        (shifted.ravel(), (rows, indices.ravel())), shape=(n, num_cols)
-    )
-    residual_sums = shifted.sum(axis=1)
-    sq_norms = fill * fill * (num_cols - k_eff) + np.einsum("ij,ij->i", values, values)
-    return mat, residual_sums, sq_norms
-
-
-def _similarity_streamed(qg, gallery_feats, k2, fill, block_rows=_SCAN_BLOCK_ROWS):
+def _similarity_streamed(qg, gallery_feats, k2, fill):
     """Asymmetric similarity without materializing the gallery-gallery matrix.
 
-    Each filtered row is `fill` plus a k2-sparse residual, so the dot
-    product of two filtered rows decomposes into a constant, two residual
-    sums, and a sparse-sparse product. Gallery top-k2 neighborhoods are
-    found by streaming row blocks against the whole gallery.
+    Gallery top-k2 neighborhoods are found by scanning row blocks of
+    `_SCAN_BLOCK_ROWS` against the whole gallery; each row's self
+    distance is set to exactly zero.
     """
-    num_q, num_g = qg.shape
-    k_eff = min(k2, num_g)
-
-    q_kept = topk_smallest(qg, k_eff, exclude_self=False)
-    q_sparse, q_resid, q_sq_norms = _filtered_row_stats(
-        q_kept.indices, q_kept.values, num_g, k_eff, fill
-    )
-
-    idx_parts = []
-    val_parts = []
-    for start in range(0, num_g, block_rows):
-        stop = min(start + block_rows, num_g)
+    num_g = gallery_feats.shape[0]
+    blocks = []
+    for start in range(0, num_g, _SCAN_BLOCK_ROWS):
+        stop = min(start + _SCAN_BLOCK_ROWS, num_g)
         strip = pairwise_sq_euclidean(gallery_feats[start:stop], gallery_feats)
         strip[np.arange(stop - start), np.arange(start, stop)] = 0.0
-        kept = topk_smallest(strip, k_eff, exclude_self=False)
-        idx_parts.append(kept.indices)
-        val_parts.append(kept.values)
-    g_indices = np.vstack(idx_parts)
-    g_values = np.vstack(val_parts)
-    g_sparse, g_resid, g_sq_norms = _filtered_row_stats(
-        g_indices, g_values, num_g, k_eff, fill
+        blocks.append(neighborhood_filter(strip, k2, fill))
+    g_rows = FilteredRows(
+        np.vstack([b.indices for b in blocks]), np.vstack([b.values for b in blocks]), fill, num_g
     )
-
-    sim = (q_sparse @ g_sparse.T).toarray().astype(np.float64, copy=False)
-    if fill != 0.0:
-        sim += fill * fill * num_g
-        sim += fill * q_resid[:, None]
-        sim += fill * g_resid[None, :]
-    q_norms = np.sqrt(q_sq_norms)
-    g_norms = np.sqrt(g_sq_norms)
-    q_norms[q_norms == 0.0] = np.inf  # zero rows contribute zero similarity
-    g_norms[g_norms == 0.0] = np.inf
-    sim /= q_norms[:, None]
-    sim /= g_norms[None, :]
-    np.clip(sim, 0.0, 1.0, out=sim)
-    return sim
+    return asymmetric_similarity(neighborhood_filter(qg, k2, fill), g_rows)

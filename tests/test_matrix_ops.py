@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rerankit.matrix_ops import (
-    DistanceMatrix,
     l2_normalize_rows,
     pairwise_sq_euclidean,
     topk_smallest,
@@ -153,20 +152,3 @@ class TestTopkSmallest:
         d = np.array([[5.0, 2.0, 5.0, 5.0, 1.0, 5.0]])
         res = topk_smallest(d, 4)
         assert_array_equal(res.indices, [[4, 1, 0, 2]])
-
-
-class TestDistanceMatrix:
-    def test_flag_round_trip(self):
-        dm = DistanceMatrix(np.array([[4.0, 0.0]]), squared=True)
-        un = dm.unsquared()
-        assert not un.squared
-        assert_allclose(un.values, [[2.0, 0.0]])
-        assert_allclose(un.to_squared().values, dm.values)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            DistanceMatrix(np.array([[-0.1]]), squared=False)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            DistanceMatrix(np.array([[np.inf]]), squared=False)

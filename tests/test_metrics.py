@@ -13,7 +13,6 @@ from rerankit.metrics import (
     SampleLabels,
     average_precision,
     evaluate,
-    rank_gallery,
 )
 
 from naive_impl import argsort_evaluate, naive_evaluate
@@ -21,24 +20,6 @@ from naive_impl import argsort_evaluate, naive_evaluate
 
 def labels(pids, camids):
     return SampleLabels(np.asarray(pids), np.asarray(camids))
-
-
-class TestRankGallery:
-    def test_sorts_ascending(self):
-        assert_array_equal(rank_gallery([0.5, 0.1, 0.3]), [1, 2, 0])
-
-    def test_tie_break(self):
-        assert_array_equal(rank_gallery([0.2, 0.2]), [0, 1])
-
-    def test_nan_raises(self):
-        with pytest.raises(ValueError, match="NaN"):
-            rank_gallery([0.1, np.nan])
-
-    def test_matches_stable_sort(self):
-        rng = np.random.default_rng(37)
-        row = rng.integers(0, 4, size=30).astype(float)
-        expected = sorted(range(30), key=lambda j: (row[j], j))
-        assert_array_equal(rank_gallery(row), expected)
 
 
 class TestAveragePrecision:

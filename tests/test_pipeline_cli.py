@@ -174,6 +174,18 @@ class TestRerankCommand:
         ])
         assert code == EXIT_DATA
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_distances_are_data_error(self, tmp_path, capsys):
+        feats = tmp_path / "huge.npy"
+        rng = np.random.default_rng(11)
+        feats.write_bytes(write_npy(rng.standard_normal((6, 4)) * 1e160, precision="float64"))
+        code = main([
+            "rerank", "--query", str(feats), "--gallery", str(feats),
+            "--out", str(tmp_path / "x"), "--no-dmon", "--no-pre-normalize",
+        ])
+        assert code == EXIT_DATA
+        assert "overflow" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_noiseless_baseline_map_is_one(self, tmp_path, capsys):
@@ -379,9 +391,8 @@ class TestReadOnlyInputs:
 
         cfg = DmonConfig()
         assert_array_equal(enhance(ro_g, cfg), enhance(fg.copy(), cfg))
-        for limit in (8192, 0):  # dense and streamed ARO routes
-            dist = optimize(ro_q, ro_g, AroConfig(), dense_gallery_limit=limit)
-            assert_array_equal(dist, optimize(fq.copy(), fg.copy(), AroConfig(), dense_gallery_limit=limit))
+        dist = optimize(ro_q, ro_g, AroConfig())
+        assert_array_equal(dist, optimize(fq.copy(), fg.copy(), AroConfig()))
         ro_dist = read_npy(write_npy(dist, precision="float64"))
         assert not ro_dist.flags.writeable
         report = evaluate(ro_dist, q_labels, g_labels).to_json_dict()
