@@ -3,26 +3,35 @@
 Each sample's embedding is fused with a decayed, Gaussian-weighted
 aggregate of its 1st..H-th order neighbors' embeddings:
 
-1. Euclidean distance matrix over the (optionally row-normalized) input.
-2. First-order neighbors: the k1 nearest other samples.
-3. Higher orders by expansion: order-h neighbors are the union of the
-   first-order neighbors of the order-(h-1) neighbors, minus the sample.
-4. Per-order Gaussian kernel weights with a bandwidth that widens with
+1. First-order neighbors: the k1 nearest other samples of the
+   (optionally row-normalized) input, found by a blocked kNN scan.
+2. Higher orders by expansion: order-h neighbors are the union of the
+   first-order neighbors of the order-(h-1) neighbors, minus the sample,
+   computed as a sparse product of the neighbor adjacencies.
+3. Per-order Gaussian kernel weights with a bandwidth that widens with
    the order (sigma_h = sigma * 1.5**h), restricted to the neighbor sets.
-5. Latent features: sum over orders of decay * (weights @ features).
-6. Output: row-normalized gamma * features + (1 - gamma) * latent.
+4. Latent features: sum over orders of decay * (weights @ features).
+5. Output: row-normalized gamma * features + (1 - gamma) * latent.
 
-Large inputs can be processed in contiguous row chunks, each enhanced
+No N x N distance matrix is built: the scan keeps one block of rows in
+memory, and the kernel weights need distances only on the neighbor
+supports, which are computed from the feature pairs directly. Large
+inputs can also be processed in contiguous row chunks, each enhanced
 independently (the "gallery batching" mode).
 """
 
+from __future__ import annotations
+
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
-from .matrix_ops import as_feature_matrix, l2_normalize_rows, pairwise_sq_euclidean, topk_smallest
+from .matrix_ops import as_feature_matrix, knn_scan, l2_normalize_rows, pair_sq_euclidean
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Per-order bandwidth growth factor: sigma_h = sigma * _BANDWIDTH_GROWTH**h.
 _BANDWIDTH_GROWTH = 1.5
@@ -115,78 +124,81 @@ class NeighborOrders:
         return self.levels[h - 1]
 
 
-def build_first_order(distances, k1: int) -> NeighborOrders:
-    """First-order neighbors: the k1 nearest other samples per row.
+def build_first_order(feats, k1: int) -> NeighborOrders:
+    """First-order neighbors: the k1 nearest other samples of each row.
 
-    Ties are broken by ascending index. If k1 >= N it is clamped to N-1
-    with a warning. Squared or unsquared distances give the same result.
+    Found by a blocked scan of the (N, d) features, ordered nearest
+    first with ties broken by ascending index. If k1 >= N it is clamped
+    to N-1 with a warning.
     """
-    dist = np.asarray(distances, dtype=np.float64)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise ValueError(f"expected a square distance matrix, got {dist.shape}")
-    n = dist.shape[0]
     if k1 < 1:
         raise ValueError(f"k1 must be >= 1, got {k1}")
+    n = len(feats)
     if k1 >= n:
         warnings.warn(
             f"k1={k1} >= sample count {n}; clamping to {n - 1}", RuntimeWarning, stacklevel=2
         )
-        k1 = n - 1
-    if k1 == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return NeighborOrders(levels=[[empty for _ in range(n)]])
-    result = topk_smallest(dist, k1, exclude_self=True)
-    return NeighborOrders(levels=[[result.indices[x].copy() for x in range(n)]])
+    nearest = knn_scan(feats, k1, exclude_self=True)
+    return NeighborOrders(levels=[list(nearest.indices)])
+
+
+def _pairs(level: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index of each (sample, neighbor) pair of one order."""
+    lengths = np.fromiter((nbrs.size for nbrs in level), dtype=np.int64, count=len(level))
+    rows = np.repeat(np.arange(len(level), dtype=np.int64), lengths)
+    cols = np.concatenate(level).astype(np.int64) if rows.size else np.empty(0, np.int64)
+    return rows, cols
+
+
+def _adjacency(level: list[np.ndarray]) -> sp.csr_matrix:
+    """One order's neighbor sets as an (N, N) 0/1 CSR matrix."""
+    import scipy.sparse as sp
+
+    rows, cols = _pairs(level)
+    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(len(level), len(level)))
 
 
 def expand_order(orders: NeighborOrders, disjoint_orders: bool = False) -> NeighborOrders:
     """Append the next neighbor order by one-hop expansion.
 
     Order-h neighbors of x are the union of the first-order neighbors of
-    x's order-(h-1) neighbors, minus x itself, duplicates removed. With
-    `disjoint_orders`, members already present at any lower order are
-    removed as well.
+    x's order-(h-1) neighbors, minus x itself, duplicates removed: the
+    support of S_(h-1) @ S_1 off the diagonal, where S_h is the 0/1
+    adjacency of order h. With `disjoint_orders`, members already present
+    at any lower order are removed as well.
     """
+    import scipy.sparse as sp
+
     if orders.num_orders < 1:
         raise ValueError("need at least the first order to expand")
-    first = orders.levels[0]
-    prev = orders.levels[-1]
-    empty = np.empty(0, dtype=np.int64)
-    new_level = []
-    for x, hop_sources in enumerate(prev):
-        if hop_sources.size == 0:
-            new_level.append(empty)
-            continue
-        pool = np.concatenate([first[y] for y in hop_sources])
-        members = np.unique(pool)
-        members = members[members != x]
-        if disjoint_orders:
-            seen = np.concatenate([level[x] for level in orders.levels])
-            members = np.setdiff1d(members, seen, assume_unique=False)
-        new_level.append(members.astype(np.int64))
-    return NeighborOrders(levels=orders.levels + [new_level])
+    n = orders.num_samples
+    reach = _adjacency(orders.levels[-1]) @ _adjacency(orders.levels[0])
+    dropped = sp.identity(n, format="csr")
+    if disjoint_orders:
+        for level in orders.levels:
+            dropped = dropped + _adjacency(level)
+    # entries of `reach` are positive path counts: subtracting them where
+    # `dropped` is set leaves exact zeros, which sparse subtraction drops
+    reach = reach - reach.multiply(dropped > 0)
+    reach.sort_indices()
+    cols = reach.indices.astype(np.int64)
+    return NeighborOrders(levels=orders.levels + [np.split(cols, reach.indptr[1:-1])])
 
 
-def adaptive_sigma(distances, orders: NeighborOrders) -> float:
+def adaptive_sigma(feats, orders: NeighborOrders) -> float:
     """Mean unsquared distance over all first-order (sample, neighbor) pairs.
 
+    Distances are computed from the (N, d) features on those pairs only.
     Returns 1.0 when every first-order set is empty.
     """
-    dist = np.asarray(distances, dtype=np.float64)
-    first = orders.levels[0]
-    total = 0.0
-    count = 0
-    for x, nbrs in enumerate(first):
-        if nbrs.size:
-            total += float(dist[x, nbrs].sum())
-            count += nbrs.size
-    if count == 0:
+    rows, cols = _pairs(orders.levels[0])
+    if rows.size == 0:
         return 1.0
-    return total / count
+    return float(np.sqrt(pair_sq_euclidean(feats, rows, cols)).mean())
 
 
 def gaussian_weights(
-    distances,
+    feats,
     orders: NeighborOrders,
     sigma: float,
     normalize_rows: bool = True,
@@ -199,7 +211,8 @@ def gaussian_weights(
     is rescaled to sum to 1 (entries stay in (0, 1]).
 
     Args:
-        distances: square unsquared-Euclidean distance matrix.
+        feats: (N, d) features; d(x, y) is their Euclidean distance,
+            computed on the neighbor supports only.
         orders: neighbor sets defining each order's support.
         sigma: base bandwidth, > 0.
         normalize_rows: rescale rows to unit sum.
@@ -207,24 +220,21 @@ def gaussian_weights(
     Returns:
         One CSR matrix per order, shape (N, N).
     """
+    import scipy.sparse as sp
+
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    dist = np.asarray(distances, dtype=np.float64)
-    n = dist.shape[0]
+    n = orders.num_samples
     weights = []
     for h, level in enumerate(orders.levels, start=1):
-        lengths = np.fromiter((nbrs.size for nbrs in level), dtype=np.int64, count=n)
-        rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        cols = (
-            np.concatenate(level).astype(np.int64) if lengths.sum() else np.empty(0, np.int64)
-        )
+        rows, cols = _pairs(level)
+        dist = np.sqrt(pair_sq_euclidean(feats, rows, cols))
         sigma_h = sigma * _BANDWIDTH_GROWTH**h
-        vals = np.exp(-np.square(dist[rows, cols]) / (2.0 * sigma_h**2))
+        vals = np.exp(-np.square(dist) / (2.0 * sigma_h**2))
         if normalize_rows and vals.size:
             row_sums = np.bincount(rows, weights=vals, minlength=n)
             vals = vals / row_sums[rows]
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        weights.append(mat)
+        weights.append(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
     return weights
 
 
@@ -276,18 +286,16 @@ def _enhance_whole(feats: np.ndarray, cfg: DmonConfig) -> np.ndarray:
     if feats.shape[0] < 2:
         # a single sample has no neighbors; only the gamma term survives
         return l2_normalize_rows(cfg.gamma * base)
-    dist = pairwise_sq_euclidean(base, base)
-    np.sqrt(dist, out=dist)
-    orders = build_first_order(dist, cfg.k1)
+    orders = build_first_order(base, cfg.k1)
     for _ in range(1, cfg.orders):
         orders = expand_order(orders, disjoint_orders=cfg.disjoint_orders)
     if cfg.sigma_mode == "fixed":
         sigma = cfg.sigma
     else:
-        sigma = adaptive_sigma(dist, orders)
+        sigma = adaptive_sigma(base, orders)
         if sigma <= 0.0:
             sigma = 1.0  # all first-order distances zero: kernel value is 1 anyway
-    weights = gaussian_weights(dist, orders, sigma, cfg.normalize_weight_rows)
+    weights = gaussian_weights(base, orders, sigma, cfg.normalize_weight_rows)
     latent = latent_features(weights, base, cfg.resolved_alphas())
     fused = cfg.gamma * base + (1.0 - cfg.gamma) * latent
     return l2_normalize_rows(fused)

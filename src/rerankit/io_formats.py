@@ -7,8 +7,9 @@ Three formats are supported:
   ASCII dict header with keys descr/fortran_order/shape, space padding,
   newline termination. Only rank-2, C-order, little-endian float32 or
   float64 payloads are accepted. The writer pads the header so the data
-  section starts at a 64-byte-aligned offset; the reader tolerates any
-  valid v1.0 header length.
+  section starts at a 64-byte-aligned offset, and streams the payload
+  into a file object by row stripes (a float64 matrix without a copy);
+  the reader tolerates any valid v1.0 header length.
 * CSV for sample labels: UTF-8, header ``pid,camid``, one integer pair
   per line, LF or CRLF.
 * JSON for reports and manifests, written in a canonical form (sorted
@@ -19,12 +20,14 @@ or line number (CSV); parsing never crashes with an untyped exception.
 """
 
 import ast
+import io
 import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .matrix_ops import _STRIPE_ELEMS
 from .metrics import SampleLabels
 
 NPY_MAGIC = b"\x93NUMPY"
@@ -150,19 +153,40 @@ def read_npy(data: bytes) -> np.ndarray:
 
 
 def write_npy(matrix, precision: str = "float32") -> bytes:
-    """Encode a matrix as NPY v1.0 bytes.
+    """Encode a matrix as NPY v1.0 bytes (`write_npy_to` into memory).
 
     Args:
+        matrix: (N, M) array-like of finite values.
+        precision: "float32" (default, interchange) or "float64".
+    """
+    buf = io.BytesIO()
+    write_npy_to(buf, matrix, precision)
+    return buf.getvalue()
+
+
+def write_npy_to(fh, matrix, precision: str = "float32") -> None:
+    """Encode a matrix as NPY v1.0 into a binary file object, by row stripes.
+
+    The bytes are those of `write_npy`. A C-ordered float64 matrix
+    written as float64 goes out without a copy; otherwise one stripe of
+    about _STRIPE_ELEMS entries is converted at a time. Every value is
+    checked before the first byte is written.
+
+    Args:
+        fh: binary file object with a `write` method.
         matrix: (N, M) array-like of finite values.
         precision: "float32" (default, interchange) or "float64".
     """
     if precision not in _PRECISION_TO_DESCR:
         raise ValueError(f"unsupported precision {precision!r}")
     descr = _PRECISION_TO_DESCR[precision]
+    dtype = _DESCR_TO_DTYPE[descr]
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"only rank-2 matrices are written, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    rows = max(1, _STRIPE_ELEMS // max(arr.shape[1], 1))
+    stripes = range(0, arr.shape[0], rows)
+    if not all(np.isfinite(arr[i : i + rows]).all() for i in stripes):
         raise ValueError("matrix contains non-finite values")
     header_text = (
         f"{{'descr': '{descr}', 'fortran_order': False, "
@@ -172,9 +196,9 @@ def write_npy(matrix, precision: str = "float32") -> bytes:
     unpadded = len(NPY_MAGIC) + 2 + 2 + len(header_text) + 1
     pad = (-unpadded) % _DATA_ALIGN
     header_bytes = (header_text + " " * pad + "\n").encode("ascii")
-    preamble = NPY_MAGIC + bytes([1, 0]) + struct.pack("<H", len(header_bytes))
-    payload = np.ascontiguousarray(arr.astype(_DESCR_TO_DTYPE[descr])).tobytes()
-    return preamble + header_bytes + payload
+    fh.write(NPY_MAGIC + bytes([1, 0]) + struct.pack("<H", len(header_bytes)) + header_bytes)
+    for i in stripes:
+        fh.write(np.ascontiguousarray(arr[i : i + rows], dtype=dtype).data)
 
 
 def read_labels(text) -> SampleLabels:

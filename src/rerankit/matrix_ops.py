@@ -1,9 +1,10 @@
 """Dense matrix primitives shared across the toolkit.
 
-Row normalization, row-striped pairwise squared-Euclidean distances, and
-deterministic smallest-k selection. All computation is done in float64
-regardless of input storage precision; the GEMM-style distance expansion
-loses too much accuracy in float32.
+Row normalization, row-striped pairwise squared-Euclidean distances,
+distances of listed row pairs, deterministic smallest-k selection, and
+the blocked k-nearest-neighbour scan built from them. All computation is
+done in float64 regardless of input storage precision; the GEMM-style
+distance expansion loses too much accuracy in float32.
 """
 
 from typing import NamedTuple
@@ -18,6 +19,10 @@ _CHUNK_ELEMS = 16_000_000
 # 2M float64 entries (16 MB) keep each stripe's elementwise passes in the
 # last-level cache.
 _STRIPE_ELEMS = 2_000_000
+
+# Upper bound on the rows of one block of the k-nearest-neighbour scan;
+# the block also stays within _CHUNK_ELEMS entries.
+_SCAN_BLOCK_ROWS = 1024
 
 
 class TopKResult(NamedTuple):
@@ -127,18 +132,46 @@ def pairwise_sq_euclidean(a, b, block: int = 4096) -> np.ndarray:
     return out
 
 
-def topk_smallest(d, k: int, exclude_self: bool = False) -> TopKResult:
+def pair_sq_euclidean(feats, rows, cols) -> np.ndarray:
+    """Squared-Euclidean distances of the listed row pairs of one matrix.
+
+    Entry t is the distance between rows `rows[t]` and `cols[t]`, by the
+    same expansion, operation order and clamp as `pairwise_sq_euclidean`
+    but with a plain dot product per pair. Pairs are gathered in chunks
+    of about _STRIPE_ELEMS feature entries.
+
+    Args:
+        feats: (N, d) float64 array, all values finite.
+        rows, cols: equal-length integer index arrays into the rows.
+
+    Returns:
+        np.ndarray: float64 distances, non-negative, one per pair.
+    """
+    feats = np.asarray(feats, dtype=np.float64)
+    sq_norms = np.einsum("ij,ij->i", feats, feats)
+    out = np.empty(len(rows), dtype=np.float64)
+    step = max(1, _STRIPE_ELEMS // max(feats.shape[1], 1))
+    for t0 in range(0, len(rows), step):
+        r, c = rows[t0 : t0 + step], cols[t0 : t0 + step]
+        part = out[t0 : t0 + step]
+        np.einsum("ij,ij->i", feats[r], feats[c], out=part)
+        part *= -2.0
+        part += sq_norms[r]
+        part += sq_norms[c]
+        np.maximum(part, 0.0, out=part)
+    return out
+
+
+def topk_smallest(d, k: int) -> TopKResult:
     """Per-row smallest-k entries, ordered by (value, column index).
 
     Ties are broken by ascending column index, so repeated calls on the
-    same input always produce identical index lists. If `exclude_self`
-    is set and the matrix is square, column i is skipped for row i.
-    k is clamped to the number of available candidates.
+    same input always produce identical index lists. k is clamped to the
+    number of columns.
 
     Args:
         d: (N, M) array-like of finite values.
         k: number of entries to keep per row, >= 1.
-        exclude_self: skip the diagonal entry of each row.
 
     Returns:
         TopKResult: indices (N, k_eff) int64 and values (N, k_eff) float64.
@@ -149,9 +182,7 @@ def topk_smallest(d, k: int, exclude_self: bool = False) -> TopKResult:
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     n, m = arr.shape
-    skip_diag = exclude_self and n == m
-    candidates = m - 1 if skip_diag else m
-    k_eff = min(k, candidates)
+    k_eff = min(k, m)
     if k_eff <= 0:
         return TopKResult(
             np.empty((n, 0), dtype=np.int64), np.empty((n, 0), dtype=np.float64)
@@ -161,13 +192,7 @@ def topk_smallest(d, k: int, exclude_self: bool = False) -> TopKResult:
     idx_parts = []
     val_parts = []
     for r0 in range(0, n, chunk):
-        r1 = min(r0 + chunk, n)
-        work = arr[r0:r1]
-        if skip_diag:
-            work = work.copy()
-            rows_local = np.arange(r1 - r0)
-            work[rows_local, rows_local + r0] = np.inf
-        idx, vals = _topk_rows(work, k_eff)
+        idx, vals = _topk_rows(arr[r0 : r0 + chunk], k_eff)
         idx_parts.append(idx)
         val_parts.append(vals)
     return TopKResult(np.vstack(idx_parts), np.vstack(val_parts))
@@ -200,3 +225,46 @@ def _topk_rows(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     idx = idx[:, :k]
     vals = np.take_along_axis(work, idx, axis=1)
     return idx, vals
+
+
+def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
+    """Each row's k nearest rows of the same matrix, by squared distance.
+
+    Blocked brute-force search: blocks of at most `_SCAN_BLOCK_ROWS` rows
+    and `_CHUNK_ELEMS` entries are each measured against every row with
+    `pairwise_sq_euclidean` and reduced with `topk_smallest`, so the
+    N x N matrix never exists and scratch is one block. Each row's own
+    column is set to inf with `exclude_self` and to exactly zero without
+    it. Results are ordered by (value, column index), exactly as
+    `topk_smallest` orders a full matrix. k is clamped to the number of
+    candidates (N - 1 with `exclude_self`, else N).
+
+    Args:
+        feats: (N, d) array-like, all values finite.
+        k: neighbours to keep per row, >= 1.
+        exclude_self: drop each row's own column from its candidates.
+
+    Returns:
+        TopKResult: indices (N, k_eff) int64 and squared distances
+        (N, k_eff) float64.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    arr = np.ascontiguousarray(as_feature_matrix(feats))
+    n = arr.shape[0]
+    k = min(k, n - 1 if exclude_self else n)
+    if k < 1:
+        return TopKResult(np.empty((n, 0), dtype=np.int64), np.empty((n, 0), dtype=np.float64))
+    rows = max(1, min(_SCAN_BLOCK_ROWS, _CHUNK_ELEMS // n))
+    self_value = np.inf if exclude_self else 0.0
+    idx_parts = []
+    val_parts = []
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = pairwise_sq_euclidean(arr[start:stop], arr)
+        local = np.arange(stop - start)
+        block[local, local + start] = self_value
+        part = topk_smallest(block, k)
+        idx_parts.append(part.indices)
+        val_parts.append(part.values)
+    return TopKResult(np.vstack(idx_parts), np.vstack(val_parts))

@@ -11,22 +11,28 @@ structure, without ever using query-query relations:
 4. The similarity is subtracted from the *raw* query-gallery distances.
    Resulting entries may be negative; only their ordering matters.
 
-The Ng x Ng matrix GG is never built: gallery rows are scanned in
-blocks of `_SCAN_BLOCK_ROWS`, each block against the whole gallery, and
-only every row's top-k2 entries are kept. A filtered row is
-`fill` plus a k2-sparse residual, so the similarity product is evaluated
-through a sparse-plus-constant decomposition of the kept entries.
+Neither GG nor a second Nq x Ng matrix is built. The gallery's top-k2
+neighbourhoods come from a blocked kNN scan (`matrix_ops.knn_scan`)
+that runs before QG is allocated; QG is then refined in place, one row
+stripe of about 2M entries at a time. A filtered row is `fill` plus a
+k2-sparse residual, so the similarity product is evaluated through a
+sparse-plus-constant decomposition of the kept entries, and the
+gallery's sparse form is built once for all stripes.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
-from .matrix_ops import as_feature_matrix, l2_normalize_rows, pairwise_sq_euclidean, topk_smallest
-
-_SCAN_BLOCK_ROWS = 1024
+from .matrix_ops import (
+    _STRIPE_ELEMS,
+    as_feature_matrix,
+    knn_scan,
+    l2_normalize_rows,
+    pairwise_sq_euclidean,
+    topk_smallest,
+)
 
 
 @dataclass(frozen=True)
@@ -54,12 +60,15 @@ class AroConfig:
             raise ValueError(f"fill_value must be 0.0 or 1.0, got {self.fill_value}")
 
 
-class FilteredRows(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class FilteredRows:
     """Rows of width `num_cols` equal to `fill` except at their kept entries.
 
     `indices` and `values` are (rows, k) and hold each row's k smallest
     entries, as `topk_smallest` returns them. `np.asarray` gives back the
-    dense fill-padded matrix.
+    dense fill-padded matrix. The sparse form `asymmetric_similarity`
+    needs is computed on first use and kept, so rows used against many
+    query stripes are converted once.
     """
 
     indices: np.ndarray
@@ -71,6 +80,41 @@ class FilteredRows(NamedTuple):
         out = np.full((self.indices.shape[0], self.num_cols), self.fill, dtype=np.float64)
         np.put_along_axis(out, self.indices, self.values, axis=1)
         return out if dtype is None else out.astype(dtype, copy=False)
+
+    @cached_property
+    def _stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row (sum of kept entries minus fill, row norm; inf for zero rows)."""
+        k = self.indices.shape[1]
+        sq_norms = self.fill * self.fill * (self.num_cols - k) + np.einsum(
+            "ij,ij->i", self.values, self.values
+        )
+        if not np.isfinite(sq_norms).all():
+            raise ValueError(
+                "squared distances overflow float64: a kept distance or a row norm "
+                "is not finite; scale the features down or enable pre-normalization"
+            )
+        norms = np.sqrt(sq_norms)
+        norms[norms == 0.0] = np.inf  # zero rows contribute zero similarity
+        return (self.values - self.fill).sum(axis=1), norms
+
+    @cached_property
+    def _residual(self):
+        """The rows minus `fill`, as a CSR matrix of the kept entries."""
+        import scipy.sparse as sp
+
+        n, k = self.indices.shape
+        return sp.csr_matrix(
+            (
+                (self.values - self.fill).ravel(),
+                (np.repeat(np.arange(n, dtype=np.int64), k), self.indices.ravel()),
+            ),
+            shape=(n, self.num_cols),
+        )
+
+    @cached_property
+    def _residual_t(self):
+        """`_residual` transposed, in CSR form for the right side of a product."""
+        return self._residual.T.tocsr()
 
 
 def neighborhood_filter(distances, k2: int, fill: float) -> FilteredRows:
@@ -85,7 +129,7 @@ def neighborhood_filter(distances, k2: int, fill: float) -> FilteredRows:
         raise ValueError(f"expected a 2-D matrix, got ndim={dist.ndim}")
     if k2 < 1:
         raise ValueError(f"k2 must be >= 1, got {k2}")
-    kept = topk_smallest(dist, min(k2, dist.shape[1]), exclude_self=False)
+    kept = topk_smallest(dist, k2)
     return FilteredRows(kept.indices, kept.values, fill, dist.shape[1])
 
 
@@ -107,28 +151,9 @@ def asymmetric_similarity(q_rows: FilteredRows, g_rows: FilteredRows) -> np.ndar
         raise ValueError(
             f"shape mismatch: {num_cols} query columns vs {g_rows.num_cols} gallery columns"
         )
-    sides = []
-    for rows in (q_rows, g_rows):
-        n, k = rows.indices.shape
-        sq_norms = rows.fill * rows.fill * (num_cols - k) + np.einsum(
-            "ij,ij->i", rows.values, rows.values
-        )
-        if not np.isfinite(sq_norms).all():
-            raise ValueError(
-                "squared distances overflow float64: a kept distance or a row norm "
-                "is not finite; scale the features down or enable pre-normalization"
-            )
-        shifted = rows.values - rows.fill
-        residual = sp.csr_matrix(
-            (shifted.ravel(), (np.repeat(np.arange(n, dtype=np.int64), k), rows.indices.ravel())),
-            shape=(n, num_cols),
-        )
-        norms = np.sqrt(sq_norms)
-        norms[norms == 0.0] = np.inf  # zero rows contribute zero similarity
-        sides.append((residual, shifted.sum(axis=1), norms))
-    (q_sparse, q_resid, q_norms), (g_sparse, g_resid, g_norms) = sides
-
-    sim = (q_sparse @ g_sparse.T).toarray().astype(np.float64, copy=False)
+    q_resid, q_norms = q_rows._stats
+    g_resid, g_norms = g_rows._stats
+    sim = (q_rows._residual @ g_rows._residual_t).toarray().astype(np.float64, copy=False)
     if q_rows.fill != 0.0 or g_rows.fill != 0.0:
         sim += q_rows.fill * g_rows.fill * num_cols
         sim += g_rows.fill * q_resid[:, None]
@@ -141,6 +166,10 @@ def asymmetric_similarity(q_rows: FilteredRows, g_rows: FilteredRows) -> np.ndar
 
 def optimize(query_feats, gallery_feats, cfg: AroConfig) -> np.ndarray:
     """Refine query-gallery distances via asymmetric similarity subtraction.
+
+    The returned matrix is the only (Nq, Ng) buffer: the gallery
+    neighbourhoods are scanned first and the similarity is subtracted
+    stripe by stripe in place.
 
     Args:
         query_feats: (Nq, d) embeddings.
@@ -164,28 +193,23 @@ def optimize(query_feats, gallery_feats, cfg: AroConfig) -> np.ndarray:
     if cfg.pre_normalize:
         fq = l2_normalize_rows(fq)
         fg = l2_normalize_rows(fg)
-    qg = pairwise_sq_euclidean(fq, fg)
     if not cfg.enabled:
-        return qg
-    qg -= _similarity_streamed(qg, fg, cfg.k2, cfg.fill_value)
+        return pairwise_sq_euclidean(fq, fg)
+    nearest = knn_scan(fg, cfg.k2, exclude_self=False)
+    g_rows = FilteredRows(nearest.indices, nearest.values, cfg.fill_value, fg.shape[0])
+    qg = pairwise_sq_euclidean(fq, fg)
+    _similarity_streamed(qg, g_rows, cfg.k2, cfg.fill_value)
     return qg
 
 
-def _similarity_streamed(qg, gallery_feats, k2, fill):
-    """Asymmetric similarity without materializing the gallery-gallery matrix.
+def _similarity_streamed(qg, g_rows, k2, fill):
+    """Subtract the asymmetric similarity from `qg` in place, by row stripes.
 
-    Gallery top-k2 neighborhoods are found by scanning row blocks of
-    `_SCAN_BLOCK_ROWS` against the whole gallery; each row's self
-    distance is set to exactly zero.
+    Each stripe of about _STRIPE_ELEMS entries is filtered to its rows'
+    top-k2 and compared with the gallery's filtered rows `g_rows`, so the
+    only scratch is one stripe's similarity.
     """
-    num_g = gallery_feats.shape[0]
-    blocks = []
-    for start in range(0, num_g, _SCAN_BLOCK_ROWS):
-        stop = min(start + _SCAN_BLOCK_ROWS, num_g)
-        strip = pairwise_sq_euclidean(gallery_feats[start:stop], gallery_feats)
-        strip[np.arange(stop - start), np.arange(start, stop)] = 0.0
-        blocks.append(neighborhood_filter(strip, k2, fill))
-    g_rows = FilteredRows(
-        np.vstack([b.indices for b in blocks]), np.vstack([b.values for b in blocks]), fill, num_g
-    )
-    return asymmetric_similarity(neighborhood_filter(qg, k2, fill), g_rows)
+    rows = max(1, _STRIPE_ELEMS // qg.shape[1])
+    for start in range(0, qg.shape[0], rows):
+        stripe = qg[start : start + rows]
+        stripe -= asymmetric_similarity(neighborhood_filter(stripe, k2, fill), g_rows)

@@ -14,7 +14,15 @@ import numpy as np
 
 from . import __version__
 from .enhance import DmonConfig, enhance
-from .io_formats import read_json, read_labels, read_npy, write_json, write_labels, write_npy
+from .io_formats import (
+    read_json,
+    read_labels,
+    read_npy,
+    write_json,
+    write_labels,
+    write_npy,
+    write_npy_to,
+)
 from .metrics import EvalReport, evaluate
 from .optimize import AroConfig, optimize
 from .synthetic import SynthSpec, generate
@@ -156,7 +164,7 @@ def rerank_files(
     """Load feature files, compute refined distances, write NPY + manifest.
 
     Distances are stored in float64 so downstream evaluation sees exactly
-    the computed values.
+    the computed values; they are streamed into the file without a copy.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,7 +172,8 @@ def rerank_files(
     fg = read_npy(Path(gallery_path).read_bytes())
     dist = compute_refined_distances(fq, fg, cfg)
     dist_path = out / DIST_FILENAME
-    dist_path.write_bytes(write_npy(dist, precision="float64"))
+    with open(dist_path, "wb") as fh:
+        write_npy_to(fh, dist, precision="float64")
     distance_kind = (
         "squared_euclidean_minus_similarity" if cfg.aro_on else "squared_euclidean"
     )

@@ -180,11 +180,10 @@ def test_criterion_3_structural_invariants():
 
     for _ in range(10):
         pts = rng.standard_normal((int(rng.integers(5, 30)), 4))
-        dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
-        orders = build_first_order(dist, k1=int(rng.integers(1, 4)))
+        orders = build_first_order(pts, k1=int(rng.integers(1, 4)))
         for _ in range(2):
             orders = expand_order(orders)
-        for mat in gaussian_weights(dist, orders, sigma=1.0):
+        for mat in gaussian_weights(pts, orders, sigma=1.0):
             coo = mat.tocoo()
             assert not np.any(coo.row == coo.col)
 
@@ -362,12 +361,23 @@ def test_criterion_7_performance_evaluate():
 
 
 def _peak_rss_of_rerank(data_dir: Path, out_dir: Path, batch_args: list) -> int:
-    """Run a rerank in a fresh interpreter; return its peak RSS in KB."""
+    """Run a rerank in a fresh interpreter; return its peak RSS in KB.
+
+    The peak is the process's own VmHWM. On Linux `ru_maxrss` survives
+    exec, so a child started from a large process (pytest after earlier
+    tests) would report the parent's high-water mark instead of its own;
+    `ru_maxrss` is only the fallback where /proc is missing.
+    """
     code = (
         "import resource, sys\n"
         "from rerankit.cli import main\n"
         f"rc = main({batch_args!r})\n"
-        "print('PEAK_KB', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "try:\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        peak = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        "except (OSError, StopIteration):\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print('PEAK_KB', peak)\n"
         "sys.exit(rc)\n"
     )
     proc = subprocess.run(

@@ -1,8 +1,14 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+
+from rerankit import matrix_ops
 
 from rerankit.enhance import (
     DmonConfig,
@@ -18,17 +24,17 @@ from rerankit.matrix_ops import l2_normalize_rows, pairwise_sq_euclidean
 from rerankit.synthetic import SynthSpec, generate
 
 from naive_impl import naive_enhance, naive_neighbor_orders
+from strategies import exact_rows
 
 
-def line_distances():
-    """Three points on a line at 0, 1, 2 (unsquared distances)."""
-    pts = np.array([[0.0], [1.0], [2.0]])
-    return np.sqrt(pairwise_sq_euclidean(pts, pts))
+def line_points():
+    """Three points on a line at 0, 1, 2."""
+    return np.array([[0.0], [1.0], [2.0]])
 
 
 class TestBuildFirstOrder:
     def test_line_with_tie(self):
-        orders = build_first_order(line_distances(), k1=1)
+        orders = build_first_order(line_points(), k1=1)
         level = orders.order(1)
         assert_array_equal(level[0], [1])
         assert_array_equal(level[1], [0])  # tie between 0 and 2 -> lower index
@@ -36,14 +42,13 @@ class TestBuildFirstOrder:
 
     def test_k1_clamped_with_warning(self):
         with pytest.warns(RuntimeWarning, match="clamping"):
-            orders = build_first_order(line_distances(), k1=5)
+            orders = build_first_order(line_points(), k1=5)
         assert all(len(nbrs) == 2 for nbrs in orders.order(1))
 
     def test_no_self_membership(self):
         rng = np.random.default_rng(53)
         pts = rng.standard_normal((12, 3))
-        dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
-        orders = build_first_order(dist, k1=4)
+        orders = build_first_order(pts, k1=4)
         for x, nbrs in enumerate(orders.order(1)):
             assert x not in nbrs
 
@@ -51,7 +56,7 @@ class TestBuildFirstOrder:
         rng = np.random.default_rng(59)
         pts = rng.standard_normal((30, 4))
         dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
-        orders = build_first_order(dist, k1=3)
+        orders = build_first_order(pts, k1=3)
         expected = naive_neighbor_orders(dist, k1=3, num_orders=1)
         for x in range(30):
             assert_array_equal(orders.order(1)[x], expected[0][x])
@@ -60,15 +65,16 @@ class TestBuildFirstOrder:
         rng = np.random.default_rng(61)
         pts = rng.standard_normal((15, 3))
         sq = pairwise_sq_euclidean(pts, pts)
-        a = build_first_order(sq, k1=3)
-        b = build_first_order(np.sqrt(sq), k1=3)
-        for x in range(15):
-            assert_array_equal(a.order(1)[x], b.order(1)[x])
+        orders = build_first_order(pts, k1=3)
+        for dist in (sq, np.sqrt(sq)):
+            expected = naive_neighbor_orders(dist, k1=3, num_orders=1)
+            for x in range(15):
+                assert_array_equal(orders.order(1)[x], expected[0][x])
 
 
 class TestExpandOrder:
     def test_line_chain(self):
-        orders = expand_order(build_first_order(line_distances(), k1=1))
+        orders = expand_order(build_first_order(line_points(), k1=1))
         assert_array_equal(orders.order(2)[2], [0])  # neighbors-of-neighbor minus self
 
     def test_empty_source_stays_empty(self):
@@ -83,7 +89,7 @@ class TestExpandOrder:
         rng = np.random.default_rng(67)
         pts = rng.standard_normal((30, 4))
         dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
-        orders = build_first_order(dist, k1=2)
+        orders = build_first_order(pts, k1=2)
         for _ in range(2):
             orders = expand_order(orders)
         expected = naive_neighbor_orders(dist, k1=2, num_orders=3)
@@ -95,7 +101,7 @@ class TestExpandOrder:
         rng = np.random.default_rng(71)
         pts = rng.standard_normal((25, 3))
         dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
-        orders = build_first_order(dist, k1=3)
+        orders = build_first_order(pts, k1=3)
         orders = expand_order(orders, disjoint_orders=True)
         orders = expand_order(orders, disjoint_orders=True)
         expected = naive_neighbor_orders(dist, k1=3, num_orders=3, disjoint=True)
@@ -112,46 +118,48 @@ class TestExpandOrder:
 
 class TestAdaptiveSigma:
     def test_constant_distances(self):
-        dist = np.full((4, 4), 0.5)
-        np.fill_diagonal(dist, 0.0)
-        orders = build_first_order(dist, k1=2)
-        assert adaptive_sigma(dist, orders) == 0.5
+        # 0/1 codewords pairwise 4 bits apart, scaled by 0.25: every
+        # distance is exactly 0.5
+        codes = np.array([[0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 0, 0],
+                          [1, 1, 0, 0, 1, 1], [0, 0, 1, 1, 1, 1]])
+        pts = 0.25 * codes
+        orders = build_first_order(pts, k1=2)
+        assert adaptive_sigma(pts, orders) == 0.5
 
     def test_empty_sets_fall_back_to_one(self):
         from rerankit.enhance import NeighborOrders
 
         empty = np.empty(0, dtype=np.int64)
         orders = NeighborOrders(levels=[[empty, empty]])
-        assert adaptive_sigma(np.zeros((2, 2)), orders) == 1.0
+        assert adaptive_sigma(np.zeros((2, 3)), orders) == 1.0
 
     def test_matches_flat_average(self):
         rng = np.random.default_rng(73)
         pts = rng.standard_normal((20, 3))
         dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
-        orders = build_first_order(dist, k1=3)
+        orders = build_first_order(pts, k1=3)
         flat = [dist[x, y] for x in range(20) for y in orders.order(1)[x]]
-        assert abs(adaptive_sigma(dist, orders) - np.mean(flat)) <= 1e-12
+        assert abs(adaptive_sigma(pts, orders) - np.mean(flat)) <= 1e-12
 
 
 class TestGaussianWeights:
     def test_zero_distance_weight_is_one(self):
-        dist = np.zeros((2, 2))
-        orders = build_first_order(np.array([[0.0, 1.0], [1.0, 0.0]]), k1=1)
-        weights = gaussian_weights(dist, orders, sigma=1.0, normalize_rows=False)
+        orders = build_first_order(np.array([[0.0], [1.0]]), k1=1)
+        weights = gaussian_weights(np.zeros((2, 1)), orders, sigma=1.0, normalize_rows=False)
         assert weights[0][0, 1] == 1.0
 
     def test_bandwidth_scaling_second_order(self):
         # sigma=1, order 2 -> bandwidth 2.25; distance 1 -> exp(-1/10.125)
         from rerankit.enhance import NeighborOrders
 
-        dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+        pts = np.array([[0.0], [1.0]])
         orders = NeighborOrders(
             levels=[
                 [np.array([1]), np.array([0])],
                 [np.array([1]), np.array([0])],
             ]
         )
-        weights = gaussian_weights(dist, orders, sigma=1.0, normalize_rows=False)
+        weights = gaussian_weights(pts, orders, sigma=1.0, normalize_rows=False)
         expected = math.exp(-1.0 / (2.0 * 2.25**2))
         assert abs(weights[1][0, 1] - expected) <= 1e-12
         assert abs(expected - 0.90595) <= 1e-5
@@ -159,9 +167,8 @@ class TestGaussianWeights:
     def test_non_neighbors_have_zero_weight(self):
         rng = np.random.default_rng(79)
         pts = rng.standard_normal((10, 2))
-        dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
-        orders = build_first_order(dist, k1=2)
-        mat = gaussian_weights(dist, orders, sigma=1.0)[0].toarray()
+        orders = build_first_order(pts, k1=2)
+        mat = gaussian_weights(pts, orders, sigma=1.0)[0].toarray()
         members = {(x, y) for x in range(10) for y in orders.order(1)[x]}
         for x in range(10):
             for y in range(10):
@@ -173,9 +180,8 @@ class TestGaussianWeights:
     def test_rows_sum_to_one_when_normalized(self):
         rng = np.random.default_rng(83)
         pts = rng.standard_normal((12, 3))
-        dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
-        orders = expand_order(build_first_order(dist, k1=2))
-        for mat in gaussian_weights(dist, orders, sigma=0.7, normalize_rows=True):
+        orders = expand_order(build_first_order(pts, k1=2))
+        for mat in gaussian_weights(pts, orders, sigma=0.7, normalize_rows=True):
             sums = np.asarray(mat.sum(axis=1)).ravel()
             nonempty = np.diff(mat.indptr) > 0
             assert_allclose(sums[nonempty], 1.0, atol=1e-12)
@@ -183,28 +189,26 @@ class TestGaussianWeights:
     def test_no_diagonal_support(self):
         rng = np.random.default_rng(89)
         pts = rng.standard_normal((14, 3))
-        dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
-        orders = build_first_order(dist, k1=3)
+        orders = build_first_order(pts, k1=3)
         for _ in range(2):
             orders = expand_order(orders)
-        for mat in gaussian_weights(dist, orders, sigma=1.0):
+        for mat in gaussian_weights(pts, orders, sigma=1.0):
             coo = mat.tocoo()
             assert not np.any(coo.row == coo.col)
 
     def test_weights_in_unit_interval(self):
         rng = np.random.default_rng(97)
         pts = rng.standard_normal((15, 4))
-        dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
-        orders = expand_order(build_first_order(dist, k1=3))
+        orders = expand_order(build_first_order(pts, k1=3))
         for normalize in (False, True):
-            for mat in gaussian_weights(dist, orders, sigma=1.0, normalize_rows=normalize):
+            for mat in gaussian_weights(pts, orders, sigma=1.0, normalize_rows=normalize):
                 vals = mat.tocoo().data
                 assert np.all(vals > 0.0) and np.all(vals <= 1.0)
 
     def test_sigma_must_be_positive(self):
-        orders = build_first_order(line_distances(), k1=1)
+        orders = build_first_order(line_points(), k1=1)
         with pytest.raises(ValueError, match="sigma"):
-            gaussian_weights(line_distances(), orders, sigma=0.0)
+            gaussian_weights(line_points(), orders, sigma=0.0)
 
 
 class TestLatentFeatures:
@@ -227,9 +231,8 @@ class TestLatentFeatures:
     def test_matches_dense_product(self):
         rng = np.random.default_rng(101)
         pts = rng.standard_normal((18, 5))
-        dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
-        orders = expand_order(build_first_order(dist, k1=3))
-        weights = gaussian_weights(dist, orders, sigma=1.0)
+        orders = expand_order(build_first_order(pts, k1=3))
+        weights = gaussian_weights(pts, orders, sigma=1.0)
         alphas = default_decay(2)
         expected = sum(
             a * (w.toarray() @ pts) for w, a in zip(weights, alphas)
@@ -282,6 +285,46 @@ class TestEnhance:
         feats = np.ones((6, 3))
         out = enhance(feats, DmonConfig(k1=2, orders=2))
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.filterwarnings("ignore:k1=.*clamping:RuntimeWarning")
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_oracle(self, data):
+        """Duplicate rows put exact first-order ties across scan block edges."""
+        pre_normalize = data.draw(st.booleans(), label="pre_normalize")
+        pool = data.draw(st.lists(exact_rows(pre_normalize), min_size=1, max_size=4), label="pool")
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=9))
+        feats = np.array([pool[i] for i in picks])
+        n = feats.shape[0]
+        k1 = data.draw(st.integers(1, n + 1), label="k1")
+        orders = data.draw(st.integers(1, 3), label="orders")
+        disjoint = data.draw(st.booleans(), label="disjoint_orders")
+        sigma_mode = data.draw(st.sampled_from(["adaptive", "fixed"]), label="sigma_mode")
+        sigma = data.draw(st.sampled_from([0.3, 1.0, 2.5]), label="sigma")
+        block = data.draw(st.integers(1, 3), label="block rows")
+        cfg = DmonConfig(
+            k1=k1, orders=orders, disjoint_orders=disjoint, sigma_mode=sigma_mode,
+            sigma=sigma, pre_normalize=pre_normalize,
+        )
+        with mock.patch.object(matrix_ops, "_SCAN_BLOCK_ROWS", block):
+            out = enhance(feats, cfg)
+        expected = naive_enhance(
+            feats, k1=k1, num_orders=orders, disjoint_orders=disjoint,
+            sigma_mode=sigma_mode, sigma=sigma, pre_normalize=pre_normalize,
+        )
+        assert_allclose(out, expected, atol=1e-6)
+
+    def test_peak_memory_below_sample_square(self):
+        """No N x N distance matrix is built."""
+        rng = np.random.default_rng(137)
+        feats = rng.standard_normal((3000, 32))
+        tracemalloc.start()
+        try:
+            enhance(feats, DmonConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3000 * 3000 * 8, f"peak {peak / 2**20:.1f} MiB"
 
     def test_intra_class_compaction_on_clustered_data(self):
         _, _, gallery, g_labels = generate(SynthSpec(seed=7))

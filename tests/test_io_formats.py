@@ -1,4 +1,6 @@
+import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
+from rerankit import io_formats
 from rerankit.io_formats import (
     LabelFormatError,
     NpyFormatError,
@@ -17,6 +20,7 @@ from rerankit.io_formats import (
     write_json,
     write_labels,
     write_npy,
+    write_npy_to,
 )
 from rerankit.metrics import SampleLabels
 
@@ -170,8 +174,6 @@ class TestWriteNpy:
         assert out.shape == (0, 0)
 
     def test_numpy_can_read_back(self):
-        import io
-
         m = np.array([[1.25, -2.5]])
         loaded = np.load(io.BytesIO(write_npy(m, precision="float64")))
         assert_array_equal(loaded, m)
@@ -197,6 +199,44 @@ class TestWriteNpy:
         data = write_npy(m, precision=precision)
         again = write_npy(read_npy(data), precision=precision)
         assert data == again
+
+
+class TestWriteNpyTo:
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("shape", [(13, 5), (1, 1), (0, 3), (0, 0), (4, 0)])
+    def test_file_bytes_match_in_memory_and_numpy(self, tmp_path, monkeypatch, precision, shape):
+        """Stripes of one to a few rows join into the bytes of one encoding."""
+        monkeypatch.setattr(io_formats, "_STRIPE_ELEMS", 6)
+        m = np.random.default_rng(31).standard_normal(shape)
+        path = tmp_path / "m.npy"
+        with open(path, "wb") as fh:
+            write_npy_to(fh, m, precision=precision)
+        data = path.read_bytes()
+        assert data == write_npy(m, precision=precision)
+        buf = io.BytesIO()
+        np.save(buf, m.astype(precision))
+        assert data == buf.getvalue()
+
+    def test_non_finite_in_a_later_stripe_writes_nothing(self, monkeypatch):
+        monkeypatch.setattr(io_formats, "_STRIPE_ELEMS", 6)
+        m = np.zeros((20, 3))
+        m[17, 1] = np.inf
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="non-finite"):
+            write_npy_to(buf, m, precision="float64")
+        assert buf.getvalue() == b""
+
+    def test_peak_memory_below_quarter_of_matrix(self, tmp_path):
+        """A float64 matrix goes to the file without a full-size copy."""
+        m = np.random.default_rng(37).random((2000, 8000))
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "m.npy", "wb") as fh:
+                write_npy_to(fh, m, precision="float64")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes / 4, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestLabels:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
+from rerankit import matrix_ops
 from rerankit.matrix_ops import (
+    knn_scan,
     l2_normalize_rows,
+    pair_sq_euclidean,
     pairwise_sq_euclidean,
     topk_smallest,
 )
@@ -114,11 +119,6 @@ class TestTopkSmallest:
         assert_array_equal(res.indices, exp_idx)
         assert_allclose(res.values, exp_val)
 
-    def test_exclude_self(self):
-        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
-        res = topk_smallest(d, 1, exclude_self=True)
-        assert_array_equal(res.indices, [[1], [0], [0]])
-
     def test_k_clamped_to_columns(self):
         res = topk_smallest([[3.0, 1.0]], 10)
         assert_array_equal(res.indices, [[1, 0]])
@@ -152,3 +152,62 @@ class TestTopkSmallest:
         d = np.array([[5.0, 2.0, 5.0, 5.0, 1.0, 5.0]])
         res = topk_smallest(d, 4)
         assert_array_equal(res.indices, [[4, 1, 0, 2]])
+
+
+class TestKnnScan:
+    def test_exclude_self(self):
+        # on a line at 0, 1, -2: distances 1 (0-1), 2 (0-2), 3 (1-2)
+        pts = np.array([[0.0], [1.0], [-2.0]])
+        res = knn_scan(pts, 1, exclude_self=True)
+        assert_array_equal(res.indices, [[1], [0], [0]])
+
+    def test_self_kept_at_zero(self):
+        pts = np.array([[0.0], [1.0], [-2.0]])
+        res = knn_scan(pts, 3, exclude_self=False)
+        assert_array_equal(res.indices, [[0, 1, 2], [1, 0, 2], [2, 0, 1]])
+        assert_array_equal(res.values[:, 0], [0.0, 0.0, 0.0])
+
+    def test_k_clamped_to_candidates(self):
+        pts = np.array([[0.0], [1.0]])
+        assert knn_scan(pts, 5, exclude_self=True).indices.shape == (2, 1)
+        assert knn_scan(pts, 5, exclude_self=False).indices.shape == (2, 2)
+        assert knn_scan(pts[:1], 1, exclude_self=True).indices.shape == (1, 0)
+
+    @given(
+        st.lists(st.lists(st.integers(-2, 2).map(float), min_size=3, max_size=3),
+                 min_size=1, max_size=4),
+        st.lists(st.integers(0, 3), min_size=1, max_size=10),
+        st.integers(1, 12),
+        st.booleans(),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_matrix_oracle(self, pool, picks, k, exclude_self, block):
+        """Duplicate integer rows put exact ties on scan block edges."""
+        pts = np.array([pool[i % len(pool)] for i in picks])
+        with mock.patch.object(matrix_ops, "_SCAN_BLOCK_ROWS", block):
+            res = knn_scan(pts, k, exclude_self=exclude_self)
+        full = naive_pairwise_sq(pts, pts)
+        if exclude_self:
+            exp_idx, exp_val = naive_topk(full, k, exclude_self=True)
+        else:
+            exp_idx, exp_val = naive_topk(full, k)
+        assert_array_equal(res.indices, exp_idx.reshape(len(pts), -1))
+        assert_array_equal(res.values, exp_val.reshape(len(pts), -1))
+
+
+class TestPairSqEuclidean:
+    def test_matches_full_matrix(self):
+        rng = np.random.default_rng(41)
+        pts = rng.standard_normal((9, 5))
+        rows = rng.integers(0, 9, 40)
+        cols = rng.integers(0, 9, 40)
+        full = pairwise_sq_euclidean(pts, pts)
+        assert_allclose(pair_sq_euclidean(pts, rows, cols), full[rows, cols], atol=1e-12)
+
+    def test_chunks_and_empty(self, monkeypatch):
+        monkeypatch.setattr(matrix_ops, "_STRIPE_ELEMS", 6)
+        pts = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])
+        out = pair_sq_euclidean(pts, np.array([0, 1, 2, 1, 0]), np.array([1, 2, 0, 1, 0]))
+        assert_array_equal(out, [25.0, 20.0, 1.0, 0.0, 0.0])
+        assert pair_sq_euclidean(pts, np.empty(0, int), np.empty(0, int)).shape == (0,)

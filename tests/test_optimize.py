@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from rerankit import matrix_ops
 from rerankit.matrix_ops import l2_normalize_rows, pairwise_sq_euclidean
 from rerankit.optimize import (
     AroConfig,
@@ -18,6 +19,7 @@ from rerankit.optimize import (
 )
 
 from naive_impl import naive_filter, naive_optimize, naive_similarity
+from strategies import exact_rows
 
 # The package re-exports the `optimize` function under the module's name.
 optimize_module = importlib.import_module("rerankit.optimize")
@@ -103,26 +105,6 @@ class TestAsymmetricSimilarity:
         )
 
 
-def _exact_rows(pre_normalize):
-    """Feature rows on which every implementation computes exact distances.
-
-    Small integers have exact squared distances. For pre-normalized runs,
-    rows of four equal-magnitude signed entries or one non-zero entry have
-    exact unit rows (entries 0, +-0.5, +-1), so every distance is a multiple
-    of 0.25. Exact distances make ties exact in the package and the oracle.
-    """
-    if not pre_normalize:
-        return st.lists(st.integers(-3, 3).map(float), min_size=4, max_size=4)
-    scale = st.sampled_from([0.5, 1.0, 4.0])
-    spread = st.tuples(
-        st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4), scale
-    ).map(lambda t: [s * t[1] for s in t[0]])
-    single = st.tuples(st.integers(0, 3), st.sampled_from([-1.0, 1.0]), scale).map(
-        lambda t: [t[1] * t[2] if i == t[0] else 0.0 for i in range(4)]
-    )
-    return st.one_of(spread, single, st.just([0.0] * 4))
-
-
 class TestOptimize:
     def test_disabled_returns_raw_distances(self):
         rng = np.random.default_rng(163)
@@ -184,7 +166,7 @@ class TestOptimize:
     @pytest.mark.parametrize("k2", [1, 4, 30])
     def test_streamed_route_matches_dense(self, fill, k2, monkeypatch):
         """Gallery scanned in several blocks, against the dense oracle."""
-        monkeypatch.setattr(optimize_module, "_SCAN_BLOCK_ROWS", 4)
+        monkeypatch.setattr(matrix_ops, "_SCAN_BLOCK_ROWS", 4)
         rng = np.random.default_rng(193)
         fq = rng.standard_normal((7, 6))
         fg = rng.standard_normal((21, 6))
@@ -194,7 +176,7 @@ class TestOptimize:
     def test_streamed_route_medium_scale(self, monkeypatch):
         """900 gallery rows in blocks of 256 (ragged last block) against the
         dense fill-padded product rownorm(QG) @ rownorm(GG)^T."""
-        monkeypatch.setattr(optimize_module, "_SCAN_BLOCK_ROWS", 256)
+        monkeypatch.setattr(matrix_ops, "_SCAN_BLOCK_ROWS", 256)
         rng = np.random.default_rng(199)
         fq = l2_normalize_rows(rng.standard_normal((40, 16)))
         fg = l2_normalize_rows(rng.standard_normal((900, 16)))
@@ -208,24 +190,27 @@ class TestOptimize:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_naive_oracle(self, data):
-        """Duplicate rows put exact top-k2 ties across gallery block edges."""
+        """Duplicate rows put exact top-k2 ties across gallery block edges;
+        query stripes of one or two rows split the in-place subtraction."""
         pre_normalize = data.draw(st.booleans(), label="pre_normalize")
-        pool = data.draw(st.lists(_exact_rows(pre_normalize), min_size=1, max_size=4), label="pool")
+        pool = data.draw(st.lists(exact_rows(pre_normalize), min_size=1, max_size=4), label="pool")
         pick = st.integers(0, len(pool) - 1)
-        fq = np.array([pool[i] for i in data.draw(st.lists(pick, min_size=1, max_size=3))])
+        fq = np.array([pool[i] for i in data.draw(st.lists(pick, min_size=1, max_size=5))])
         fg = np.array([pool[i] for i in data.draw(st.lists(pick, min_size=1, max_size=9))])
         k2 = data.draw(st.integers(1, fg.shape[0] + 2), label="k2")
         fill = data.draw(st.sampled_from([0.0, 1.0]), label="fill")
         block = data.draw(st.integers(1, 3), label="block rows")
+        stripe = data.draw(st.integers(1, 2), label="stripe rows") * fg.shape[0]
         cfg = AroConfig(k2=k2, fill_value=fill, pre_normalize=pre_normalize)
-        with mock.patch.object(optimize_module, "_SCAN_BLOCK_ROWS", block):
+        with mock.patch.object(matrix_ops, "_SCAN_BLOCK_ROWS", block), \
+                mock.patch.object(optimize_module, "_STRIPE_ELEMS", stripe):
             out = optimize(fq, fg, cfg)
         expected = naive_optimize(fq, fg, k2=k2, fill=fill, pre_normalize=pre_normalize)
         assert_allclose(out, expected, rtol=0, atol=1e-9)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e100, 1e160])
-    @pytest.mark.parametrize("num_g", [9, optimize_module._SCAN_BLOCK_ROWS + 9])
+    @pytest.mark.parametrize("num_g", [9, matrix_ops._SCAN_BLOCK_ROWS + 9])
     def test_overflow_raises(self, scale, num_g):
         """1e160 overflows the kept distances, 1e100 only the row norms."""
         rng = np.random.default_rng(201)
@@ -246,6 +231,23 @@ class TestOptimize:
         finally:
             tracemalloc.stop()
         assert peak < 3000 * 3000 * 8, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_peak_memory_below_one_and_a_half_outputs(self):
+        """The output is the only (Nq, Ng) buffer: the similarity is
+        subtracted stripe by stripe, after the gallery scan has ended."""
+        rng = np.random.default_rng(213)
+        fq = rng.standard_normal((2000, 32))
+        fg = rng.standard_normal((8000, 32))
+        output_bytes = 2000 * 8000 * 8
+        tracemalloc.start()
+        try:
+            optimize(fq, fg, AroConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * output_bytes, (
+            f"peak {peak / 2**20:.1f} MiB, output {output_bytes / 2**20:.1f} MiB"
+        )
 
     def test_negative_entries_allowed(self):
         rng = np.random.default_rng(197)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -403,3 +405,14 @@ class TestVersionFlag:
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
         assert "rerankit" in capsys.readouterr().out
+
+
+def test_import_does_not_load_scipy():
+    """eval, synth and --version need only numpy; scipy loads on first sparse use."""
+    code = (
+        "import sys, rerankit, rerankit.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
