@@ -9,7 +9,9 @@ Three formats are supported:
   float64 payloads are accepted. The writer pads the header so the data
   section starts at a 64-byte-aligned offset, and streams the payload
   into a file object by row stripes (a float64 matrix without a copy);
-  the reader tolerates any valid v1.0 header length.
+  the reader tolerates any valid v1.0 header length. `NpyRowWriter` and
+  `NpyRows` write and read a float64 matrix file one row stripe at a
+  time, so the matrix never has to fit in memory.
 * CSV for sample labels: UTF-8, header ``pid,camid``, one integer pair
   per line, LF or CRLF.
 * JSON for reports and manifests, written in a canonical form (sorted
@@ -22,6 +24,7 @@ or line number (CSV); parsing never crashes with an untyped exception.
 import ast
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -39,6 +42,8 @@ _PRECISION_TO_DESCR = {
     "<f8": "<f8",
 }
 _DATA_ALIGN = 64
+# magic(6) + version(2) + length field(2) + the longest header a v1.0 file can declare
+_MAX_PREAMBLE = 10 + 0xFFFF
 
 
 class NpyFormatError(ValueError):
@@ -188,17 +193,111 @@ def write_npy_to(fh, matrix, precision: str = "float32") -> None:
     stripes = range(0, arr.shape[0], rows)
     if not all(np.isfinite(arr[i : i + rows]).all() for i in stripes):
         raise ValueError("matrix contains non-finite values")
+    fh.write(npy_header(arr.shape, descr))
+    for i in stripes:
+        fh.write(np.ascontiguousarray(arr[i : i + rows], dtype=dtype).data)
+
+
+def npy_header(shape: tuple[int, int], descr: str = "<f8") -> bytes:
+    """The NPY v1.0 preamble of a C-ordered matrix, padded to 64 bytes."""
     header_text = (
         f"{{'descr': '{descr}', 'fortran_order': False, "
-        f"'shape': ({arr.shape[0]}, {arr.shape[1]}), }}"
+        f"'shape': ({shape[0]}, {shape[1]}), }}"
     )
     # magic(6) + version(2) + length field(2) + header + padding + '\n'
     unpadded = len(NPY_MAGIC) + 2 + 2 + len(header_text) + 1
     pad = (-unpadded) % _DATA_ALIGN
     header_bytes = (header_text + " " * pad + "\n").encode("ascii")
-    fh.write(NPY_MAGIC + bytes([1, 0]) + struct.pack("<H", len(header_bytes)) + header_bytes)
-    for i in stripes:
-        fh.write(np.ascontiguousarray(arr[i : i + rows], dtype=dtype).data)
+    return NPY_MAGIC + bytes([1, 0]) + struct.pack("<H", len(header_bytes)) + header_bytes
+
+
+class NpyRowWriter:
+    """Writes a (rows, cols) float64 NPY file one row stripe at a time.
+
+    The header goes out on construction. Each call `writer(start, stripe)`
+    checks that the stripe continues the rows written so far, has `cols`
+    columns and is finite, then appends it (without a copy when it is
+    C-ordered float64). The file holds `write_npy(matrix, "float64")`'s
+    bytes once `finish()` has confirmed every row was written.
+    """
+
+    def __init__(self, fh, shape: tuple[int, int]):
+        self._fh = fh
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.rows_written = 0
+        fh.write(npy_header(self.shape, "<f8"))
+
+    def __call__(self, start: int, stripe) -> None:
+        arr = np.ascontiguousarray(stripe, dtype=np.float64)
+        end = start + len(arr)
+        if start != self.rows_written or end > self.shape[0] or arr.shape[1:] != self.shape[1:]:
+            raise ValueError(
+                f"a stripe of shape {arr.shape} at row {start} does not continue "
+                f"a {self.shape} matrix after {self.rows_written} rows"
+            )
+        if not np.isfinite(arr).all():
+            raise ValueError(f"matrix contains non-finite values in rows from {start}")
+        self._fh.write(arr.data)
+        self.rows_written += arr.shape[0]
+
+    def finish(self) -> None:
+        if self.rows_written != self.shape[0]:
+            raise ValueError(f"only {self.rows_written} of {self.shape[0]} rows were written")
+
+
+class NpyRows:
+    """An NPY matrix file read as float64 row stripes, never whole.
+
+    The header and the file size are validated on construction and raise
+    the `NpyFormatError`s `read_npy` raises for the same bytes. `rows[i0:i1]`
+    reads those rows with `readinto` into one buffer that is reused by
+    every read, so the returned array is valid only until the next read;
+    a float32 payload is converted per stripe. `shape` is (rows, cols).
+
+    Args:
+        fh: binary file object open for reading, with `seek`.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        prefix = fh.read(_MAX_PREAMBLE)
+        header, self._offset = parse_npy_header(prefix)
+        self._dtype = _DESCR_TO_DTYPE[header.descr]
+        self.shape = header.shape
+        size = fh.seek(0, os.SEEK_END)
+        expected = self.shape[0] * self.shape[1] * self._dtype.itemsize
+        payload = size - self._offset
+        if payload < expected:
+            raise NpyFormatError(
+                f"truncated payload: expected {expected} bytes, got {payload}", offset=size
+            )
+        if payload > expected:
+            raise NpyFormatError(
+                f"trailing data after payload: expected {expected} bytes, got {payload}",
+                offset=self._offset + expected,
+            )
+        self._buf = np.empty(0, dtype=self._dtype)
+
+    def __getitem__(self, key) -> np.ndarray:
+        if not isinstance(key, slice) or key.step not in (None, 1):
+            raise TypeError("NPY rows are read by contiguous row slices only")
+        start, stop, _ = key.indices(self.shape[0])
+        stop = max(start, stop)
+        cols = self.shape[1]
+        count = (stop - start) * cols
+        if self._buf.size < count:
+            self._buf = np.empty(count, dtype=self._dtype)
+        rows = self._buf[:count]
+        view = memoryview(rows).cast("B")
+        pos = self._offset + start * cols * self._dtype.itemsize
+        self._fh.seek(pos)
+        filled = 0
+        while filled < len(view):
+            got = self._fh.readinto(view[filled:])
+            if not got:
+                raise NpyFormatError("file ended inside the payload", offset=pos + filled)
+            filled += got
+        return rows.reshape(stop - start, cols).astype(np.float64, copy=False)
 
 
 def read_labels(text) -> SampleLabels:

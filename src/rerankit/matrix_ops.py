@@ -21,7 +21,7 @@ _CHUNK_ELEMS = 16_000_000
 _STRIPE_ELEMS = 2_000_000
 
 # Upper bound on the rows of one block of the k-nearest-neighbour scan;
-# the block also stays within _CHUNK_ELEMS entries.
+# the block also stays within _STRIPE_ELEMS entries.
 _SCAN_BLOCK_ROWS = 1024
 
 
@@ -80,7 +80,7 @@ def l2_normalize_rows(m) -> np.ndarray:
     return out
 
 
-def pairwise_sq_euclidean(a, b, block: int = 4096) -> np.ndarray:
+def pairwise_sq_euclidean(a, b, block: int = 4096, b_sq=None) -> np.ndarray:
     """Squared-Euclidean distance matrix between two row sets, by row stripes.
 
     Uses the expansion |x|^2 + |y|^2 - 2<x,y>. Each full-width stripe of
@@ -89,13 +89,18 @@ def pairwise_sq_euclidean(a, b, block: int = 4096) -> np.ndarray:
     norm additions while the stripe is still in cache; scratch memory is
     one stripe of `a`. Scaling by -2 is exact, so the values equal those
     of scaling the product. Tiny negative rounding artifacts are clamped
-    to zero. When both arguments are the same matrix the diagonal is set
-    to exactly zero.
+    to zero. When both arguments are the same object the diagonal is set
+    to exactly zero; an equal copy gets the plain expansion, so equal
+    row sets are treated alike whatever their shape.
 
     Args:
         a: (N, d) array-like.
         b: (M, d) array-like with matching d.
         block: upper bound on the rows of one stripe, >= 1.
+        b_sq: the squared row norms of `b` (einsum "ij,ij->i"), from a
+            caller that measures many row sets against one `b`. `b` must
+            then be a C-ordered, finite float64 matrix; it is used as
+            given, without being validated again.
 
     Returns:
         np.ndarray: (N, M) float64, non-negative.
@@ -106,16 +111,18 @@ def pairwise_sq_euclidean(a, b, block: int = 4096) -> np.ndarray:
     same = a is b
     if same:
         arr_b = arr_a
-    else:
+    elif b_sq is None:
         arr_b = np.ascontiguousarray(as_feature_matrix(b, "b"))
-        same = arr_a.shape == arr_b.shape and np.array_equal(arr_a, arr_b)
+    else:
+        arr_b = b
     if arr_a.shape[1] != arr_b.shape[1]:
         raise ValueError(
             f"dimension mismatch: a has dim {arr_a.shape[1]}, b has dim {arr_b.shape[1]}"
         )
     n, m = arr_a.shape[0], arr_b.shape[0]
     a_sq = np.einsum("ij,ij->i", arr_a, arr_a)
-    b_sq = a_sq if same else np.einsum("ij,ij->i", arr_b, arr_b)
+    if b_sq is None:
+        b_sq = a_sq if same else np.einsum("ij,ij->i", arr_b, arr_b)
 
     out = np.empty((n, m), dtype=np.float64)
     bt = arr_b.T
@@ -231,7 +238,7 @@ def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
     """Each row's k nearest rows of the same matrix, by squared distance.
 
     Blocked brute-force search: blocks of at most `_SCAN_BLOCK_ROWS` rows
-    and `_CHUNK_ELEMS` entries are each measured against every row with
+    and `_STRIPE_ELEMS` entries are each measured against every row with
     `pairwise_sq_euclidean` and reduced with `topk_smallest`, so the
     N x N matrix never exists and scratch is one block. Each row's own
     column is set to inf with `exclude_self` and to exactly zero without
@@ -255,13 +262,14 @@ def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
     k = min(k, n - 1 if exclude_self else n)
     if k < 1:
         return TopKResult(np.empty((n, 0), dtype=np.int64), np.empty((n, 0), dtype=np.float64))
-    rows = max(1, min(_SCAN_BLOCK_ROWS, _CHUNK_ELEMS // n))
+    rows = max(1, min(_SCAN_BLOCK_ROWS, _STRIPE_ELEMS // n))
+    sq_norms = np.einsum("ij,ij->i", arr, arr)
     self_value = np.inf if exclude_self else 0.0
     idx_parts = []
     val_parts = []
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        block = pairwise_sq_euclidean(arr[start:stop], arr)
+        block = pairwise_sq_euclidean(arr[start:stop], arr, b_sq=sq_norms)
         local = np.arange(stop - start)
         block[local, local + start] = self_value
         part = topk_smallest(block, k)

@@ -104,6 +104,10 @@ def evaluate(
     O(Nq * Ng * positives per query) and scratch memory is one stripe,
     independent of the matrix size.
 
+    `distances` is only read through `np.shape` and row slices
+    `distances[i0:i1]`, one stripe at a time, so an array and a file read
+    by `io_formats.NpyRows` take the same path.
+
     Args:
         distances: (Nq, Ng) matrix, +-inf allowed; only ordering matters.
         query_labels / gallery_labels: per-sample pid and camid.
@@ -115,10 +119,10 @@ def evaluate(
     Raises:
         ValueError: shape/label mismatch, NaN distances, or no valid query.
     """
-    dist = np.asarray(distances, dtype=np.float64)
-    if dist.ndim != 2:
-        raise ValueError(f"distance matrix must be 2-D, got ndim={dist.ndim}")
-    num_q, num_g = dist.shape
+    shape = np.shape(distances)
+    if len(shape) != 2:
+        raise ValueError(f"distance matrix must be 2-D, got ndim={len(shape)}")
+    num_q, num_g = shape
     if len(query_labels) != num_q:
         raise ValueError(
             f"query label count {len(query_labels)} != distance rows {num_q}"
@@ -143,7 +147,7 @@ def evaluate(
     ap_values = []
     for i0 in range(0, num_q, stripe_rows):
         i1 = min(i0 + stripe_rows, num_q)
-        stripe = dist[i0:i1]
+        stripe = np.asarray(distances[i0:i1], dtype=np.float64)
         hit = mask[: i1 - i0]
         if np.isnan(stripe, out=hit).any():
             raise ValueError("distance matrix contains NaN")

@@ -11,13 +11,14 @@ structure, without ever using query-query relations:
 4. The similarity is subtracted from the *raw* query-gallery distances.
    Resulting entries may be negative; only their ordering matters.
 
-Neither GG nor a second Nq x Ng matrix is built. The gallery's top-k2
-neighbourhoods come from a blocked kNN scan (`matrix_ops.knn_scan`)
-that runs before QG is allocated; QG is then refined in place, one row
-stripe of about 2M entries at a time. A filtered row is `fill` plus a
-k2-sparse residual, so the similarity product is evaluated through a
-sparse-plus-constant decomposition of the kept entries, and the
-gallery's sparse form is built once for all stripes.
+Neither GG nor QG is ever built whole. The gallery's top-k2
+neighbourhoods come from a blocked kNN scan (`matrix_ops.knn_scan`);
+QG is then computed, refined and handed to a sink one row stripe of
+about 2M entries at a time, so memory is the features, the gallery
+neighbourhoods and one stripe, whatever Nq is. A filtered row is `fill`
+plus a k2-sparse residual, so the similarity product is evaluated
+through a sparse-plus-constant decomposition of the kept entries, and
+the gallery's sparse form is built once for all stripes.
 """
 
 from dataclasses import dataclass
@@ -164,21 +165,26 @@ def asymmetric_similarity(q_rows: FilteredRows, g_rows: FilteredRows) -> np.ndar
     return sim
 
 
-def optimize(query_feats, gallery_feats, cfg: AroConfig) -> np.ndarray:
+def optimize(query_feats, gallery_feats, cfg: AroConfig, sink=None) -> np.ndarray | None:
     """Refine query-gallery distances via asymmetric similarity subtraction.
 
-    The returned matrix is the only (Nq, Ng) buffer: the gallery
-    neighbourhoods are scanned first and the similarity is subtracted
-    stripe by stripe in place.
+    The gallery neighbourhoods are scanned first; then the query-gallery
+    matrix is computed, refined and handed on one row stripe of about
+    _STRIPE_ELEMS entries at a time, so no (Nq, Ng) buffer is needed
+    unless the caller collects one.
 
     Args:
         query_feats: (Nq, d) embeddings.
         gallery_feats: (Ng, d) embeddings.
         cfg: AroConfig. With cfg.enabled False the raw squared
-            query-gallery distances are returned unchanged.
+            query-gallery distances are produced unchanged.
+        sink: called as sink(start, stripe) for each refined (rows, Ng)
+            float64 stripe, in row order; `stripe` is only valid during
+            the call. Without a sink the stripes fill the returned matrix.
 
     Returns:
-        np.ndarray: (Nq, Ng) refined distances (entries may be negative).
+        np.ndarray: (Nq, Ng) refined distances (entries may be negative),
+        or None when a sink took the stripes.
 
     Raises:
         ValueError: on a dimension mismatch, or when the squared distances
@@ -193,23 +199,43 @@ def optimize(query_feats, gallery_feats, cfg: AroConfig) -> np.ndarray:
     if cfg.pre_normalize:
         fq = l2_normalize_rows(fq)
         fg = l2_normalize_rows(fg)
-    if not cfg.enabled:
-        return pairwise_sq_euclidean(fq, fg)
-    nearest = knn_scan(fg, cfg.k2, exclude_self=False)
-    g_rows = FilteredRows(nearest.indices, nearest.values, cfg.fill_value, fg.shape[0])
-    qg = pairwise_sq_euclidean(fq, fg)
-    _similarity_streamed(qg, g_rows, cfg.k2, cfg.fill_value)
-    return qg
+    out = None
+    if sink is None:
+        out = np.empty((fq.shape[0], fg.shape[0]), dtype=np.float64)
+
+        def sink(start, stripe):
+            out[start : start + stripe.shape[0]] = stripe
+
+    if cfg.enabled:
+        nearest = knn_scan(fg, cfg.k2, exclude_self=False)
+        g_rows = FilteredRows(nearest.indices, nearest.values, cfg.fill_value, fg.shape[0])
+        _similarity_streamed(_qg_stripes(fq, fg), g_rows, cfg.k2, cfg.fill_value, sink)
+    else:
+        for start, stripe in _qg_stripes(fq, fg):
+            sink(start, stripe)
+    return out
 
 
-def _similarity_streamed(qg, g_rows, k2, fill):
-    """Subtract the asymmetric similarity from `qg` in place, by row stripes.
+def _qg_stripes(fq, fg):
+    """Yield (start, squared distances of query rows start.. to the gallery).
 
-    Each stripe of about _STRIPE_ELEMS entries is filtered to its rows'
-    top-k2 and compared with the gallery's filtered rows `g_rows`, so the
-    only scratch is one stripe's similarity.
+    Stripes have the row boundaries `pairwise_sq_euclidean` uses for the
+    whole matrix, so each stripe is bitwise that matrix's rows.
     """
-    rows = max(1, _STRIPE_ELEMS // qg.shape[1])
-    for start in range(0, qg.shape[0], rows):
-        stripe = qg[start : start + rows]
+    fg = np.ascontiguousarray(fg)
+    g_sq = np.einsum("ij,ij->i", fg, fg)
+    rows = max(1, min(4096, _STRIPE_ELEMS // fg.shape[0]))
+    for start in range(0, fq.shape[0], rows):
+        yield start, pairwise_sq_euclidean(fq[start : start + rows], fg, b_sq=g_sq)
+
+
+def _similarity_streamed(stripes, g_rows, k2, fill, sink):
+    """Subtract the asymmetric similarity from each QG stripe, then sink it.
+
+    Each (start, stripe) is filtered to its rows' top-k2 and compared
+    with the gallery's filtered rows `g_rows`, so the only scratch is one
+    stripe and its similarity.
+    """
+    for start, stripe in stripes:
         stripe -= asymmetric_similarity(neighborhood_filter(stripe, k2, fill), g_rows)
+        sink(start, stripe)

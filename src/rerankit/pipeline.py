@@ -7,6 +7,7 @@ so the same configurations can be applied to real feature dumps.
 """
 
 import itertools
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -15,13 +16,15 @@ import numpy as np
 from . import __version__
 from .enhance import DmonConfig, enhance
 from .io_formats import (
+    NpyRows,
+    NpyRowWriter,
+    npy_header,
     read_json,
     read_labels,
     read_npy,
     write_json,
     write_labels,
     write_npy,
-    write_npy_to,
 )
 from .metrics import EvalReport, evaluate
 from .optimize import AroConfig, optimize
@@ -42,6 +45,10 @@ ABLATION_VARIANTS = (
 
 DIST_FILENAME = "dist.npy"
 MANIFEST_FILENAME = "manifest.json"
+
+
+class InsufficientSpaceError(ValueError):
+    """The output directory has less free space than the distance file needs."""
 
 
 @dataclass(frozen=True)
@@ -98,11 +105,14 @@ def config_from_dict(data: dict) -> PipelineConfig:
     )
 
 
-def compute_refined_distances(query_feats, gallery_feats, cfg: PipelineConfig) -> np.ndarray:
+def compute_refined_distances(
+    query_feats, gallery_feats, cfg: PipelineConfig, sink=None
+) -> np.ndarray | None:
     """Run the configured stages and return the final query-gallery matrix.
 
     With both stages off this is the plain (pre-normalized) squared
-    distance matrix.
+    distance matrix. With a `sink`, the matrix is handed to it as
+    `optimize` row stripes instead, and None is returned.
     """
     fq = np.asarray(query_feats, dtype=np.float64)
     fg = np.asarray(gallery_feats, dtype=np.float64)
@@ -116,7 +126,7 @@ def compute_refined_distances(query_feats, gallery_feats, cfg: PipelineConfig) -
             enhanced_g = enhance(fg, cfg.dmon)
         if cfg.aro_uses_enhanced or not cfg.aro_on:
             fq, fg = enhanced_q, enhanced_g
-    return optimize(fq, fg, replace(cfg.aro, enabled=cfg.aro_on))
+    return optimize(fq, fg, replace(cfg.aro, enabled=cfg.aro_on), sink=sink)
 
 
 def _manifest(command: str, params: dict, inputs: dict, outputs: dict, seed=None) -> dict:
@@ -164,16 +174,37 @@ def rerank_files(
     """Load feature files, compute refined distances, write NPY + manifest.
 
     Distances are stored in float64 so downstream evaluation sees exactly
-    the computed values; they are streamed into the file without a copy.
+    the computed values. Each refined row stripe is appended to
+    `dist.npy.partial` as it is computed, and the file is renamed to
+    `dist.npy` once complete; on any error it is deleted, so an earlier
+    `dist.npy` is never clobbered by a partial one.
+
+    Raises:
+        InsufficientSpaceError: before any computation, when the output
+            directory has less free space than `dist.npy` needs.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fq = read_npy(Path(query_path).read_bytes())
     fg = read_npy(Path(gallery_path).read_bytes())
-    dist = compute_refined_distances(fq, fg, cfg)
-    dist_path = out / DIST_FILENAME
-    with open(dist_path, "wb") as fh:
-        write_npy_to(fh, dist, precision="float64")
+    shape = (fq.shape[0], fg.shape[0])
+    needed = len(npy_header(shape)) + shape[0] * shape[1] * 8
+    st = os.statvfs(out)
+    free = st.f_bavail * st.f_frsize
+    if free < needed:
+        raise InsufficientSpaceError(
+            f"{DIST_FILENAME} needs {needed} bytes but {out} has {free} bytes free"
+        )
+    partial = out / (DIST_FILENAME + ".partial")
+    try:
+        with open(partial, "wb") as fh:
+            writer = NpyRowWriter(fh, shape)
+            compute_refined_distances(fq, fg, cfg, sink=writer)
+            writer.finish()
+        os.replace(partial, out / DIST_FILENAME)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     distance_kind = (
         "squared_euclidean_minus_similarity" if cfg.aro_on else "squared_euclidean"
     )
@@ -209,11 +240,15 @@ def eval_files(
     report_path=None,
     config: dict | None = None,
 ) -> dict:
-    """Load a distance matrix and labels, evaluate, optionally write the report."""
-    dist = read_npy(Path(dist_path).read_bytes())
-    q_labels = read_labels(Path(query_labels_path).read_text(encoding="utf-8"))
-    g_labels = read_labels(Path(gallery_labels_path).read_text(encoding="utf-8"))
-    report = evaluate(dist, q_labels, g_labels, max_rank=max_rank)
+    """Evaluate a distance file against labels, optionally write the report.
+
+    The distance file is read in row stripes (`NpyRows`), never whole.
+    """
+    with open(dist_path, "rb") as fh:
+        dist = NpyRows(fh)
+        q_labels = read_labels(Path(query_labels_path).read_text(encoding="utf-8"))
+        g_labels = read_labels(Path(gallery_labels_path).read_text(encoding="utf-8"))
+        report = evaluate(dist, q_labels, g_labels, max_rank=max_rank)
     effective = {
         "tool": "rerankit",
         "version": __version__,

@@ -360,8 +360,10 @@ def test_criterion_7_performance_evaluate():
     print(f"[criterion 7c] PASS - evaluate on {num_q} x {num_g} peaks at {peak} B of scratch")
 
 
-def _peak_rss_of_rerank(data_dir: Path, out_dir: Path, batch_args: list) -> int:
-    """Run a rerank in a fresh interpreter; return its peak RSS in KB.
+def _peak_rss_of_cli(cli_args: list, preload: str = "") -> int:
+    """Run a CLI command in a fresh interpreter; return its peak RSS in KB.
+
+    `preload` is Python code run before the command, such as an import.
 
     The peak is the process's own VmHWM. On Linux `ru_maxrss` survives
     exec, so a child started from a large process (pytest after earlier
@@ -370,8 +372,9 @@ def _peak_rss_of_rerank(data_dir: Path, out_dir: Path, batch_args: list) -> int:
     """
     code = (
         "import resource, sys\n"
+        f"{preload}\n"
         "from rerankit.cli import main\n"
-        f"rc = main({batch_args!r})\n"
+        f"rc = main({cli_args!r})\n"
         "try:\n"
         "    with open('/proc/self/status') as fh:\n"
         "        peak = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
@@ -403,13 +406,11 @@ def test_criterion_7_performance_batched_rerank(tmp_path):
     big_data = synth_files(big_spec, tmp_path / "big_data")
     assert read_labels(Path(big_data["gallery_labels"]).read_text()).pids.size >= 30_000
 
-    single_peak = _peak_rss_of_rerank(
-        tmp_path, tmp_path / "single_run",
+    single_peak = _peak_rss_of_cli(
         ["rerank", "--query", single_data["query"], "--gallery", single_data["gallery"],
          "--out", str(tmp_path / "single_run")],
     )
-    big_peak = _peak_rss_of_rerank(
-        tmp_path, tmp_path / "big_run",
+    big_peak = _peak_rss_of_cli(
         ["rerank", "--query", big_data["query"], "--gallery", big_data["gallery"],
          "--out", str(tmp_path / "big_run"), "--batch-size", "10000"],
     )
@@ -418,6 +419,34 @@ def test_criterion_7_performance_batched_rerank(tmp_path):
     )
     print(f"[criterion 7b] PASS - 31k-gallery batched rerank peak {big_peak} KB "
           f"<= 2x single-batch {single_peak} KB")
+
+
+@pytest.mark.slow
+def test_criterion_7_performance_streamed_distances(tmp_path):
+    """Neither rerank nor eval holds the distance matrix.
+
+    At Nq 2,000 x Ng 8,000 the matrix is 128 MB. Each command's own peak
+    stays below an idle interpreter that has loaded the same libraries,
+    plus half of that: rerank writes row stripes as they are refined and
+    eval reads them back one stripe at a time.
+    """
+    spec = SynthSpec(num_ids=1000, imgs_per_id=10, dim=16, num_cams=4, query_fraction=0.2,
+                     seed=3)
+    data = synth_files(spec, tmp_path / "data")
+    out = tmp_path / "run"
+    matrix_kb = 2_000 * 8_000 * 8 // 1024
+    idle = _peak_rss_of_cli(["--version"], preload="import scipy.sparse")
+    rerank_peak = _peak_rss_of_cli(
+        ["rerank", "--query", data["query"], "--gallery", data["gallery"], "--out", str(out)])
+    assert (out / "dist.npy").stat().st_size > matrix_kb * 1024
+    eval_peak = _peak_rss_of_cli(
+        ["eval", "--dist", str(out / "dist.npy"), "--query-labels", data["query_labels"],
+         "--gallery-labels", data["gallery_labels"]])
+    budget = idle + matrix_kb // 2
+    assert rerank_peak < budget, f"rerank peak {rerank_peak} KB, budget {budget} KB"
+    assert eval_peak < budget, f"eval peak {eval_peak} KB, budget {budget} KB"
+    print(f"[criterion 7d] PASS - rerank {rerank_peak} KB and eval {eval_peak} KB "
+          f"< idle {idle} KB + {matrix_kb // 2} KB")
 
 
 def test_criterion_8_io_round_trips_and_fuzz():

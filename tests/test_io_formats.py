@@ -13,6 +13,8 @@ from rerankit import io_formats
 from rerankit.io_formats import (
     LabelFormatError,
     NpyFormatError,
+    NpyRows,
+    NpyRowWriter,
     parse_npy_header,
     read_json,
     read_labels,
@@ -237,6 +239,108 @@ class TestWriteNpyTo:
         finally:
             tracemalloc.stop()
         assert peak < m.nbytes / 4, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestNpyRowWriter:
+    @pytest.mark.parametrize("shape", [(13, 5), (1, 1), (0, 3), (4, 0)])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_stripes_join_into_write_npy_bytes(self, shape, rows):
+        m = np.random.default_rng(47).standard_normal(shape)
+        buf = io.BytesIO()
+        writer = NpyRowWriter(buf, shape)
+        for i in range(0, shape[0], rows):
+            writer(i, m[i : i + rows])
+        writer.finish()
+        assert buf.getvalue() == write_npy(m, precision="float64")
+
+    def test_rejects_gaps_overruns_and_wrong_width(self):
+        writer = NpyRowWriter(io.BytesIO(), (3, 2))
+        writer(0, np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="continue"):
+            writer(2, np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="continue"):
+            writer(1, np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="continue"):
+            writer(1, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="1 of 3 rows"):
+            writer.finish()
+
+    def test_non_finite_stripe_is_not_written(self):
+        buf = io.BytesIO()
+        writer = NpyRowWriter(buf, (2, 2))
+        header = buf.getvalue()
+        with pytest.raises(ValueError, match="non-finite"):
+            writer(0, np.array([[0.0, np.inf]]))
+        assert buf.getvalue() == header
+
+
+class TestNpyRows:
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_slices_equal_read_npy(self, tmp_path, precision):
+        m = np.random.default_rng(53).standard_normal((11, 4))
+        data = write_npy(m, precision=precision)
+        (tmp_path / "m.npy").write_bytes(data)
+        whole = read_npy(data)
+        with open(tmp_path / "m.npy", "rb") as fh:
+            rows = NpyRows(fh)
+            assert rows.shape == (11, 4)
+            for i0, i1 in [(0, 3), (3, 5), (10, 11), (9, 20), (5, 5), (7, 2)]:
+                part = rows[i0:i1]
+                assert part.dtype == np.float64
+                assert_array_equal(part, whole[i0:i1])
+            assert_array_equal(rows[:], whole)
+
+    def test_buffer_reused_between_reads(self):
+        rows = NpyRows(io.BytesIO(write_npy(np.arange(12.0).reshape(6, 2), "float64")))
+        first = rows[0:3]
+        assert first.base is not None
+        second = rows[3:6]
+        assert np.shares_memory(first, second)
+        assert_array_equal(second, [[6.0, 7.0], [8.0, 9.0], [10.0, 11.0]])
+
+    def test_only_contiguous_row_slices(self):
+        rows = NpyRows(io.BytesIO(write_npy(np.zeros((3, 2)), "float64")))
+        for key in (1, slice(0, 3, 2), (slice(0, 1), 0)):
+            with pytest.raises(TypeError):
+                rows[key]
+
+    def test_file_shrunk_after_open(self, tmp_path):
+        path = tmp_path / "m.npy"
+        path.write_bytes(write_npy(np.ones((4, 2)), "float64"))
+        with open(path, "rb") as fh:
+            rows = NpyRows(fh)
+            with open(path, "r+b") as again:
+                again.truncate(path.stat().st_size - 8)
+            with pytest.raises(NpyFormatError, match="ended inside the payload"):
+                rows[0:4]
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 400), st.integers(0, 255)),
+                    min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_same_errors_as_read_npy(self, edits):
+        """Any corruption raises the NpyFormatError read_npy raises, with its
+        offset; anything read_npy accepts reads back equal."""
+        data = bytearray(write_npy(np.arange(12.0).reshape(3, 4), precision="float32"))
+        for op, pos, value in edits:
+            pos = min(pos, len(data))
+            if op == 0 and pos < len(data):
+                data[pos] = value
+            elif op == 1:
+                data = data[:pos]
+            elif op == 2:
+                data += bytes([value])
+            else:
+                data = data[:10] + bytes([value]) * (pos % 7) + data[10:]
+        data = bytes(data)
+        try:
+            expected = read_npy(data)
+        except NpyFormatError as exc:
+            with pytest.raises(NpyFormatError) as got:
+                NpyRows(io.BytesIO(data))
+            assert str(got.value) == str(exc)
+            assert got.value.offset == exc.offset
+            return
+        assert_array_equal(NpyRows(io.BytesIO(data))[:], expected)
 
 
 class TestLabels:

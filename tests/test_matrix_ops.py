@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -61,6 +62,23 @@ class TestPairwiseSqEuclidean:
         assert_array_equal(np.diag(d), np.zeros(9))
         assert_allclose(d, d.T, atol=1e-6)
         assert d.min() >= 0.0
+
+    def test_equal_copy_gets_plain_expansion(self):
+        """Only the same object gets the exact-zero diagonal; an equal copy
+        gets the expansion, so a query set equal to the gallery is treated
+        alike whatever the stripe shape."""
+        a = l2_normalize_rows(np.random.default_rng(4).standard_normal((40, 7)))
+        sq = np.einsum("ij,ij->i", a, a)
+        plain = np.maximum((a * -2.0) @ a.T + sq[:, None] + sq[None, :], 0.0)
+        assert np.diag(plain).any()  # rounding leaves some diagonal entries non-zero
+        assert_array_equal(pairwise_sq_euclidean(a, a.copy()), plain)
+
+    def test_given_norms_give_identical_bits(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((9, 5))
+        b = rng.standard_normal((30, 5))
+        sq = np.einsum("ij,ij->i", b, b)
+        assert_array_equal(pairwise_sq_euclidean(a, b, b_sq=sq), pairwise_sq_euclidean(a, b))
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(5)
@@ -194,6 +212,30 @@ class TestKnnScan:
             exp_idx, exp_val = naive_topk(full, k)
         assert_array_equal(res.indices, exp_idx.reshape(len(pts), -1))
         assert_array_equal(res.values, exp_val.reshape(len(pts), -1))
+
+
+    def test_blocks_capped_at_one_stripe(self, monkeypatch):
+        """A scan block is at most _STRIPE_ELEMS entries: 8000 rows run in
+        blocks of 250, not 1024, so scratch is a few stripes."""
+        monkeypatch.setattr(matrix_ops, "_SCAN_BLOCK_ROWS", 1024)
+        pts = np.random.default_rng(43).standard_normal((8000, 8))
+        heights = []
+        real = matrix_ops.pairwise_sq_euclidean
+
+        def spy(a, b, **kwargs):
+            heights.append(len(a))
+            return real(a, b, **kwargs)
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(matrix_ops, "pairwise_sq_euclidean", spy):
+                knn_scan(pts, 20, exclude_self=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(heights) == matrix_ops._STRIPE_ELEMS // 8000
+        stripe_bytes = matrix_ops._STRIPE_ELEMS * 8
+        assert peak < 3 * stripe_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestPairSqEuclidean:

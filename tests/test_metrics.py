@@ -1,3 +1,4 @@
+import io
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rerankit.metrics as metrics
+from rerankit.io_formats import NpyRows, npy_header
 from rerankit.metrics import (
     EvalReport,
     SampleLabels,
@@ -160,6 +162,45 @@ class TestEvaluate:
                     evaluate(dist, q, g, max_rank=max_rank)
                 return
             report = evaluate(dist, q, g, max_rank=max_rank)
+        assert_allclose(report.cmc, exp_cmc, rtol=0, atol=1e-12)
+        assert abs(report.mean_ap - exp_map) <= 1e-12
+        assert report.num_valid_queries == exp_valid
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_file_rows_match_naive_oracle(self, data):
+        """Evaluating an NPY file read in stripes of one to three rows agrees
+        with the oracle on the matrix the file holds, float32 or float64."""
+        num_q = data.draw(st.integers(1, 7), label="num_q")
+        num_g = data.draw(st.integers(1, 16), label="num_g")
+        entries = st.one_of(
+            st.integers(-2, 2).map(float),
+            st.floats(-1.0, 1.0),
+            st.sampled_from([np.inf, -np.inf]),
+        )
+        dist = data.draw(arrays(np.float64, (num_q, num_g), elements=entries), label="dist")
+        descr = data.draw(st.sampled_from(["<f4", "<f8"]), label="descr")
+        stored = dist.astype(descr)
+        fh = io.BytesIO(npy_header(dist.shape, descr) + stored.tobytes())
+        ids = st.integers(0, 3)
+        q_pids, q_cams, g_pids, g_cams = (
+            data.draw(arrays(np.int64, n, elements=ids), label=name)
+            for n, name in ((num_q, "q_pids"), (num_q, "q_cams"), (num_g, "g_pids"), (num_g, "g_cams"))
+        )
+        max_rank = data.draw(st.integers(1, num_g + 2), label="max_rank")
+        rows = data.draw(st.integers(1, 3), label="stripe rows")
+        q, g = labels(q_pids, q_cams), labels(g_pids, g_cams)
+        expected = stored.astype(np.float64)
+        with mock.patch.object(metrics, "_STRIPE_ENTRIES", rows * num_g):
+            try:
+                exp_cmc, exp_map, exp_valid = naive_evaluate(
+                    expected, q_pids, q_cams, g_pids, g_cams, max_rank=max_rank
+                )
+            except ValueError:
+                with pytest.raises(ValueError, match="no valid query"):
+                    evaluate(NpyRows(fh), q, g, max_rank=max_rank)
+                return
+            report = evaluate(NpyRows(fh), q, g, max_rank=max_rank)
         assert_allclose(report.cmc, exp_cmc, rtol=0, atol=1e-12)
         assert abs(report.mean_ap - exp_map) <= 1e-12
         assert report.num_valid_queries == exp_valid

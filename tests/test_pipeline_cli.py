@@ -1,21 +1,31 @@
+import importlib
 import json
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from rerankit import matrix_ops, pipeline
 from rerankit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from rerankit.enhance import DmonConfig, enhance
-from rerankit.io_formats import read_json, read_npy, write_npy
+from rerankit.io_formats import npy_header, read_json, read_npy, write_labels, write_npy
 from rerankit.matrix_ops import l2_normalize_rows, pairwise_sq_euclidean
-from rerankit.metrics import evaluate
+from rerankit.metrics import SampleLabels, evaluate
 from rerankit.optimize import AroConfig, optimize
-from rerankit.pipeline import PipelineConfig, compute_refined_distances
+from rerankit.pipeline import PipelineConfig, compute_refined_distances, config_from_dict
 from rerankit.synthetic import SynthSpec, generate
+
+from naive_impl import naive_evaluate
+
+# The package re-exports functions under their modules' names.
+metrics_module = importlib.import_module("rerankit.metrics")
+optimize_module = importlib.import_module("rerankit.optimize")
 
 
 def synth_args(out, ids=10, per_id=6, dim=16, cams=3, seed=7, noise=None):
@@ -187,6 +197,165 @@ class TestRerankCommand:
         ])
         assert code == EXIT_DATA
         assert "overflow" in capsys.readouterr().err
+
+
+@contextmanager
+def stripes_of(rows, num_g):
+    """Make every row stripe (QG, kNN scan block, evaluator) about `rows` rows
+    of a `num_g`-wide matrix."""
+    entries = rows * num_g
+    with mock.patch.object(matrix_ops, "_STRIPE_ELEMS", entries), \
+            mock.patch.object(optimize_module, "_STRIPE_ELEMS", entries), \
+            mock.patch.object(metrics_module, "_STRIPE_ENTRIES", entries):
+        yield
+
+
+def write_split(out, fq, fg, q_labels, g_labels, precision="float32"):
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "q.npy").write_bytes(write_npy(fq, precision=precision))
+    (out / "g.npy").write_bytes(write_npy(fg, precision=precision))
+    (out / "q_labels.csv").write_text(write_labels(SampleLabels(*q_labels)))
+    (out / "g_labels.csv").write_text(write_labels(SampleLabels(*g_labels)))
+    return out
+
+
+def rerank_args(data, out, *flags):
+    return ["rerank", "--query", str(data / "q.npy"), "--gallery", str(data / "g.npy"),
+            "--out", str(out), *flags]
+
+
+def eval_args(data, out):
+    return ["eval", "--dist", str(out / "dist.npy"), "--query-labels",
+            str(data / "q_labels.csv"), "--gallery-labels", str(data / "g_labels.csv"),
+            "--out", str(out / "report.json")]
+
+
+# Degenerate splits: (query features, gallery features, query labels,
+# gallery labels, rerank flags). Every query has a cross-camera positive.
+_RNG = np.random.default_rng(61)
+DEGENERATE = {
+    "nq1_ng1": (_RNG.standard_normal((1, 3)), _RNG.standard_normal((1, 3)),
+                ([0], [0]), ([0], [1]), []),
+    "ng_at_most_k1_and_k2": (_RNG.standard_normal((2, 4)), _RNG.standard_normal((3, 4)),
+                             ([0, 1], [0, 0]), ([0, 1, 1], [1, 1, 2]),
+                             ["--k1", "3", "--k2", "5"]),
+    "duplicate_and_zero_rows": (
+        np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [2.0, 4.0, 0.0]]),
+        np.array([[1.0, 2.0, 0.0]] * 4 + [[0.0, 0.0, 0.0]] * 3),
+        ([0, 1, 0], [0, 0, 1]), ([0, 1, 0, 1, 0, 1, 1], [1, 1, 0, 0, 2, 2, 3]), []),
+    "final_gallery_batch_of_one": (_RNG.standard_normal((4, 5)), _RNG.standard_normal((9, 5)),
+                                   (np.arange(4) % 3, np.zeros(4, int)),
+                                   (np.arange(9) % 3, 1 + np.arange(9) % 2),
+                                   ["--batch-size", "4"]),
+}
+
+
+class TestStreamedRerank:
+    """The CLI streams dist.npy stripe by stripe and eval reads it back in
+    stripes; both must agree with the in-memory route on any shape."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(DEGENERATE))
+    def test_degenerate_shapes_match_in_memory_route(self, tmp_path, case, rows):
+        fq, fg, q_labels, g_labels, flags = DEGENERATE[case]
+        data = write_split(tmp_path / "data", fq, fg, q_labels, g_labels)
+        out = tmp_path / "run"
+        with stripes_of(rows, fg.shape[0]):
+            assert main(rerank_args(data, out, *flags)) == EXIT_OK
+            cfg = config_from_dict(read_json((out / "manifest.json").read_text())["params"])
+            expected = compute_refined_distances(
+                read_npy((data / "q.npy").read_bytes()),
+                read_npy((data / "g.npy").read_bytes()),
+                cfg,
+            )
+            assert (out / "dist.npy").read_bytes() == write_npy(expected, precision="float64")
+            assert main(eval_args(data, out)) == EXIT_OK
+        report = read_json((out / "report.json").read_text())
+        exp_cmc, exp_map, exp_valid = naive_evaluate(expected, *q_labels, *g_labels)
+        np.testing.assert_allclose(report["cmc"], exp_cmc, rtol=0, atol=1e-12)
+        assert abs(report["mAP"] - exp_map) <= 1e-12
+        assert report["valid_queries"] == exp_valid
+        assert not (out / "dist.npy.partial").exists()
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_float32_and_float64_files_agree(self, tmp_path, rows):
+        """A float64 file of the values a float32 file holds reranks to the same bytes."""
+        rng = np.random.default_rng(67)
+        fq = rng.standard_normal((5, 6)).astype(np.float32).astype(np.float64)
+        fg = rng.standard_normal((11, 6)).astype(np.float32).astype(np.float64)
+        labels = ((np.arange(5) % 3, np.zeros(5, int)), (np.arange(11) % 3, np.ones(11, int)))
+        outputs = []
+        for precision in ("float32", "float64"):
+            data = write_split(tmp_path / precision, fq, fg, *labels, precision=precision)
+            with stripes_of(rows, 11):
+                assert main(rerank_args(data, tmp_path / f"run_{precision}")) == EXIT_OK
+            outputs.append((tmp_path / f"run_{precision}" / "dist.npy").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_same_file_as_query_and_gallery_stable_across_stripes(self, tmp_path):
+        """A query set equal to the gallery gets the same bytes whatever the
+        stripe height, including a stripe as tall as the gallery. Small
+        integer features keep every product exact, because BLAS may round
+        GEMMs of different heights differently in the last bit."""
+        feats = np.random.default_rng(73).integers(-3, 4, (13, 4)).astype(np.float64)
+        labels = (np.arange(13) % 4, np.arange(13) % 3)
+        data = write_split(tmp_path / "data", feats, feats, labels, labels)
+        gallery = str(data / "g.npy")
+        outputs = set()
+        for rows in (1, 2, 3, 7, 13):
+            out = tmp_path / f"run{rows}"
+            with stripes_of(rows, 13):
+                assert main(["rerank", "--query", gallery, "--gallery", gallery,
+                             "--out", str(out), "--no-dmon", "--no-pre-normalize"]) == EXIT_OK
+            outputs.add((out / "dist.npy").read_bytes())
+        assert len(outputs) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("flags", [["--no-dmon"], ["--baseline"]])
+    def test_failed_rerank_leaves_no_partial_and_keeps_earlier_output(self, tmp_path, flags):
+        """ARO overflow raises before any stripe is written; with --baseline
+        the last stripe is not finite, after earlier stripes went out."""
+        rng = np.random.default_rng(71)
+        fq = rng.standard_normal((4, 3))
+        fg = rng.standard_normal((6, 3))
+        labels = ((np.arange(4) % 2, np.zeros(4, int)), (np.arange(6) % 2, np.ones(6, int)))
+        good = write_split(tmp_path / "good", fq, fg, *labels, precision="float64")
+        fq[-1] *= 1e160
+        fg *= 1e160 if flags == ["--no-dmon"] else 1.0
+        huge = write_split(tmp_path / "huge", fq, fg, *labels, precision="float64")
+        out = tmp_path / "run"
+        assert main(rerank_args(good, out)) == EXIT_OK
+        earlier = (out / "dist.npy").read_bytes()
+        fresh = tmp_path / "fresh"
+        with stripes_of(1, 6):
+            for target in (out, fresh):
+                code = main(rerank_args(huge, target, "--no-pre-normalize", *flags))
+                assert code == EXIT_DATA
+                assert not (target / "dist.npy.partial").exists()
+        assert (out / "dist.npy").read_bytes() == earlier
+        assert not (fresh / "dist.npy").exists()
+
+    def test_too_little_free_space_fails_before_any_scan(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        num_q = read_npy((data_dir / "q.npy").read_bytes()).shape[0]
+        num_g = read_npy((data_dir / "g.npy").read_bytes()).shape[0]
+        needed = len(npy_header((num_q, num_g))) + num_q * num_g * 8
+        free = {"bytes": needed - 1}
+
+        def statvfs(path):
+            return mock.Mock(f_bavail=free["bytes"], f_frsize=1)
+
+        monkeypatch.setattr(pipeline.os, "statvfs", statvfs)
+        out = tmp_path / "run"
+        with mock.patch.object(pipeline, "compute_refined_distances") as compute:
+            assert main(rerank_args(data_dir, out)) == EXIT_DATA
+        compute.assert_not_called()
+        assert f"needs {needed} bytes" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        free["bytes"] = needed
+        assert main(rerank_args(data_dir, out)) == EXIT_OK
+        assert (out / "dist.npy").stat().st_size == needed
 
 
 class TestEvalCommand:
