@@ -11,9 +11,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Cap on elements touched per internal row chunk; keeps argpartition's
-# int64 index buffer near 128 MB even for very wide matrices.
+# Cap on elements touched per internal row chunk of `topk_smallest`. On
+# the full-row path it keeps argpartition's int64 index buffer near
+# 128 MB even for very wide matrices (rows re-sorted for boundary ties
+# take a copy and a stable argsort of theirs); the tile path gathers at
+# most half of each row and needs no full-width index buffer.
 _CHUNK_ELEMS = 16_000_000
+
+# Column tile width of the tile-minimum selection in `topk_smallest`.
+_TILE_COLS = 128
 
 # Target entries per row stripe of the distance and normalization passes:
 # 2M float64 entries (16 MB) keep each stripe's elementwise passes in the
@@ -176,8 +182,13 @@ def topk_smallest(d, k: int) -> TopKResult:
     same input always produce identical index lists. k is clamped to the
     number of columns.
 
+    When 2 * k * _TILE_COLS <= M, selection runs through column tiles
+    (see `_topk_tiled`): each row's k tiles with the smallest minima are
+    gathered and only they are searched, at most half of the row.
+    Narrower matrices, relative to k, are searched whole.
+
     Args:
-        d: (N, M) array-like of finite values.
+        d: (N, M) array-like of finite or +inf values.
         k: number of entries to keep per row, >= 1.
 
     Returns:
@@ -190,19 +201,56 @@ def topk_smallest(d, k: int) -> TopKResult:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     n, m = arr.shape
     k_eff = min(k, m)
-    if k_eff <= 0:
-        return TopKResult(
-            np.empty((n, 0), dtype=np.int64), np.empty((n, 0), dtype=np.float64)
-        )
-
-    chunk = max(1, _CHUNK_ELEMS // max(m, 1))
-    idx_parts = []
-    val_parts = []
+    out = TopKResult(np.empty((n, k_eff), dtype=np.int64), np.empty((n, k_eff)))
+    if k_eff == 0:
+        return out
+    select = _topk_tiled if 2 * k_eff * _TILE_COLS <= m else _topk_rows
+    chunk = max(1, _CHUNK_ELEMS // m)
     for r0 in range(0, n, chunk):
-        idx, vals = _topk_rows(arr[r0 : r0 + chunk], k_eff)
-        idx_parts.append(idx)
-        val_parts.append(vals)
-    return TopKResult(np.vstack(idx_parts), np.vstack(val_parts))
+        r1 = r0 + chunk
+        out.indices[r0:r1], out.values[r0:r1] = select(arr[r0:r1], k_eff)
+    return out
+
+
+def _topk_tiled(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_topk_rows` through column tiles; needs at least k tiles per row.
+
+    The columns are cut into tiles of _TILE_COLS (the last may be
+    narrower). Each row picks its k tiles by (tile minimum, tile index),
+    gathers them in ascending tile order, and `_topk_rows` selects from
+    the gathered entries; local columns map back to global ones.
+
+    Why it is exact. Let T be the k-th smallest tile minimum. Each chosen
+    tile holds an entry <= T, so at least k entries are <= T and every
+    entry of the true top-k is <= T. An unchosen tile has a minimum above
+    T, or a minimum equal to T and a higher index than every chosen tile
+    whose minimum is T; for any of its entries equal to T, each of the k
+    chosen tiles holds an entry that comes first in (value, column)
+    order: one below T, or one equal to T at a lower column. So the
+    top-k lies in the chosen tiles. Gathered in ascending tile order,
+    local column order is global column order, and `_topk_rows`'
+    (value, index) rule gives the same ties as on the whole row. The
+    ragged last tile is padded with +inf after its real columns: a pad
+    comes after every real entry of the gathered row, and the k chosen
+    tiles hold at least k real entries, so no pad is selected.
+    """
+    n, m = work.shape
+    full, rem = divmod(m, _TILE_COLS)
+    body = work[:, : full * _TILE_COLS].reshape(n, full, _TILE_COLS)
+    mins = np.empty((n, full + (rem > 0)), dtype=np.float64)
+    np.min(body, axis=2, out=mins[:, :full])
+    if rem:
+        np.min(work[:, full * _TILE_COLS :], axis=1, out=mins[:, full])
+    tiles, _ = _topk_rows(mins, k)
+    tiles.sort(axis=1)
+    gathered = body[np.arange(n)[:, None], np.minimum(tiles, full - 1)]
+    if rem:
+        rows, pos = np.nonzero(tiles == full)
+        gathered[rows, pos, :rem] = work[rows, full * _TILE_COLS :]
+        gathered[rows, pos, rem:] = np.inf
+    local, vals = _topk_rows(gathered.reshape(n, k * _TILE_COLS), k)
+    tile_of = np.take_along_axis(tiles, local // _TILE_COLS, axis=1)
+    return tile_of * _TILE_COLS + local % _TILE_COLS, vals
 
 
 def _topk_rows(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,18 +265,13 @@ def _topk_rows(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         idx = np.take_along_axis(idx, order, axis=1)
         vals = np.take_along_axis(vals, order, axis=1)
         # argpartition picks an arbitrary subset when values tie at the
-        # selection boundary; rebuild the rows where lower-index ties were
-        # passed over.
+        # selection boundary; re-select the rows where lower-index ties
+        # were passed over by a stable sort.
         boundary = vals[:, -1]
         selected_eq = (vals == boundary[:, None]).sum(axis=1)
         total_eq = (work == boundary[:, None]).sum(axis=1)
-        for r in np.flatnonzero(total_eq > selected_eq):
-            row = work[r]
-            below = np.flatnonzero(row < boundary[r])
-            at = np.flatnonzero(row == boundary[r])[: k - below.size]
-            chosen = np.concatenate([below, at])
-            chosen = chosen[np.lexsort((chosen, row[chosen]))]
-            idx[r] = chosen
+        redo = np.flatnonzero(total_eq > selected_eq)
+        idx[redo] = np.argsort(work[redo], axis=1, kind="stable")[:, :k]
     idx = idx[:, :k]
     vals = np.take_along_axis(work, idx, axis=1)
     return idx, vals
@@ -243,8 +286,11 @@ def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
     N x N matrix never exists and scratch is one block. Each row's own
     column is set to inf with `exclude_self` and to exactly zero without
     it. Results are ordered by (value, column index), exactly as
-    `topk_smallest` orders a full matrix. k is clamped to the number of
-    candidates (N - 1 with `exclude_self`, else N).
+    `topk_smallest` orders a full matrix. When 2 * k * _TILE_COLS <= N,
+    each block row is searched only inside its k column tiles with the
+    smallest minima (exact, see `_topk_tiled`), so duplicate rows keep
+    their ties inside k tiles. k is clamped to the number of candidates
+    (N - 1 with `exclude_self`, else N).
 
     Args:
         feats: (N, d) array-like, all values finite.
@@ -265,14 +311,11 @@ def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
     rows = max(1, min(_SCAN_BLOCK_ROWS, _STRIPE_ELEMS // n))
     sq_norms = np.einsum("ij,ij->i", arr, arr)
     self_value = np.inf if exclude_self else 0.0
-    idx_parts = []
-    val_parts = []
+    out = TopKResult(np.empty((n, k), dtype=np.int64), np.empty((n, k)))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         block = pairwise_sq_euclidean(arr[start:stop], arr, b_sq=sq_norms)
         local = np.arange(stop - start)
         block[local, local + start] = self_value
-        part = topk_smallest(block, k)
-        idx_parts.append(part.indices)
-        val_parts.append(part.values)
-    return TopKResult(np.vstack(idx_parts), np.vstack(val_parts))
+        out.indices[start:stop], out.values[start:stop] = topk_smallest(block, k)
+    return out

@@ -290,7 +290,8 @@ class TestEnhance:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_naive_oracle(self, data):
-        """Duplicate rows put exact first-order ties across scan block edges."""
+        """Duplicate rows put exact first-order ties across scan block and
+        column tile edges."""
         pre_normalize = data.draw(st.booleans(), label="pre_normalize")
         pool = data.draw(st.lists(exact_rows(pre_normalize), min_size=1, max_size=4), label="pool")
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=9))
@@ -302,11 +303,13 @@ class TestEnhance:
         sigma_mode = data.draw(st.sampled_from(["adaptive", "fixed"]), label="sigma_mode")
         sigma = data.draw(st.sampled_from([0.3, 1.0, 2.5]), label="sigma")
         block = data.draw(st.integers(1, 3), label="block rows")
+        tile = data.draw(st.integers(1, 4), label="tile columns")
         cfg = DmonConfig(
             k1=k1, orders=orders, disjoint_orders=disjoint, sigma_mode=sigma_mode,
             sigma=sigma, pre_normalize=pre_normalize,
         )
-        with mock.patch.object(matrix_ops, "_SCAN_BLOCK_ROWS", block):
+        with mock.patch.object(matrix_ops, "_SCAN_BLOCK_ROWS", block), \
+                mock.patch.object(matrix_ops, "_TILE_COLS", tile):
             out = enhance(feats, cfg)
         expected = naive_enhance(
             feats, k1=k1, num_orders=orders, disjoint_orders=disjoint,

@@ -141,6 +141,10 @@ class TestTopkSmallest:
         res = topk_smallest([[3.0, 1.0]], 10)
         assert_array_equal(res.indices, [[1, 0]])
 
+    def test_no_rows(self):
+        res = topk_smallest(np.empty((0, 300)), 2)
+        assert res.indices.shape == res.values.shape == (0, 2)
+
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(19)
         d = rng.integers(0, 3, size=(15, 12)).astype(float)  # many ties
@@ -171,6 +175,58 @@ class TestTopkSmallest:
         res = topk_smallest(d, 4)
         assert_array_equal(res.indices, [[4, 1, 0, 2]])
 
+    @given(
+        st.integers(1, 4).flatmap(lambda tile: st.tuples(
+            st.just(tile),
+            arrays(
+                np.float64,
+                st.tuples(st.integers(1, 6), st.integers(1, 9 * tile + 3)),
+                elements=st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf]),
+            ),
+        )),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tile_path_matches_oracle(self, tiled, k):
+        """Tiles of 1-4 columns: small integers put exact ties on tile
+        edges, widths need not be a multiple of the tile, inf entries can
+        outnumber the finite ones, and k runs past the tile-path cutoff."""
+        tile, d = tiled
+        with mock.patch.object(matrix_ops, "_TILE_COLS", tile):
+            res = topk_smallest(d, k)
+        exp_idx, exp_val = naive_topk(d, k)
+        assert_array_equal(res.indices, exp_idx)
+        assert_array_equal(res.values, exp_val)
+
+    @pytest.mark.parametrize("equal", [False, True])
+    @pytest.mark.parametrize("width, k, full_rows", [
+        (12_800, 2, False), (12_800, 20, False), (3_200, 20, True),
+    ])
+    def test_tile_path_routing(self, width, k, full_rows, equal):
+        """Below the cutoff 2 * k * _TILE_COLS <= width, no row reaches
+        `_topk_rows` at full width: it sees the tile minima, then k
+        gathered tiles, also when every entry ties. Above it, the rows
+        are searched whole."""
+        d = np.random.default_rng(47).random((156, width))
+        if equal:
+            d[:] = 1.0
+        widths = []
+        real = matrix_ops._topk_rows
+
+        def spy(work, kk):
+            widths.append(work.shape[1])
+            return real(work, kk)
+
+        with mock.patch.object(matrix_ops, "_topk_rows", spy):
+            res = topk_smallest(d, k)
+        tile = matrix_ops._TILE_COLS
+        if full_rows:
+            assert widths == [width]
+        else:
+            assert widths == [width // tile, k * tile]
+        exp_idx = np.argsort(d, axis=1, kind="stable")[:, :k]
+        assert_array_equal(res.indices, exp_idx)
+
 
 class TestKnnScan:
     def test_exclude_self(self):
@@ -198,12 +254,15 @@ class TestKnnScan:
         st.integers(1, 12),
         st.booleans(),
         st.integers(1, 3),
+        st.integers(1, 4),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_full_matrix_oracle(self, pool, picks, k, exclude_self, block):
-        """Duplicate integer rows put exact ties on scan block edges."""
+    def test_matches_full_matrix_oracle(self, pool, picks, k, exclude_self, block, tile):
+        """Duplicate integer rows put exact ties on scan block and column
+        tile edges."""
         pts = np.array([pool[i % len(pool)] for i in picks])
-        with mock.patch.object(matrix_ops, "_SCAN_BLOCK_ROWS", block):
+        with mock.patch.object(matrix_ops, "_SCAN_BLOCK_ROWS", block), \
+                mock.patch.object(matrix_ops, "_TILE_COLS", tile):
             res = knn_scan(pts, k, exclude_self=exclude_self)
         full = naive_pairwise_sq(pts, pts)
         if exclude_self:
@@ -213,6 +272,22 @@ class TestKnnScan:
         assert_array_equal(res.indices, exp_idx.reshape(len(pts), -1))
         assert_array_equal(res.values, exp_val.reshape(len(pts), -1))
 
+    @pytest.mark.parametrize("distinct", [1, 8])
+    @pytest.mark.parametrize("tile", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 5, 20])
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_duplicate_rows_match_oracle(self, distinct, tile, k, exclude_self):
+        """50 rows that are all equal, or copies of 8 distinct rows: every
+        row ties with many columns, across tile and block edges and into
+        a ragged last tile."""
+        pool = np.random.default_rng(distinct).integers(-2, 3, size=(distinct, 4))
+        pts = pool[np.arange(50) % distinct].astype(np.float64)
+        with mock.patch.object(matrix_ops, "_SCAN_BLOCK_ROWS", 5), \
+                mock.patch.object(matrix_ops, "_TILE_COLS", tile):
+            res = knn_scan(pts, k, exclude_self=exclude_self)
+        exp_idx, exp_val = naive_topk(naive_pairwise_sq(pts, pts), k, exclude_self=exclude_self)
+        assert_array_equal(res.indices, exp_idx)
+        assert_array_equal(res.values, exp_val)
 
     def test_blocks_capped_at_one_stripe(self, monkeypatch):
         """A scan block is at most _STRIPE_ELEMS entries: 8000 rows run in

@@ -190,8 +190,9 @@ class TestOptimize:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_naive_oracle(self, data):
-        """Duplicate rows put exact top-k2 ties across gallery block edges;
-        query stripes of one or two rows split the in-place subtraction."""
+        """Duplicate rows put exact top-k2 ties across gallery block and
+        column tile edges; query stripes of one or two rows split the
+        in-place subtraction."""
         pre_normalize = data.draw(st.booleans(), label="pre_normalize")
         pool = data.draw(st.lists(exact_rows(pre_normalize), min_size=1, max_size=4), label="pool")
         pick = st.integers(0, len(pool) - 1)
@@ -201,9 +202,11 @@ class TestOptimize:
         fill = data.draw(st.sampled_from([0.0, 1.0]), label="fill")
         block = data.draw(st.integers(1, 3), label="block rows")
         stripe = data.draw(st.integers(1, 2), label="stripe rows") * fg.shape[0]
+        tile = data.draw(st.integers(1, 4), label="tile columns")
         cfg = AroConfig(k2=k2, fill_value=fill, pre_normalize=pre_normalize)
         with mock.patch.object(matrix_ops, "_SCAN_BLOCK_ROWS", block), \
-                mock.patch.object(optimize_module, "_STRIPE_ELEMS", stripe):
+                mock.patch.object(optimize_module, "_STRIPE_ELEMS", stripe), \
+                mock.patch.object(matrix_ops, "_TILE_COLS", tile):
             out = optimize(fq, fg, cfg)
         expected = naive_optimize(fq, fg, k2=k2, fill=fill, pre_normalize=pre_normalize)
         assert_allclose(out, expected, rtol=0, atol=1e-9)
