@@ -7,10 +7,13 @@ aggregate of its 1st..H-th order neighbors' embeddings:
    (optionally row-normalized) input, found by a blocked kNN scan.
 2. Higher orders by expansion: order-h neighbors are the union of the
    first-order neighbors of the order-(h-1) neighbors, minus the sample,
-   computed as a sparse product of the neighbor adjacencies.
+   computed by index arithmetic: each row's two-hop pool of
+   `row * N + col` keys is sorted once and its repeats dropped.
 3. Per-order Gaussian kernel weights with a bandwidth that widens with
    the order (sigma_h = sigma * 1.5**h), restricted to the neighbor sets.
-4. Latent features: sum over orders of decay * (weights @ features).
+4. Latent features: sum over orders of decay * (weights @ features),
+   each row's weighted neighbor sum taken over its entries in column
+   order.
 5. Output: row-normalized gamma * features + (1 - gamma) * latent.
 
 No N x N distance matrix is built: the scan keeps one block of rows in
@@ -24,14 +27,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .matrix_ops import as_feature_matrix, knn_scan, l2_normalize_rows, pair_sq_euclidean
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .matrix_ops import (
+    _GATHER_ELEMS,
+    as_feature_matrix,
+    gather_ranges,
+    knn_scan,
+    l2_normalize_rows,
+    pair_sq_euclidean,
+)
 
 # Per-order bandwidth growth factor: sigma_h = sigma * _BANDWIDTH_GROWTH**h.
 _BANDWIDTH_GROWTH = 1.5
@@ -150,39 +156,36 @@ def _pairs(level: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _adjacency(level: list[np.ndarray]) -> sp.csr_matrix:
-    """One order's neighbor sets as an (N, N) 0/1 CSR matrix."""
-    import scipy.sparse as sp
-
-    rows, cols = _pairs(level)
-    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(len(level), len(level)))
-
-
 def expand_order(orders: NeighborOrders, disjoint_orders: bool = False) -> NeighborOrders:
     """Append the next neighbor order by one-hop expansion.
 
     Order-h neighbors of x are the union of the first-order neighbors of
-    x's order-(h-1) neighbors, minus x itself, duplicates removed: the
-    support of S_(h-1) @ S_1 off the diagonal, where S_h is the 0/1
-    adjacency of order h. With `disjoint_orders`, members already present
-    at any lower order are removed as well.
+    x's order-(h-1) neighbors, minus x itself, duplicates removed. The
+    two-hop pool of every row is listed as `row * N + col` keys, which
+    one sort orders by row, then column, for dropping repeats. With
+    `disjoint_orders`, members already present at any lower order are
+    removed as well.
     """
-    import scipy.sparse as sp
-
     if orders.num_orders < 1:
         raise ValueError("need at least the first order to expand")
     n = orders.num_samples
-    reach = _adjacency(orders.levels[-1]) @ _adjacency(orders.levels[0])
-    dropped = sp.identity(n, format="csr")
+    first_rows, first_cols = _pairs(orders.levels[0])
+    first_len = np.bincount(first_rows, minlength=n)
+    rows, hops = _pairs(orders.levels[-1])
+    first_start = np.cumsum(first_len) - first_len
+    keys = np.repeat(rows * n, first_len[hops])
+    keys += gather_ranges(first_start[hops], first_len[hops], first_cols)[0]
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    rows, cols = np.divmod(keys, n)
+    keep = rows != cols
     if disjoint_orders:
         for level in orders.levels:
-            dropped = dropped + _adjacency(level)
-    # entries of `reach` are positive path counts: subtracting them where
-    # `dropped` is set leaves exact zeros, which sparse subtraction drops
-    reach = reach - reach.multiply(dropped > 0)
-    reach.sort_indices()
-    cols = reach.indices.astype(np.int64)
-    return NeighborOrders(levels=orders.levels + [np.split(cols, reach.indptr[1:-1])])
+            lower_rows, lower_cols = _pairs(level)
+            keep &= ~np.isin(keys, lower_rows * n + lower_cols)
+    bounds = [0, *np.cumsum(np.bincount(rows[keep], minlength=n)).tolist()]
+    cols = cols[keep]
+    return NeighborOrders(levels=orders.levels + [[cols[i:j] for i, j in zip(bounds, bounds[1:])]])
 
 
 def adaptive_sigma(feats, orders: NeighborOrders) -> float:
@@ -197,13 +200,67 @@ def adaptive_sigma(feats, orders: NeighborOrders) -> float:
     return float(np.sqrt(pair_sq_euclidean(feats, rows, cols)).mean())
 
 
+@dataclass(frozen=True, eq=False)
+class OrderWeights:
+    """One order's kernel weights: an (n, n) matrix held as its stored entries.
+
+    `rows`, `cols` and `vals` list the entries sorted by row, then column;
+    every other entry is zero. `np.asarray` gives the dense matrix.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    n: int
+
+    @property
+    def nnz(self) -> int:
+        return self.vals.size
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros((self.n, self.n))
+        out[self.rows, self.cols] = self.vals
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def dot(self, feats: np.ndarray) -> np.ndarray:
+        """W @ feats, each row summed from +0.0 over its entries in column order.
+
+        Rows are taken longest first, in blocks of about _GATHER_ELEMS
+        gathered feature entries; each block's rows are padded with zero
+        weights to its longest row. `einsum` then adds the terms of a row
+        in order, because the feature axis is its inner loop; a
+        one-column input gets a zero second column to keep it so. That
+        loop order is numpy's choice, not a documented guarantee; the
+        oracle tests compare these sums bit for bit with a CSR product.
+        """
+        if feats.shape[1] == 1:
+            return self.dot(np.hstack([feats, np.zeros_like(feats)]))[:, :1]
+        counts = np.bincount(self.rows, minlength=self.n)
+        starts = np.cumsum(counts) - counts
+        by_len = np.argsort(-counts, kind="stable")
+        counts, starts = counts[by_len], starts[by_len]
+        dim = feats.shape[1]
+        out = np.empty((self.n, dim))
+        b0 = 0
+        while b0 < self.n and counts[b0] > 0:
+            width = int(counts[b0])
+            b1 = min(self.n, b0 + max(1, _GATHER_ELEMS // (width * dim)))
+            real = np.arange(width) < counts[b0:b1, None]
+            entry = np.where(real, starts[b0:b1, None] + np.arange(width), 0)
+            vals = np.where(real, self.vals[entry], 0.0)
+            out[by_len[b0:b1]] = np.einsum("rk,rkd->rd", vals, feats[self.cols[entry]])
+            b0 = b1
+        out[by_len[b0:]] = 0.0
+        return out
+
+
 def gaussian_weights(
     feats,
     orders: NeighborOrders,
     sigma: float,
     normalize_rows: bool = True,
-) -> list[sp.csr_matrix]:
-    """Per-order sparse Gaussian kernel weights on the neighbor supports.
+) -> list[OrderWeights]:
+    """Per-order Gaussian kernel weights on the neighbor supports.
 
     The order-h weight of neighbor y of sample x is
     exp(-d(x, y)^2 / (2 * sigma_h^2)) with sigma_h = sigma * 1.5**h, and
@@ -218,10 +275,8 @@ def gaussian_weights(
         normalize_rows: rescale rows to unit sum.
 
     Returns:
-        One CSR matrix per order, shape (N, N).
+        One OrderWeights per order, of an (N, N) matrix.
     """
-    import scipy.sparse as sp
-
     if not sigma > 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     n = orders.num_samples
@@ -234,22 +289,24 @@ def gaussian_weights(
         if normalize_rows and vals.size:
             row_sums = np.bincount(rows, weights=vals, minlength=n)
             vals = vals / row_sums[rows]
-        weights.append(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+        # first-order lists are nearest first; the sum in `dot` runs in column order
+        order = np.argsort(rows * n + cols, kind="stable")
+        weights.append(OrderWeights(rows[order], cols[order], vals[order], n))
     return weights
 
 
-def latent_features(weights: list[sp.csr_matrix], features, alphas) -> np.ndarray:
+def latent_features(weights: list[OrderWeights], features, alphas) -> np.ndarray:
     """Decayed sum of per-order neighbor aggregates: sum_h alphas[h] * (W_h @ F)."""
     feats = np.asarray(features, dtype=np.float64)
     if len(alphas) < len(weights):
         raise ValueError(f"need {len(weights)} decay coefficients, got {len(alphas)}")
     latent = np.zeros_like(feats)
-    for mat, alpha in zip(weights, alphas):
-        if mat.shape[1] != feats.shape[0]:
+    for w, alpha in zip(weights, alphas):
+        if w.n != feats.shape[0]:
             raise ValueError(
-                f"weight matrix {mat.shape} incompatible with {feats.shape[0]} feature rows"
+                f"weight matrix ({w.n}, {w.n}) incompatible with {feats.shape[0]} feature rows"
             )
-        latent += alpha * (mat @ feats)
+        latent += alpha * w.dot(feats)
     return latent
 
 

@@ -1,10 +1,11 @@
 """Dense matrix primitives shared across the toolkit.
 
 Row normalization, row-striped pairwise squared-Euclidean distances,
-distances of listed row pairs, deterministic smallest-k selection, and
-the blocked k-nearest-neighbour scan built from them. All computation is
-done in float64 regardless of input storage precision; the GEMM-style
-distance expansion loses too much accuracy in float32.
+distances of listed row pairs, gathers of index ranges, deterministic
+smallest-k selection, and the blocked k-nearest-neighbour scan built
+from them. All computation is done in float64 regardless of input
+storage precision; the GEMM-style distance expansion loses too much
+accuracy in float32.
 """
 
 from typing import NamedTuple
@@ -25,6 +26,11 @@ _TILE_COLS = 128
 # 2M float64 entries (16 MB) keep each stripe's elementwise passes in the
 # last-level cache.
 _STRIPE_ELEMS = 2_000_000
+
+# Target feature entries per chunk of gathered rows (`pair_sq_euclidean`,
+# the kernel-weight products of `enhance`): 64K float64 entries (512 KB)
+# keep a chunk in L2 cache while it is gathered and read back.
+_GATHER_ELEMS = 65_536
 
 # Upper bound on the rows of one block of the k-nearest-neighbour scan;
 # the block also stays within _STRIPE_ELEMS entries.
@@ -151,7 +157,7 @@ def pair_sq_euclidean(feats, rows, cols) -> np.ndarray:
     Entry t is the distance between rows `rows[t]` and `cols[t]`, by the
     same expansion, operation order and clamp as `pairwise_sq_euclidean`
     but with a plain dot product per pair. Pairs are gathered in chunks
-    of about _STRIPE_ELEMS feature entries.
+    of about _GATHER_ELEMS feature entries.
 
     Args:
         feats: (N, d) float64 array, all values finite.
@@ -163,7 +169,7 @@ def pair_sq_euclidean(feats, rows, cols) -> np.ndarray:
     feats = np.asarray(feats, dtype=np.float64)
     sq_norms = np.einsum("ij,ij->i", feats, feats)
     out = np.empty(len(rows), dtype=np.float64)
-    step = max(1, _STRIPE_ELEMS // max(feats.shape[1], 1))
+    step = max(1, _GATHER_ELEMS // max(feats.shape[1], 1))
     for t0 in range(0, len(rows), step):
         r, c = rows[t0 : t0 + step], cols[t0 : t0 + step]
         part = out[t0 : t0 + step]
@@ -173,6 +179,19 @@ def pair_sq_euclidean(feats, rows, cols) -> np.ndarray:
         part += sq_norms[c]
         np.maximum(part, 0.0, out=part)
     return out
+
+
+def gather_ranges(starts, lengths, *arrays) -> list[np.ndarray]:
+    """For each array, the concatenation of its slices [s, s + n) over the (s, n) pairs.
+
+    The ranges are gathered through one index array of every position.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    pos = np.repeat(starts - (ends - lengths), lengths)
+    pos += np.arange(pos.size, dtype=np.int64)
+    return [arr[pos] for arr in arrays]
 
 
 def topk_smallest(d, k: int) -> TopKResult:

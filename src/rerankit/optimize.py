@@ -16,9 +16,12 @@ neighbourhoods come from a blocked kNN scan (`matrix_ops.knn_scan`);
 QG is then computed, refined and handed to a sink one row stripe of
 about 2M entries at a time, so memory is the features, the gallery
 neighbourhoods and one stripe, whatever Nq is. A filtered row is `fill`
-plus a k2-sparse residual, so the similarity product is evaluated
-through a sparse-plus-constant decomposition of the kept entries, and
-the gallery's sparse form is built once for all stripes.
+plus a residual on its k2 kept entries, so the similarity product is a
+constant, per-row residual sums and the products of kept entries that
+share a column. Those are index arithmetic: the gallery's kept entries
+are grouped by column once for all stripes, each query entry is paired
+with its column's group, and the products are summed per query-gallery
+pair with `np.bincount`.
 """
 
 from dataclasses import dataclass
@@ -29,6 +32,7 @@ import numpy as np
 from .matrix_ops import (
     _STRIPE_ELEMS,
     as_feature_matrix,
+    gather_ranges,
     knn_scan,
     l2_normalize_rows,
     pairwise_sq_euclidean,
@@ -67,9 +71,9 @@ class FilteredRows:
 
     `indices` and `values` are (rows, k) and hold each row's k smallest
     entries, as `topk_smallest` returns them. `np.asarray` gives back the
-    dense fill-padded matrix. The sparse form `asymmetric_similarity`
+    dense fill-padded matrix. The column grouping `residual_product`
     needs is computed on first use and kept, so rows used against many
-    query stripes are converted once.
+    query stripes are grouped once.
     """
 
     indices: np.ndarray
@@ -99,23 +103,62 @@ class FilteredRows:
         return (self.values - self.fill).sum(axis=1), norms
 
     @cached_property
-    def _residual(self):
-        """The rows minus `fill`, as a CSR matrix of the kept entries."""
-        import scipy.sparse as sp
+    def _by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kept entries minus `fill`, grouped by column.
 
-        n, k = self.indices.shape
-        return sp.csr_matrix(
-            (
-                (self.values - self.fill).ravel(),
-                (np.repeat(np.arange(n, dtype=np.int64), k), self.indices.ravel()),
-            ),
-            shape=(n, self.num_cols),
-        )
+        Returns (starts, rows, residuals): column c's entries are
+        rows[starts[c]:starts[c + 1]], in ascending row order, with their
+        residuals alongside.
+        """
+        k = self.indices.shape[1]
+        flat = self.indices.ravel()
+        order = np.argsort(flat, kind="stable")
+        starts = np.zeros(self.num_cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=self.num_cols), out=starts[1:])
+        return starts, order // k, (self.values - self.fill).ravel()[order]
 
-    @cached_property
-    def _residual_t(self):
-        """`_residual` transposed, in CSR form for the right side of a product."""
-        return self._residual.T.tocsr()
+
+def residual_product(q_rows: FilteredRows, g_rows: FilteredRows) -> np.ndarray:
+    """(Q - q.fill) @ (G - g.fill)^T over the kept entries: a dense (nq, ng) array.
+
+    Entry (i, g) is summed from +0.0 over the columns kept by both query
+    row i and gallery row g, in ascending column order: each query entry
+    is paired with the gallery rows keeping its column, and the products
+    are accumulated with one `bincount` over `i * ng + g` keys. Query rows
+    are taken in chunks of about _STRIPE_ELEMS / 4 products (at least one
+    row), so columns kept by many gallery rows do not blow up memory.
+    """
+    starts, g_idx, g_resid = g_rows._by_column
+    num_g = g_rows.indices.shape[0]
+    by_col = np.argsort(q_rows.indices, axis=1)
+    q_cols = np.take_along_axis(q_rows.indices, by_col, axis=1)
+    q_resid = np.take_along_axis(q_rows.values - q_rows.fill, by_col, axis=1)
+    counts = np.diff(starts)[q_cols]
+    row_ends = np.cumsum(counts.sum(axis=1))
+
+    def rows_product(i0, i1):
+        num = counts[i0:i1].ravel()
+        rows, resid = gather_ranges(starts[q_cols[i0:i1]].ravel(), num, g_idx, g_resid)
+        keys = np.repeat(np.repeat(np.arange(i1 - i0) * num_g, q_cols.shape[1]), num)
+        keys += rows
+        prods = np.repeat(q_resid[i0:i1].ravel(), num)
+        prods *= resid
+        sums = np.bincount(keys, prods, minlength=(i1 - i0) * num_g)
+        # with no products at all, bincount returns integer zeros
+        return sums.astype(np.float64, copy=False).reshape(-1, num_g)
+
+    bounds = [0]
+    while bounds[-1] < len(row_ends):
+        i0 = bounds[-1]
+        done = row_ends[i0 - 1] if i0 else 0
+        limit = done + max(1, _STRIPE_ELEMS // 4)
+        bounds.append(max(i0 + 1, int(np.searchsorted(row_ends, limit, side="right"))))
+    if len(bounds) == 2:
+        return rows_product(0, bounds[1])
+    out = np.empty((len(row_ends), num_g))
+    for i0, i1 in zip(bounds, bounds[1:]):
+        out[i0:i1] = rows_product(i0, i1)
+    return out
 
 
 def neighborhood_filter(distances, k2: int, fill: float) -> FilteredRows:
@@ -138,8 +181,8 @@ def asymmetric_similarity(q_rows: FilteredRows, g_rows: FilteredRows) -> np.ndar
     """Cosine-style similarity of filtered query rows against gallery rows.
 
     Computes rownorm(Q) @ rownorm(G)^T, where each filtered row is its
-    fill constant plus a sparse residual on its kept entries: a dot
-    product is a constant, two residual sums and a sparse-sparse product.
+    fill constant plus a residual on its kept entries: a dot product is
+    a constant, two residual sums and a `residual_product` entry.
     Zero rows contribute zeros. The result is clamped into [0, 1] to
     absorb rounding excess.
 
@@ -154,7 +197,7 @@ def asymmetric_similarity(q_rows: FilteredRows, g_rows: FilteredRows) -> np.ndar
         )
     q_resid, q_norms = q_rows._stats
     g_resid, g_norms = g_rows._stats
-    sim = (q_rows._residual @ g_rows._residual_t).toarray().astype(np.float64, copy=False)
+    sim = residual_product(q_rows, g_rows)
     if q_rows.fill != 0.0 or g_rows.fill != 0.0:
         sim += q_rows.fill * g_rows.fill * num_cols
         sim += g_rows.fill * q_resid[:, None]
@@ -233,9 +276,13 @@ def _similarity_streamed(stripes, g_rows, k2, fill, sink):
     """Subtract the asymmetric similarity from each QG stripe, then sink it.
 
     Each (start, stripe) is filtered to its rows' top-k2 and compared
-    with the gallery's filtered rows `g_rows`, so the only scratch is one
-    stripe and its similarity.
+    with the gallery's filtered rows `g_rows` in row blocks of about a
+    quarter stripe, so the scratch beside the stripe is one block's
+    filter and similarity.
     """
     for start, stripe in stripes:
-        stripe -= asymmetric_similarity(neighborhood_filter(stripe, k2, fill), g_rows)
+        rows = max(1, _STRIPE_ELEMS // 4 // stripe.shape[1])
+        for i0 in range(0, stripe.shape[0], rows):
+            block = stripe[i0 : i0 + rows]
+            block -= asymmetric_similarity(neighborhood_filter(block, k2, fill), g_rows)
         sink(start, stripe)

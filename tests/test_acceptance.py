@@ -184,8 +184,7 @@ def test_criterion_3_structural_invariants():
         for _ in range(2):
             orders = expand_order(orders)
         for mat in gaussian_weights(pts, orders, sigma=1.0):
-            coo = mat.tocoo()
-            assert not np.any(coo.row == coo.col)
+            assert not np.any(mat.rows == mat.cols)
 
     for _ in range(10):
         num_q, num_g = int(rng.integers(4, 15)), int(rng.integers(20, 60))
@@ -435,7 +434,7 @@ def test_criterion_7_performance_streamed_distances(tmp_path):
     data = synth_files(spec, tmp_path / "data")
     out = tmp_path / "run"
     matrix_kb = 2_000 * 8_000 * 8 // 1024
-    idle = _peak_rss_of_cli(["--version"], preload="import scipy.sparse")
+    idle = _peak_rss_of_cli(["--version"])
     rerank_peak = _peak_rss_of_cli(
         ["rerank", "--query", data["query"], "--gallery", data["gallery"], "--out", str(out)])
     assert (out / "dist.npy").stat().st_size > matrix_kb * 1024

@@ -104,6 +104,38 @@ class TestAsymmetricSimilarity:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("fill", [0.0, 1.0])
+    def test_no_shared_kept_columns(self, fill):
+        """No gallery row keeps the query's kept column, so there is no
+        residual product at all; only the fill terms remain."""
+        q_rows = neighborhood_filter([[0.5, 0.0]], 1, fill)
+        g_rows = neighborhood_filter([[0.0, 0.5], [0.0, 0.7]], 1, fill)
+        assert_allclose(
+            asymmetric_similarity(q_rows, g_rows),
+            naive_similarity(np.asarray(q_rows), np.asarray(g_rows)),
+            atol=1e-12,
+        )
+
+    def test_peak_memory_on_hub_columns(self):
+        """Identical rows all keep the same k2 columns, so each column is
+        kept by every gallery row and each query row meets k2 * Ng residual
+        products (16M in all here). They are built in bounded chunks: the
+        peak stays within the similarity itself plus two stripes."""
+        row = l2_normalize_rows(np.random.default_rng(217).standard_normal((1, 16)))
+        fq, fg = np.tile(row, (200, 1)), np.tile(row, (4000, 1))
+        g_rows = neighborhood_filter(pairwise_sq_euclidean(fg, fg), 20, 1.0)
+        q_rows = neighborhood_filter(pairwise_sq_euclidean(fq, fg), 20, 1.0)
+        assert np.all(g_rows.indices == g_rows.indices[0])
+        stripe_bytes = matrix_ops._STRIPE_ELEMS * 8
+        tracemalloc.start()
+        try:
+            sim = asymmetric_similarity(q_rows, g_rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_allclose(sim, 1.0, rtol=0, atol=1e-12)
+        assert peak < sim.nbytes + 2 * stripe_bytes, f"peak {peak / 2**20:.1f} MiB"
+
 
 class TestOptimize:
     def test_disabled_returns_raw_distances(self):

@@ -576,12 +576,30 @@ class TestVersionFlag:
         assert "rerankit" in capsys.readouterr().out
 
 
-def test_import_does_not_load_scipy():
-    """eval, synth and --version need only numpy; scipy loads on first sparse use."""
+def test_import_does_not_load_scipy(tmp_path):
+    """No command needs scipy: synth, rerank, eval, sweep and --version run
+    on numpy alone, so a rerank process never pays scipy's import time."""
+    data, run = tmp_path / "data", tmp_path / "run"
+    labels = ["--query-labels", str(data / "q_labels.csv"),
+              "--gallery-labels", str(data / "g_labels.csv")]
+    commands = [
+        ["--version"],
+        synth_args(data),
+        ["rerank", "--query", str(data / "q.npy"), "--gallery", str(data / "g.npy"),
+         "--out", str(run), "--orders", "4"],
+        ["eval", "--dist", str(run / "dist.npy"), *labels],
+        ["sweep", "--query", str(data / "q.npy"), "--gallery", str(data / "g.npy"), *labels,
+         "--k1", "1,3", "--fill", "0", "--out", str(tmp_path / "sweep.csv")],
+    ]
     code = (
-        "import sys, rerankit, rerankit.cli\n"
+        "import sys\n"
+        "from rerankit.cli import main\n"
+        f"codes = [main(args) for args in {commands!r}]\n"
+        "print(codes)\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.strip().splitlines()
+    assert lines[-2] == str([EXIT_OK] * len(commands))
+    assert lines[-1] == "[]"
