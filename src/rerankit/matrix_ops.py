@@ -6,9 +6,18 @@ smallest-k selection, and the blocked k-nearest-neighbour scan built
 from them. All computation is done in float64 regardless of input
 storage precision; the GEMM-style distance expansion loses too much
 accuracy in float32.
+
+The kNN scan splits its blocks over one lane per BLAS thread, with each
+GEMM on one thread, so the passes after each product use every core
+too. `OPENBLAS_NUM_THREADS=1` gives one lane. Scratch is one half-stripe
+block per lane, and results do not depend on the number of lanes.
 """
 
-from typing import NamedTuple
+import ctypes
+import functools
+import threading
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,8 +42,13 @@ _STRIPE_ELEMS = 2_000_000
 _GATHER_ELEMS = 65_536
 
 # Upper bound on the rows of one block of the k-nearest-neighbour scan;
-# the block also stays within _STRIPE_ELEMS entries.
+# the block also stays within _STRIPE_ELEMS / 2 entries, so two lanes
+# hold one stripe between them.
 _SCAN_BLOCK_ROWS = 1024
+
+# Held while a scan runs on several lanes. The BLAS thread count is
+# process-wide, so a scan that starts meanwhile runs on its caller alone.
+_LANES_BUSY = threading.Lock()
 
 
 class TopKResult(NamedTuple):
@@ -141,14 +155,22 @@ def pairwise_sq_euclidean(a, b, block: int = 4096, b_sq=None) -> np.ndarray:
     rows = max(1, min(block, _STRIPE_ELEMS // max(m, 1)))
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
-        stripe = out[i0:i1]
-        np.matmul(arr_a[i0:i1] * -2.0, bt, out=stripe)
-        stripe += a_sq[i0:i1, None]
-        stripe += b_sq[None, :]
-        np.maximum(stripe, 0.0, out=stripe)
+        _sq_dist_stripe(arr_a[i0:i1], bt, a_sq[i0:i1], b_sq, out[i0:i1])
     if same:
         np.fill_diagonal(out, 0.0)
     return out
+
+
+def _sq_dist_stripe(a, bt, a_sq, b_sq, out) -> None:
+    """Write the clamped squared distances of rows `a` to columns `bt` into `out`.
+
+    One GEMM of the -2-scaled rows straight into `out`, then the norm
+    additions while the stripe is still in cache, then the clamp at zero.
+    """
+    np.matmul(a * -2.0, bt, out=out)
+    out += a_sq[:, None]
+    out += b_sq[None, :]
+    np.maximum(out, 0.0, out=out)
 
 
 def pair_sq_euclidean(feats, rows, cols) -> np.ndarray:
@@ -223,12 +245,18 @@ def topk_smallest(d, k: int) -> TopKResult:
     out = TopKResult(np.empty((n, k_eff), dtype=np.int64), np.empty((n, k_eff)))
     if k_eff == 0:
         return out
-    select = _topk_tiled if 2 * k_eff * _TILE_COLS <= m else _topk_rows
     chunk = max(1, _CHUNK_ELEMS // m)
     for r0 in range(0, n, chunk):
         r1 = r0 + chunk
-        out.indices[r0:r1], out.values[r0:r1] = select(arr[r0:r1], k_eff)
+        out.indices[r0:r1], out.values[r0:r1] = _topk_block(arr[r0:r1], k_eff)
     return out
+
+
+def _topk_block(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest-k of each row, 1 <= k <= width: through tiles when each
+    row has at least 2k of them, else over the whole row."""
+    select = _topk_tiled if 2 * k * _TILE_COLS <= work.shape[1] else _topk_rows
+    return select(work, k)
 
 
 def _topk_tiled(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,16 +328,19 @@ def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
     """Each row's k nearest rows of the same matrix, by squared distance.
 
     Blocked brute-force search: blocks of at most `_SCAN_BLOCK_ROWS` rows
-    and `_STRIPE_ELEMS` entries are each measured against every row with
-    `pairwise_sq_euclidean` and reduced with `topk_smallest`, so the
-    N x N matrix never exists and scratch is one block. Each row's own
-    column is set to inf with `exclude_self` and to exactly zero without
-    it. Results are ordered by (value, column index), exactly as
-    `topk_smallest` orders a full matrix. When 2 * k * _TILE_COLS <= N,
-    each block row is searched only inside its k column tiles with the
-    smallest minima (exact, see `_topk_tiled`), so duplicate rows keep
-    their ties inside k tiles. k is clamped to the number of candidates
-    (N - 1 with `exclude_self`, else N).
+    and `_STRIPE_ELEMS / 2` entries are each measured against every row
+    and reduced to their smallest k, so the N x N matrix never exists.
+    The blocks are split over lanes, one per BLAS thread (see
+    `_run_lanes`; `OPENBLAS_NUM_THREADS=1` gives one lane), and scratch is
+    one block per lane. The block height does not depend on the number
+    of lanes, so neither does the result. Each row's own column is set to
+    inf with `exclude_self` and to exactly zero without it. Results are
+    ordered by (value, column index), exactly as `topk_smallest` orders a
+    full matrix. When 2 * k * _TILE_COLS <= N, each block row is searched
+    only inside its k column tiles with the smallest minima (exact, see
+    `_topk_tiled`), so duplicate rows keep their ties inside k tiles. k
+    is clamped to the number of candidates (N - 1 with `exclude_self`,
+    else N).
 
     Args:
         feats: (N, d) array-like, all values finite.
@@ -327,14 +358,129 @@ def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
     k = min(k, n - 1 if exclude_self else n)
     if k < 1:
         return TopKResult(np.empty((n, 0), dtype=np.int64), np.empty((n, 0), dtype=np.float64))
-    rows = max(1, min(_SCAN_BLOCK_ROWS, _STRIPE_ELEMS // n))
+    rows = max(1, min(_SCAN_BLOCK_ROWS, _STRIPE_ELEMS // 2 // n))
     sq_norms = np.einsum("ij,ij->i", arr, arr)
     self_value = np.inf if exclude_self else 0.0
     out = TopKResult(np.empty((n, k), dtype=np.int64), np.empty((n, k)))
-    for start in range(0, n, rows):
+
+    def scan_block(j, scratch):
+        start = j * rows
         stop = min(start + rows, n)
-        block = pairwise_sq_euclidean(arr[start:stop], arr, b_sq=sq_norms)
+        block = scratch[: stop - start]
+        _sq_dist_stripe(arr[start:stop], arr.T, sq_norms[start:stop], sq_norms, block)
         local = np.arange(stop - start)
         block[local, local + start] = self_value
-        out.indices[start:stop], out.values[start:stop] = topk_smallest(block, k)
+        out.indices[start:stop], out.values[start:stop] = _topk_block(block, k)
+
+    _run_lanes(scan_block, -(-n // rows), (rows, n))
     return out
+
+
+def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shape) -> None:
+    """Call task(j, scratch) for every j in range(count), over L lanes.
+
+    L is the BLAS thread count, read now. Lane 0 is the calling thread
+    and lanes 1..L-1 are helper threads; lane i runs j = i, i + L, ...
+    with its own float64 `scratch` of `scratch_shape`, which the calling
+    thread allocates. Meanwhile BLAS runs each call on one thread; the
+    thread count is restored afterwards, and glibc's `malloc_trim` hands
+    back the memory the helpers' temporaries left in their malloc arenas.
+    The first exception a lane raises stops the others at their next
+    task and is re-raised here.
+
+    All tasks run on the calling thread, with BLAS left as it is, when
+    the BLAS thread controls are not found, BLAS has one thread, count
+    is below 2, or another thread is running a scan on lanes.
+
+    A task must call no public function of this package: the benchmark's
+    tracer (`perfbench/spans.py`) wraps them and keeps one span stack
+    for the whole process.
+    """
+    controls = _blas_threads()
+    threads = controls.get() if controls is not None else 1
+    lanes = min(threads, count)
+    if lanes < 2 or not _LANES_BUSY.acquire(blocking=False):
+        scratch = np.empty(scratch_shape)
+        for j in range(count):
+            task(j, scratch)
+        return
+    scratch = np.empty((lanes, *scratch_shape))
+    stop = threading.Event()
+    errors = []
+
+    def lane(i):
+        for j in range(i, count, lanes):
+            if stop.is_set():
+                return
+            task(j, scratch[i])
+
+    def helper(i):
+        try:
+            lane(i)
+        except Exception as exc:  # re-raised on the calling thread
+            errors.append(exc)
+            stop.set()
+
+    started = []
+    try:
+        controls.set(1)
+        for i in range(1, lanes):
+            thread = threading.Thread(target=helper, args=(i,), name=f"knn-lane-{i}")
+            thread.start()
+            started.append(thread)
+        lane(0)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in started:
+            thread.join()
+        controls.set(threads)
+        _LANES_BUSY.release()
+        trim = _malloc_trim()
+        if trim is not None:
+            trim(0)
+    if errors:
+        raise errors[0]
+
+
+class _BlasThreads(NamedTuple):
+    """Getter and setter of the BLAS library's thread count."""
+
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+@functools.cache
+def _blas_threads() -> _BlasThreads | None:
+    """OpenBLAS's thread controls in the library numpy loaded, or None.
+
+    Looked up on the first scan rather than at import, in `numpy.libs`
+    beside the package, where numpy's wheels keep their OpenBLAS.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return _BlasThreads(get, set_)
+    return None
+
+
+@functools.cache
+def _malloc_trim() -> Callable[[int], int] | None:
+    """glibc's `malloc_trim`, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim

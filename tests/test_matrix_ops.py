@@ -1,3 +1,7 @@
+import importlib
+import inspect
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from rerankit import matrix_ops
+from rerankit import matrix_ops, pipeline
 from rerankit.matrix_ops import (
     knn_scan,
     l2_normalize_rows,
@@ -16,6 +20,7 @@ from rerankit.matrix_ops import (
     pairwise_sq_euclidean,
     topk_smallest,
 )
+from rerankit.synthetic import SynthSpec, generate
 
 from naive_impl import naive_pairwise_sq, naive_topk
 
@@ -290,27 +295,163 @@ class TestKnnScan:
         assert_array_equal(res.values, exp_val)
 
     def test_blocks_capped_at_one_stripe(self, monkeypatch):
-        """A scan block is at most _STRIPE_ELEMS entries: 8000 rows run in
-        blocks of 250, not 1024, so scratch is a few stripes."""
+        """A scan block is at most _STRIPE_ELEMS / 2 entries: 8000 rows run
+        in blocks of 125, not 1024, so scratch is a few stripes."""
         monkeypatch.setattr(matrix_ops, "_SCAN_BLOCK_ROWS", 1024)
         pts = np.random.default_rng(43).standard_normal((8000, 8))
         heights = []
-        real = matrix_ops.pairwise_sq_euclidean
+        real = matrix_ops._sq_dist_stripe
 
-        def spy(a, b, **kwargs):
+        def spy(a, *args):
             heights.append(len(a))
-            return real(a, b, **kwargs)
+            return real(a, *args)
 
         tracemalloc.start()
         try:
-            with mock.patch.object(matrix_ops, "pairwise_sq_euclidean", spy):
+            with mock.patch.object(matrix_ops, "_sq_dist_stripe", spy):
                 knn_scan(pts, 20, exclude_self=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert max(heights) == matrix_ops._STRIPE_ELEMS // 8000
+        assert max(heights) == matrix_ops._STRIPE_ELEMS // 2 // 8000
         stripe_bytes = matrix_ops._STRIPE_ELEMS * 8
         assert peak < 3 * stripe_bytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+class FakeBlasThreads:
+    """Stands in for the OpenBLAS thread controls: reports `threads` and
+    records every count it is set to."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.set_to = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, count):
+        self.set_to.append(count)
+
+
+def _spy_threads(monkeypatch, module, name, seen):
+    """Rebind `module.name` to a wrapper that records (name, calling thread).
+
+    Threads are kept as objects: an ident can be reused once a thread ends.
+    """
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        seen.append((name, threading.current_thread()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+class TestScanLanes:
+    """`knn_scan` splits its blocks over one lane per BLAS thread."""
+
+    # 50 rows give blocks of 7: eight blocks, the last ragged
+    STRIPE = 2 * 50 * 7
+
+    @staticmethod
+    def duplicate_rows():
+        pool = np.random.default_rng(8).integers(-2, 3, size=(8, 4))
+        return pool[np.arange(50) % 8].astype(np.float64)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_lanes_match_serial_and_oracle(self, monkeypatch, threads, k, exclude_self):
+        """Copies of 8 rows tie across ragged block and tile edges; every
+        lane takes blocks, and the BLAS thread count is set back. Threads
+        switch every microsecond, so lanes interleave within blocks."""
+        pts = self.duplicate_rows()
+        monkeypatch.setattr(matrix_ops, "_STRIPE_ELEMS", self.STRIPE)
+        monkeypatch.setattr(matrix_ops, "_TILE_COLS", 3)
+        monkeypatch.setattr(matrix_ops, "_blas_threads", lambda: None)
+        serial = knn_scan(pts, k, exclude_self=exclude_self)
+        blas = FakeBlasThreads(threads)
+        monkeypatch.setattr(matrix_ops, "_blas_threads", lambda: blas)
+        seen = []
+        _spy_threads(monkeypatch, matrix_ops, "_topk_block", seen)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            laned = knn_scan(pts, k, exclude_self=exclude_self)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 8
+        assert len({thread for _, thread in seen}) == threads
+        assert blas.set_to == [1, threads]
+        exp_idx, exp_val = naive_topk(naive_pairwise_sq(pts, pts), k, exclude_self=exclude_self)
+        for res in (serial, laned):
+            assert_array_equal(res.indices, exp_idx)
+            assert_array_equal(res.values, exp_val)
+
+    @pytest.mark.parametrize("caller_fails", [False, True])
+    def test_lane_error_reaches_caller(self, monkeypatch, caller_fails):
+        pts = self.duplicate_rows()
+        monkeypatch.setattr(matrix_ops, "_STRIPE_ELEMS", self.STRIPE)
+        blas = FakeBlasThreads(2)
+        monkeypatch.setattr(matrix_ops, "_blas_threads", lambda: blas)
+        real = matrix_ops._topk_block
+
+        def failing(work, k):
+            if (threading.current_thread() is threading.main_thread()) == caller_fails:
+                raise RuntimeError("lane failed")
+            return real(work, k)
+
+        monkeypatch.setattr(matrix_ops, "_topk_block", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="lane failed"):
+            knn_scan(pts, 2, exclude_self=True)
+        assert blas.set_to == [1, 2]
+        assert threading.active_count() == before
+        assert not matrix_ops._LANES_BUSY.locked()
+
+    @pytest.mark.parametrize("case", ["one thread", "lanes busy"])
+    def test_serial_cases_leave_blas_alone(self, monkeypatch, case):
+        pts = self.duplicate_rows()
+        monkeypatch.setattr(matrix_ops, "_STRIPE_ELEMS", self.STRIPE)
+        blas = FakeBlasThreads(1 if case == "one thread" else 2)
+        monkeypatch.setattr(matrix_ops, "_blas_threads", lambda: blas)
+        seen = []
+        _spy_threads(monkeypatch, matrix_ops, "_topk_block", seen)
+        if case == "lanes busy":
+            with matrix_ops._LANES_BUSY:
+                res = knn_scan(pts, 3, exclude_self=True)
+        else:
+            res = knn_scan(pts, 3, exclude_self=True)
+        assert blas.set_to == []
+        assert {thread for _, thread in seen} == {threading.current_thread()}
+        exp_idx, _ = naive_topk(naive_pairwise_sq(pts, pts), 3, exclude_self=True)
+        assert_array_equal(res.indices, exp_idx)
+
+    def test_stage_functions_stay_on_calling_thread(self, monkeypatch):
+        """The benchmark tracer keeps one span stack per process, so a lane
+        may call no public function of the stages it serves."""
+        fq, _, fg, _ = generate(SynthSpec(num_ids=20, imgs_per_id=6, dim=8, seed=3))
+        monkeypatch.setattr(matrix_ops, "_SCAN_BLOCK_ROWS", 16)
+        blas = FakeBlasThreads(2)
+        monkeypatch.setattr(matrix_ops, "_blas_threads", lambda: blas)
+        stages = [importlib.import_module(f"rerankit.{name}")
+                  for name in ("matrix_ops", "enhance", "optimize")]
+        holders = [importlib.import_module("rerankit"), pipeline, *stages]
+        seen = []
+        for module in stages:
+            for name, fn in list(vars(module).items()):
+                if name.startswith("_") or not inspect.isfunction(fn):
+                    continue
+                if fn.__module__ != module.__name__:
+                    continue
+                for holder in holders:
+                    if vars(holder).get(name) is fn:
+                        _spy_threads(monkeypatch, holder, name, seen)
+        assert pipeline.compute_refined_distances(fq, fg, pipeline.PipelineConfig()).shape == (
+            fq.shape[0], fg.shape[0])
+        assert blas.set_to == [1, 2] * 3  # DMON scans query and gallery, ARO the gallery
+        assert {"knn_scan", "pairwise_sq_euclidean", "topk_smallest"} <= {n for n, _ in seen}
+        assert {thread for _, thread in seen} == {threading.current_thread()}
 
 
 class TestPairSqEuclidean:
