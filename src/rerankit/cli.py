@@ -15,6 +15,8 @@ from .optimize import AroConfig
 from .pipeline import (
     PRESETS,
     PipelineConfig,
+    _manifest,
+    config_to_dict,
     eval_files,
     rerank_files,
     rerank_from_manifest,
@@ -228,28 +230,6 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _sweep_manifest(args, k1s, k2s, gammas, orders, base_cfg, out) -> dict:
-    from .pipeline import config_to_dict
-
-    return {
-        "tool": "rerankit",
-        "version": __version__,
-        "command": "sweep",
-        "seed": None,
-        "inputs": {
-            "query": args.query,
-            "gallery": args.gallery,
-            "query_labels": args.query_labels,
-            "gallery_labels": args.gallery_labels,
-        },
-        "params": {
-            "k1": k1s, "k2": k2s, "gamma": gammas, "orders": orders,
-            "base": config_to_dict(base_cfg), "format": args.format,
-        },
-        "outputs": {"table": str(out)},
-    }
-
-
 def _cmd_sweep(args) -> int:
     k1s = _parse_grid(args.k1, int, "--k1")
     k2s = _parse_grid(args.k2, int, "--k2")
@@ -288,7 +268,14 @@ def _cmd_sweep(args) -> int:
         out.write_text(write_json(rows), encoding="utf-8")
     else:
         out.write_text(sweep_rows_to_csv(rows), encoding="utf-8")
-    manifest = _sweep_manifest(args, k1s, k2s, gammas, orders, base_cfg, out)
+    manifest = _manifest(
+        "sweep",
+        {"k1": k1s, "k2": k2s, "gamma": gammas, "orders": orders,
+         "base": config_to_dict(base_cfg), "format": args.format},
+        {"query": args.query, "gallery": args.gallery,
+         "query_labels": args.query_labels, "gallery_labels": args.gallery_labels},
+        {"table": str(out)},
+    )
     Path(f"{out}.manifest.json").write_text(write_json(manifest), encoding="utf-8")
     print(str(out))
     return EXIT_OK

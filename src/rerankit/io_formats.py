@@ -6,12 +6,13 @@ Three formats are supported:
   version bytes ``\\x01\\x00``, 2-byte little-endian header length, an
   ASCII dict header with keys descr/fortran_order/shape, space padding,
   newline termination. Only rank-2, C-order, little-endian float32 or
-  float64 payloads are accepted. The writer pads the header so the data
-  section starts at a 64-byte-aligned offset, and streams the payload
-  into a file object by row stripes (a float64 matrix without a copy);
-  the reader tolerates any valid v1.0 header length. `NpyRowWriter` and
-  `NpyRows` write and read a float64 matrix file one row stripe at a
-  time, so the matrix never has to fit in memory.
+  float64 payloads are accepted. There is one writer and one reader.
+  `NpyRowWriter` pads the header so the data section starts at a
+  64-byte-aligned offset, then appends the payload one row stripe at a
+  time, checking each stripe at the precision it is written in.
+  `NpyRows` validates the header and payload size, tolerating any valid
+  v1.0 header length, and reads row stripes. So a matrix file never has
+  to fit in memory. `write_npy` and `read_npy` are their in-memory forms.
 * CSV for sample labels: UTF-8, header ``pid,camid``, one integer pair
   per line, LF or CRLF.
 * JSON for reports and manifests, written in a canonical form (sorted
@@ -128,7 +129,7 @@ def parse_npy_header(data: bytes) -> tuple[NpyHeader, int]:
 
 
 def read_npy(data: bytes) -> np.ndarray:
-    """Decode NPY v1.0 bytes into a float64 matrix.
+    """Decode NPY v1.0 bytes into a float64 matrix, validated by `NpyRows`.
 
     A float64 payload is not copied: the result is a read-only view of
     `data`. A float32 payload is converted into a new, writable array.
@@ -138,64 +139,30 @@ def read_npy(data: bytes) -> np.ndarray:
             malformed header, or a payload whose size does not match the
             declared shape.
     """
-    header, offset = parse_npy_header(data)
-    dtype = _DESCR_TO_DTYPE[header.descr]
-    rows, cols = header.shape
-    expected = rows * cols * dtype.itemsize
-    payload = memoryview(data)[offset:]
-    if len(payload) < expected:
-        raise NpyFormatError(
-            f"truncated payload: expected {expected} bytes, got {len(payload)}",
-            offset=len(data),
-        )
-    if len(payload) > expected:
-        raise NpyFormatError(
-            f"trailing data after payload: expected {expected} bytes, got {len(payload)}",
-            offset=offset + expected,
-        )
-    arr = np.frombuffer(payload, dtype=dtype).reshape(rows, cols)
-    return arr.astype(np.float64, copy=False)
+    rows = NpyRows(io.BytesIO(data))
+    arr = np.frombuffer(memoryview(data)[rows._offset :], dtype=rows._dtype)
+    return arr.reshape(rows.shape).astype(np.float64, copy=False)
 
 
 def write_npy(matrix, precision: str = "float32") -> bytes:
-    """Encode a matrix as NPY v1.0 bytes (`write_npy_to` into memory).
+    """Encode a matrix as NPY v1.0 bytes, streamed through `NpyRowWriter`.
+
+    One stripe of about _STRIPE_ELEMS entries is converted at a time.
 
     Args:
-        matrix: (N, M) array-like of finite values.
+        matrix: (N, M) array-like whose values are finite at `precision`.
         precision: "float32" (default, interchange) or "float64".
     """
-    buf = io.BytesIO()
-    write_npy_to(buf, matrix, precision)
-    return buf.getvalue()
-
-
-def write_npy_to(fh, matrix, precision: str = "float32") -> None:
-    """Encode a matrix as NPY v1.0 into a binary file object, by row stripes.
-
-    The bytes are those of `write_npy`. A C-ordered float64 matrix
-    written as float64 goes out without a copy; otherwise one stripe of
-    about _STRIPE_ELEMS entries is converted at a time. Every value is
-    checked before the first byte is written.
-
-    Args:
-        fh: binary file object with a `write` method.
-        matrix: (N, M) array-like of finite values.
-        precision: "float32" (default, interchange) or "float64".
-    """
-    if precision not in _PRECISION_TO_DESCR:
-        raise ValueError(f"unsupported precision {precision!r}")
-    descr = _PRECISION_TO_DESCR[precision]
-    dtype = _DESCR_TO_DTYPE[descr]
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"only rank-2 matrices are written, got ndim={arr.ndim}")
+    buf = io.BytesIO()
+    writer = NpyRowWriter(buf, arr.shape, precision)
     rows = max(1, _STRIPE_ELEMS // max(arr.shape[1], 1))
-    stripes = range(0, arr.shape[0], rows)
-    if not all(np.isfinite(arr[i : i + rows]).all() for i in stripes):
-        raise ValueError("matrix contains non-finite values")
-    fh.write(npy_header(arr.shape, descr))
-    for i in stripes:
-        fh.write(np.ascontiguousarray(arr[i : i + rows], dtype=dtype).data)
+    for start in range(0, arr.shape[0], rows):
+        writer(start, arr[start : start + rows])
+    writer.finish()
+    return buf.getvalue()
 
 
 def npy_header(shape: tuple[int, int], descr: str = "<f8") -> bytes:
@@ -212,23 +179,34 @@ def npy_header(shape: tuple[int, int], descr: str = "<f8") -> bytes:
 
 
 class NpyRowWriter:
-    """Writes a (rows, cols) float64 NPY file one row stripe at a time.
+    """Writes a (rows, cols) NPY file one row stripe at a time.
 
     The header goes out on construction. Each call `writer(start, stripe)`
-    checks that the stripe continues the rows written so far, has `cols`
-    columns and is finite, then appends it (without a copy when it is
-    C-ordered float64). The file holds `write_npy(matrix, "float64")`'s
-    bytes once `finish()` has confirmed every row was written.
+    converts the stripe to `precision`, checks that it continues the rows
+    written so far, has `cols` columns and is finite after the conversion,
+    then appends it (without a copy when it is C-ordered float64 written
+    as float64). The file holds `write_npy(matrix, precision)`'s bytes
+    once `finish()` has confirmed every row was written.
+
+    Args:
+        fh: binary file object with a `write` method.
+        shape: (rows, cols) of the whole matrix.
+        precision: "float64" (default) or "float32".
     """
 
-    def __init__(self, fh, shape: tuple[int, int]):
+    def __init__(self, fh, shape: tuple[int, int], precision: str = "float64"):
+        if precision not in _PRECISION_TO_DESCR:
+            raise ValueError(f"unsupported precision {precision!r}")
+        descr = _PRECISION_TO_DESCR[precision]
         self._fh = fh
+        self._dtype = _DESCR_TO_DTYPE[descr]
         self.shape = (int(shape[0]), int(shape[1]))
         self.rows_written = 0
-        fh.write(npy_header(self.shape, "<f8"))
+        fh.write(npy_header(self.shape, descr))
 
     def __call__(self, start: int, stripe) -> None:
-        arr = np.ascontiguousarray(stripe, dtype=np.float64)
+        with np.errstate(over="ignore"):  # an overflowing cast is caught as non-finite below
+            arr = np.ascontiguousarray(stripe, dtype=self._dtype)
         end = start + len(arr)
         if start != self.rows_written or end > self.shape[0] or arr.shape[1:] != self.shape[1:]:
             raise ValueError(
@@ -248,8 +226,8 @@ class NpyRowWriter:
 class NpyRows:
     """An NPY matrix file read as float64 row stripes, never whole.
 
-    The header and the file size are validated on construction and raise
-    the `NpyFormatError`s `read_npy` raises for the same bytes. `rows[i0:i1]`
+    The header and the file size are validated on construction; this is
+    the one place a truncated or overlong payload is detected. `rows[i0:i1]`
     reads those rows with `readinto` into one buffer that is reused by
     every read, so the returned array is valid only until the next read;
     a float32 payload is converted per stripe. `shape` is (rows, cols).

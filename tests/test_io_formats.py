@@ -22,7 +22,6 @@ from rerankit.io_formats import (
     write_json,
     write_labels,
     write_npy,
-    write_npy_to,
 )
 from rerankit.metrics import SampleLabels
 
@@ -203,38 +202,44 @@ class TestWriteNpy:
         assert data == again
 
 
-class TestWriteNpyTo:
+class TestStripedWrite:
+    """`write_npy` and `NpyRowWriter` write and check one stripe at a time."""
+
     @pytest.mark.parametrize("precision", ["float32", "float64"])
     @pytest.mark.parametrize("shape", [(13, 5), (1, 1), (0, 3), (0, 0), (4, 0)])
-    def test_file_bytes_match_in_memory_and_numpy(self, tmp_path, monkeypatch, precision, shape):
+    def test_stripes_join_into_numpy_bytes(self, monkeypatch, precision, shape):
         """Stripes of one to a few rows join into the bytes of one encoding."""
         monkeypatch.setattr(io_formats, "_STRIPE_ELEMS", 6)
         m = np.random.default_rng(31).standard_normal(shape)
-        path = tmp_path / "m.npy"
-        with open(path, "wb") as fh:
-            write_npy_to(fh, m, precision=precision)
-        data = path.read_bytes()
-        assert data == write_npy(m, precision=precision)
         buf = io.BytesIO()
         np.save(buf, m.astype(precision))
-        assert data == buf.getvalue()
+        assert write_npy(m, precision=precision) == buf.getvalue()
 
-    def test_non_finite_in_a_later_stripe_writes_nothing(self, monkeypatch):
+    def test_non_finite_in_a_later_stripe_returns_nothing(self, monkeypatch):
         monkeypatch.setattr(io_formats, "_STRIPE_ELEMS", 6)
         m = np.zeros((20, 3))
         m[17, 1] = np.inf
-        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="non-finite values in rows from 16"):
+            write_npy(m, precision="float64")
+
+    def test_float32_overflow_is_non_finite(self):
+        """1e300 is finite in float64 but inf once written as float32."""
+        m = np.array([[1.0], [1e300]])
         with pytest.raises(ValueError, match="non-finite"):
-            write_npy_to(buf, m, precision="float64")
-        assert buf.getvalue() == b""
+            write_npy(m, precision="float32")
+        assert read_npy(write_npy(m, precision="float64"))[1, 0] == 1e300
 
     def test_peak_memory_below_quarter_of_matrix(self, tmp_path):
         """A float64 matrix goes to the file without a full-size copy."""
         m = np.random.default_rng(37).random((2000, 8000))
+        rows = io_formats._STRIPE_ELEMS // m.shape[1]
         tracemalloc.start()
         try:
             with open(tmp_path / "m.npy", "wb") as fh:
-                write_npy_to(fh, m, precision="float64")
+                writer = NpyRowWriter(fh, m.shape)
+                for start in range(0, m.shape[0], rows):
+                    writer(start, m[start : start + rows])
+                writer.finish()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -242,16 +247,17 @@ class TestWriteNpyTo:
 
 
 class TestNpyRowWriter:
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
     @pytest.mark.parametrize("shape", [(13, 5), (1, 1), (0, 3), (4, 0)])
     @pytest.mark.parametrize("rows", [1, 2, 3])
-    def test_stripes_join_into_write_npy_bytes(self, shape, rows):
+    def test_stripes_join_into_write_npy_bytes(self, shape, rows, precision):
         m = np.random.default_rng(47).standard_normal(shape)
         buf = io.BytesIO()
-        writer = NpyRowWriter(buf, shape)
+        writer = NpyRowWriter(buf, shape, precision)
         for i in range(0, shape[0], rows):
             writer(i, m[i : i + rows])
         writer.finish()
-        assert buf.getvalue() == write_npy(m, precision="float64")
+        assert buf.getvalue() == write_npy(m, precision=precision)
 
     def test_rejects_gaps_overruns_and_wrong_width(self):
         writer = NpyRowWriter(io.BytesIO(), (3, 2))

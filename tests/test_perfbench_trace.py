@@ -1,0 +1,83 @@
+"""The benchmark's traced run still sees every layer it measures.
+
+`perfbench/spans.py` wraps rerankit functions by name, and the benchmark
+fails a traced run whose layers record no call. These tests run the same
+traced commands (`perfbench/child.py --trace-out`) on a small synthetic
+split, so a refactor that renames, bypasses or stops calling a traced
+function fails here first.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traced(tmp_path, tag, cli_args, memory=False) -> dict:
+    trace = tmp_path / f"{tag}.trace.jsonl"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, str(PERFBENCH / "child.py"), "--trace-out", str(trace),
+            *(["--trace-memory"] if memory else []), "--", *cli_args]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, f"{tag} exited {proc.returncode}: {proc.stderr[-2000:]}"
+    with open(trace, encoding="utf-8") as fh:
+        return json.loads(fh.readline())
+
+
+@pytest.fixture(scope="module")
+def traced_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("traced")
+    data, out = tmp / "data", tmp / "out"
+    synth = _traced(tmp, "synth", ["synth", "--ids", "30", "--per-id", "10", "--dim", "16",
+                                   "--out", str(data)])
+    rerank_args = ["rerank", "--query", str(data / "q.npy"), "--gallery", str(data / "g.npy"),
+                   "--out", str(out)]
+    rerank = _traced(tmp, "rerank", rerank_args)
+    memory = _traced(tmp, "mem", rerank_args, memory=True)
+    evaluate = _traced(tmp, "eval", ["eval", "--dist", str(out / "dist.npy"),
+                                     "--query-labels", str(data / "q_labels.csv"),
+                                     "--gallery-labels", str(data / "g_labels.csv")])
+    return {"synth": synth, "rerank": rerank, "mem": memory, "eval": evaluate, "data": data}
+
+
+def _spans(doc, name):
+    return [span for span in doc["spans"] if span["name"] == name]
+
+
+def test_every_traced_layer_records_a_span(traced_run):
+    spans = _load_spans()
+    docs = [traced_run[tag] for tag in ("synth", "rerank", "eval")]
+    silent = [name for name in spans.LAYERS if not any(_spans(doc, name) for doc in docs)]
+    assert not silent, f"traced layers recorded no call: {silent}"
+    for name in spans.COUNTED:
+        assert traced_run["rerank"]["counted"][name] > 0, name
+
+
+def test_memory_trace_records_peaks(traced_run):
+    for name in ("enhance.enhance", "optimize.optimize"):
+        peaks = [span["peak_alloc"] for span in _spans(traced_run["mem"], name)]
+        assert peaks and min(peaks) > 0, name
+
+
+def test_npy_byte_counts_equal_file_sizes(traced_run):
+    data = traced_run["data"]
+    sizes = sorted((data / name).stat().st_size for name in ("q.npy", "g.npy"))
+    written = sorted(s["counts"]["bytes"] for s in _spans(traced_run["synth"], "io_formats.write_npy"))
+    read = sorted(s["counts"]["bytes"] for s in _spans(traced_run["rerank"], "io_formats.read_npy"))
+    assert written == sizes
+    assert read == sizes
