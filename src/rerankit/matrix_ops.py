@@ -3,9 +3,13 @@
 Row normalization, row-striped pairwise squared-Euclidean distances,
 distances of listed row pairs, gathers of index ranges, deterministic
 smallest-k selection, and the blocked k-nearest-neighbour scan built
-from them. All computation is done in float64 regardless of input
-storage precision; the GEMM-style distance expansion loses too much
-accuracy in float32.
+from them. Every distance a function returns is computed in float64,
+whatever the input's storage precision. A float32 GEMM-style expansion
+is off by up to about d * 2^-25 * (|x| + |y|)^2, far more than the
+distances between near neighbours can differ by, so float32 is used in
+one place only: the kNN scan's prefilter, which picks candidates with a
+proven margin for that error and re-scores them in float64 (see
+`knn_scan`).
 
 The kNN scan splits its blocks over one lane per BLAS thread, with each
 GEMM on one thread, so the passes after each product use every core
@@ -45,6 +49,11 @@ _GATHER_ELEMS = 65_536
 # the block also stays within _STRIPE_ELEMS / 2 entries, so two lanes
 # hold one stripe between them.
 _SCAN_BLOCK_ROWS = 1024
+
+# Candidates per row, beyond k, that the float32 prefilter of `knn_scan`
+# may re-score in float64, on average over a block; a block with more
+# runs the float64 scan instead.
+_SCAN_CANDIDATES = 64
 
 # Held while a scan runs on several lanes. The BLAS thread count is
 # process-wide, so a scan that starts meanwhile runs on its caller alone.
@@ -166,8 +175,14 @@ def _sq_dist_stripe(a, bt, a_sq, b_sq, out) -> None:
 
     One GEMM of the -2-scaled rows straight into `out`, then the norm
     additions while the stripe is still in cache, then the clamp at zero.
+    With `a_sq` None, the rows' own squared norms are left out and
+    nothing is clamped: each row then holds its squared distances less
+    its own squared norm, which order the row alike.
     """
     np.matmul(a * -2.0, bt, out=out)
+    if a_sq is None:
+        out += b_sq
+        return
     out += a_sq[:, None]
     out += b_sq[None, :]
     np.maximum(out, 0.0, out=out)
@@ -189,8 +204,14 @@ def pair_sq_euclidean(feats, rows, cols) -> np.ndarray:
         np.ndarray: float64 distances, non-negative, one per pair.
     """
     feats = np.asarray(feats, dtype=np.float64)
-    sq_norms = np.einsum("ij,ij->i", feats, feats)
     out = np.empty(len(rows), dtype=np.float64)
+    _pair_sq_dist(feats, np.einsum("ij,ij->i", feats, feats), rows, cols, out)
+    return out
+
+
+def _pair_sq_dist(feats, sq_norms, rows, cols, out) -> None:
+    """Write the clamped squared distances of the row pairs (rows[t], cols[t])
+    of `feats`, whose squared row norms are `sq_norms`, into `out`."""
     step = max(1, _GATHER_ELEMS // max(feats.shape[1], 1))
     for t0 in range(0, len(rows), step):
         r, c = rows[t0 : t0 + step], cols[t0 : t0 + step]
@@ -200,7 +221,6 @@ def pair_sq_euclidean(feats, rows, cols) -> np.ndarray:
         part += sq_norms[r]
         part += sq_norms[c]
         np.maximum(part, 0.0, out=part)
-    return out
 
 
 def gather_ranges(starts, lengths, *arrays) -> list[np.ndarray]:
@@ -336,11 +356,18 @@ def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
     of lanes, so neither does the result. Each row's own column is set to
     inf with `exclude_self` and to exactly zero without it. Results are
     ordered by (value, column index), exactly as `topk_smallest` orders a
-    full matrix. When 2 * k * _TILE_COLS <= N, each block row is searched
-    only inside its k column tiles with the smallest minima (exact, see
-    `_topk_tiled`), so duplicate rows keep their ties inside k tiles. k
-    is clamped to the number of candidates (N - 1 with `exclude_self`,
-    else N).
+    full matrix. k is clamped to the number of candidates (N - 1 with
+    `exclude_self`, else N).
+
+    When 2 * k * _TILE_COLS <= N, a block is first measured in float32
+    and only its candidates are re-scored in float64 (`_prefiltered_block`):
+    the returned values are then the per-pair distances of
+    `pair_sq_euclidean`, and the neighbours are exactly the smallest k by
+    those values. A block with more than k + _SCAN_CANDIDATES candidates
+    per row on average, and every block of a narrower matrix or of
+    2^23 or more columns, is measured in float64 by one GEMM and searched
+    as in `topk_smallest` (inside its k column tiles with the smallest
+    minima when 2 * k * _TILE_COLS <= N, see `_topk_tiled`).
 
     Args:
         feats: (N, d) array-like, all values finite.
@@ -350,6 +377,11 @@ def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
     Returns:
         TopKResult: indices (N, k_eff) int64 and squared distances
         (N, k_eff) float64.
+
+    Raises:
+        ValueError: if k < 1, the features are invalid, or four times the
+            largest squared row norm overflows float64, so that squared
+            distances could.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -358,22 +390,160 @@ def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
     k = min(k, n - 1 if exclude_self else n)
     if k < 1:
         return TopKResult(np.empty((n, 0), dtype=np.int64), np.empty((n, 0), dtype=np.float64))
-    rows = max(1, min(_SCAN_BLOCK_ROWS, _STRIPE_ELEMS // 2 // n))
     sq_norms = np.einsum("ij,ij->i", arr, arr)
+    if not sq_norms.max() <= np.finfo(np.float64).max / 4:
+        raise ValueError(
+            "squared distances overflow float64: four times the largest squared row "
+            "norm is not finite; scale the features down or enable pre-normalization"
+        )
+    rows = max(1, min(_SCAN_BLOCK_ROWS, _STRIPE_ELEMS // 2 // n))
+    coarse = _coarse_copy(arr, sq_norms) if 2 * k * _TILE_COLS <= n else None
     self_value = np.inf if exclude_self else 0.0
     out = TopKResult(np.empty((n, k), dtype=np.int64), np.empty((n, k)))
 
     def scan_block(j, scratch):
         start = j * rows
         stop = min(start + rows, n)
-        block = scratch[: stop - start]
-        _sq_dist_stripe(arr[start:stop], arr.T, sq_norms[start:stop], sq_norms, block)
-        local = np.arange(stop - start)
-        block[local, local + start] = self_value
-        out.indices[start:stop], out.values[start:stop] = _topk_block(block, k)
+        found = None
+        if coarse is not None:
+            found = _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratch)
+        if found is None:
+            block = scratch[: stop - start]
+            _sq_dist_stripe(arr[start:stop], arr.T, sq_norms[start:stop], sq_norms, block)
+            local = np.arange(stop - start)
+            block[local, local + start] = self_value
+            found = _topk_block(block, k)
+        out.indices[start:stop], out.values[start:stop] = found
 
     _run_lanes(scan_block, -(-n // rows), (rows, n))
     return out
+
+
+class _CoarseCopy(NamedTuple):
+    """The float32 operands of `_prefiltered_block`, built by `_coarse_copy`."""
+
+    feats: np.ndarray  # (N, d) float32: the features times 2^-e
+    sq_norms: np.ndarray  # (N,) float32 squared row norms of `feats`
+    margin: np.ndarray  # (N,) float64: 2 eps_i, in units of the scaled distances
+
+
+def _coarse_copy(arr: np.ndarray, sq_norms: np.ndarray) -> _CoarseCopy | None:
+    """The float32 copy of `arr`, scaled so the largest row norm is in [1/2, 1).
+
+    e is the exponent of the largest row norm M, with M in [2^(e-1), 2^e),
+    so scaling by 2^-e is exact (bar float64 underflow) and no entry
+    overflows float32. With u = 2^-24 and gamma_d = d u / (1 - d u), the
+    margin is 2 eps_i with
+
+        eps_i = (gamma_d / 2 + 6 u) (|x_i| + M)^2 2^-2e + d 2^-120 + d 2^-1016 2^-2e,
+
+    which bounds the float32 values' error (see `_prefiltered_block`).
+    Returns None when d u >= 1/2, where the bound is of no use.
+    """
+    d = arr.shape[1]
+    u = 2.0**-24
+    if d * u >= 0.5:
+        return None
+    norm_max = float(np.sqrt(sq_norms.max()))
+    e = int(np.frexp(norm_max)[1]) if norm_max > 0.0 else 0
+    feats = np.empty(arr.shape, dtype=np.float32)
+    np.ldexp(arr, -e, out=feats, casting="same_kind")
+    coarse_sq = np.einsum("ij,ij->i", feats, feats, dtype=np.float64).astype(np.float32)
+    reach = np.ldexp(np.sqrt(sq_norms) + norm_max, -e)
+    eps = (d * u / (1 - d * u) / 2 + 6 * u) * reach**2 + d * 2.0**-120
+    with np.errstate(over="ignore"):  # tiny features: an infinite margin sends blocks to float64
+        eps += np.ldexp(float(d), -1016 - 2 * e)
+    return _CoarseCopy(feats, coarse_sq, 2 * eps)
+
+
+def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratch):
+    """`knn_scan`'s smallest k of rows start..stop, from float32 candidates.
+
+    Steps: (1) V, the rows' float32 squared distances less their own
+    squared norms, by `_sq_dist_stripe` on the scaled copy, in the first
+    half of `scratch`; (2) own columns set to inf with `exclude_self`,
+    else to minus the float32 own squared norm (a distance of zero);
+    (3) T = each row's k-th smallest minimum of V over its column tiles
+    of _TILE_COLS; (4) the candidates: the entries with V <= T + 2 eps_i,
+    found in the tiles whose minimum is <= T + 2 eps_i; (5) the
+    candidates re-scored in float64 by `_pair_sq_dist`, own columns set
+    to `self_value`; (6) the smallest k of each row's candidates by
+    (value, column), through `_topk_block` on the candidates packed in
+    column order and padded with inf. Returns (indices, values), or None
+    when the block holds more than k + _SCAN_CANDIDATES tiles or
+    candidates per row on average.
+
+    Why it is exact. Write x' = 2^-e x for the scaled rows, a and b for
+    the float32 rows i and j, P = (|x'_i| + |x'_j|)^2 and
+    W = |x'_j|^2 - 2 <x'_i, x'_j>, so that the exact squared distance is
+    W + |x'_i|^2. Against W: (a) rounding to float32 moves each entry by
+    at most u |x'| (or 2^-126 if it is a float32 subnormal), so
+    |b|^2 - 2 <a, b> is within (2 u + u^2) P of W; (b) the float32 GEMM
+    is off by at most 2 gamma_d |a| |b| <= (gamma_d / 2) (|a| + |b|)^2,
+    in any summation order, with or without FMA; (c) the float32 squared
+    norm of b, rounded once from a float64 sum, and the one float32
+    addition of it to the product add at most about 2 u (|a| + |b|)^2.
+    An own column without `exclude_self` holds -fl32(|a|^2), within
+    3 u |x'_i|^2 of -|x'_i|^2. (d) The float64 expansion of
+    `_pair_sq_dist`, in scaled units, is off by at most
+    (gamma_d(2^-53) / 2 + 3 * 2^-53) P; with the second-order terms of
+    (a)-(c) this stays below the sixth u. (e) Float32 subnormals, flushed
+    or not, cost at most (10 d + 4) 2^-126 in (a)-(c), below d 2^-120, and
+    float64 subnormals at most d 2^-1016 unscaled. The clamp at zero
+    cannot add error, as distances are >= 0. So for every column j of
+    row i, V_ij + |x'_i|^2 is within eps_i of the scaled float64 value
+    (own columns with `exclude_self` are inf in both). Now the k tiles
+    with the smallest minima hold k distinct columns with V <= T, whose
+    scaled float64 values are <= T + |x'_i|^2 + eps_i; so the float64
+    k-th value of the row is no larger, and every entry at or before it
+    in (value, column) order has V <= T + 2 eps_i: it is a candidate,
+    and its tile, whose minimum is no larger, is searched. T + 2 eps_i is
+    rounded once in float64, by far less than u P, and compared with V
+    exactly. Candidates are packed in ascending column order, so
+    `_topk_block`'s (value, index) order on the packed row is the
+    (value, column) order on the whole row; a pad comes after every
+    candidate, and at least k candidates are finite (the k with V <= T
+    are; T is finite because at least 2k tiles exist and one holds the
+    own column), so no pad is selected.
+    """
+    n = arr.shape[0]
+    r = stop - start
+    budget = (k + _SCAN_CANDIDATES) * r
+    block = scratch.reshape(-1).view(np.float32)[: r * n].reshape(r, n)
+    _sq_dist_stripe(coarse.feats[start:stop], coarse.feats.T, None, coarse.sq_norms, block)
+    local = np.arange(r)
+    block[local, local + start] = -coarse.sq_norms[start:stop] if self_value == 0.0 else self_value
+    full, rem = divmod(n, _TILE_COLS)
+    body = block[:, : full * _TILE_COLS].reshape(r, full, _TILE_COLS)
+    mins = np.empty((r, full + (rem > 0)), dtype=np.float32)
+    np.min(body, axis=2, out=mins[:, :full])
+    if rem:
+        np.min(block[:, full * _TILE_COLS :], axis=1, out=mins[:, full])
+    limit = np.partition(mins, k - 1, axis=1)[:, k - 1] + coarse.margin[start:stop]
+    rows, tiles = np.divmod(np.flatnonzero(mins <= limit[:, None]), mins.shape[1])
+    if len(rows) > budget:
+        return None
+    gathered = body[rows, np.minimum(tiles, full - 1)]
+    if rem:
+        ragged = np.flatnonzero(tiles == full)
+        gathered[ragged, :rem] = block[rows[ragged], full * _TILE_COLS :]
+        gathered[ragged, rem:] = np.nan  # never <= a limit
+    hit, col = np.divmod(np.flatnonzero(gathered <= limit[rows, None]), _TILE_COLS)
+    if len(hit) > budget:
+        return None
+    cand_rows = rows[hit]
+    cand_cols = tiles[hit] * _TILE_COLS + col
+    scores = np.empty(len(hit))
+    _pair_sq_dist(arr, sq_norms, cand_rows + start, cand_cols, scores)
+    scores[cand_cols == cand_rows + start] = self_value
+    counts = np.bincount(cand_rows, minlength=r)
+    pos = np.arange(len(hit)) - (np.cumsum(counts) - counts)[cand_rows]
+    packed = np.full((r, counts.max()), np.inf)
+    packed[cand_rows, pos] = scores
+    packed_cols = np.zeros((r, counts.max()), dtype=np.int64)
+    packed_cols[cand_rows, pos] = cand_cols
+    picked, values = _topk_block(packed, k)
+    return np.take_along_axis(packed_cols, picked, axis=1), values
 
 
 def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shape) -> None:

@@ -317,6 +317,167 @@ class TestKnnScan:
         stripe_bytes = matrix_ops._STRIPE_ELEMS * 8
         assert peak < 3 * stripe_bytes, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_overflowing_distances_raise_before_scanning(self):
+        """Finite rows whose squared distances overflow float64 are a typed
+        error, not NaN distances and wrong neighbours."""
+        pts = np.random.default_rng(53).standard_normal((300, 16)) * 2.5e159
+        with mock.patch.object(matrix_ops, "_sq_dist_stripe") as stripe, \
+                pytest.raises(ValueError, match="squared distances overflow float64"):
+            knn_scan(pts, 2, exclude_self=True)
+        stripe.assert_not_called()
+        knn_scan(pts * 1e-10, 2, exclude_self=True)  # 4 |x|^2 finite: scanned
+
+
+def _per_pair_topk(pts, k, exclude_self):
+    """`knn_scan`'s float64 reference: every pair re-scored by the per-pair
+    kernel, own columns set, then (value, column) selection."""
+    n = len(pts)
+    rows, cols = np.divmod(np.arange(n * n), n)
+    full = pair_sq_euclidean(pts, rows, cols).reshape(n, n)
+    np.fill_diagonal(full, np.inf if exclude_self else 0.0)
+    return topk_smallest(full, k)
+
+
+def _record_prefilter(monkeypatch, fail_start=None):
+    """Record each `_prefiltered_block` call as (start, used its result);
+    the block starting at `fail_start` is sent to the float64 kernel."""
+    real = matrix_ops._prefiltered_block
+    calls = []
+
+    def spy(coarse, arr, sq_norms, start, *args):
+        found = None if start == fail_start else real(coarse, arr, sq_norms, start, *args)
+        calls.append((start, found is not None))
+        return found
+
+    monkeypatch.setattr(matrix_ops, "_prefiltered_block", spy)
+    return calls
+
+
+def _prefiltered_scan(pts, k, exclude_self, block, tile, fail_start=None):
+    """`knn_scan` with blocks of `block` rows and tiles of `tile` columns,
+    and its `_record_prefilter` calls."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix_ops, "_SCAN_BLOCK_ROWS", block)
+        mp.setattr(matrix_ops, "_TILE_COLS", tile)
+        calls = _record_prefilter(mp, fail_start)
+        return knn_scan(pts, k, exclude_self=exclude_self), calls
+
+
+@st.composite
+def _scan_case(draw, rows):
+    """(points, k, tile) with at least 2 * k tiles of `tile` columns, so
+    the scan takes the float32 prefilter."""
+    pts = draw(rows)
+    tile = draw(st.integers(1, min(3, len(pts) // 2)), label="tile columns")
+    k = draw(st.integers(1, len(pts) // (2 * tile)), label="k")
+    return pts, k, tile
+
+
+class TestPrefilter:
+    """The float32 prefilter of `knn_scan` picks candidates with a proven
+    margin and re-scores them in float64, so its neighbours are exact."""
+
+    @given(
+        _scan_case(st.tuples(
+            st.lists(st.lists(st.integers(-2, 2).map(float), min_size=3, max_size=3),
+                     min_size=1, max_size=5),
+            st.lists(st.integers(0, 4), min_size=2, max_size=40),
+        ).map(lambda t: np.array([t[0][i % len(t[0])] for i in t[1]]))),
+        st.booleans(),
+        st.integers(1, 5),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_integer_rows_match_oracle(self, case, exclude_self, block, data):
+        """Duplicate integer rows tie across block and tile edges; one block
+        may be sent to the float64 kernel, the others take the prefilter."""
+        pts, k, tile = case
+        fail_start = data.draw(st.sampled_from([None, *range(0, len(pts), block)]),
+                               label="float64 block")
+        res, calls = _prefiltered_scan(pts, k, exclude_self, block, tile, fail_start)
+        assert len(calls) == -(-len(pts) // block)
+        assert sum(used for _, used in calls) == len(calls) - (fail_start is not None)
+        exp_idx, exp_val = naive_topk(naive_pairwise_sq(pts, pts), k, exclude_self=exclude_self)
+        assert_array_equal(res.indices, exp_idx)
+        assert_array_equal(res.values, exp_val)
+
+    @given(
+        _scan_case(st.tuples(
+            st.lists(st.lists(st.integers(-2, 2).map(float), min_size=4, max_size=4),
+                     min_size=1, max_size=4),
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                               st.sampled_from([0.0, 1.0, -1.0]), st.integers(18, 30)),
+                     min_size=2, max_size=40),
+        ).map(lambda t: np.array([
+            np.array(t[0][i % len(t[0])]) + np.eye(4)[axis] * sign * 2.0**-shift
+            for i, axis, sign, shift in t[1]]))),
+        st.booleans(),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_near_ties_match_float64(self, case, exclude_self, block):
+        """Copies of integer rows moved by 2^-18 to 2^-30 along one axis:
+        their distances differ by less than float32 resolves, so the
+        float32 values tie or cross within the margin, at T + 2 eps and
+        across block and tile edges."""
+        pts, k, tile = case
+        res, calls = _prefiltered_scan(pts, k, exclude_self, block, tile)
+        assert all(used for _, used in calls)
+        exp = _per_pair_topk(pts, k, exclude_self)
+        assert_array_equal(res.indices, exp.indices)
+        assert_array_equal(res.values, exp.values)
+
+    @given(
+        _scan_case(st.tuples(
+            st.lists(st.tuples(
+                st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=3, max_size=3),
+                st.floats(-30, 30),
+            ), min_size=2, max_size=30),
+            st.sampled_from([1.0, 1e-20, 1e20]),
+        ).map(lambda t: np.array([np.array(row) * 10.0**exp * t[1] for row, exp in t[0]]))),
+        st.booleans(),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_unnormalized_rows_match_float64(self, case, exclude_self, block):
+        """Row norms from 1e-30 to 1e30, times 1e-20 or 1e20 to put entries
+        outside float32 range (below its subnormals, above its largest
+        value): the power-of-two scaling keeps them on the prefilter."""
+        pts, k, tile = case
+        res, calls = _prefiltered_scan(pts, k, exclude_self, block, tile)
+        assert all(used for _, used in calls)
+        exp = _per_pair_topk(pts, k, exclude_self)
+        assert_array_equal(res.indices, exp.indices)
+        assert_array_equal(res.values, exp.values)
+
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_over_budget_blocks_run_in_float64(self, monkeypatch, exclude_self):
+        """200 equal rows tie everywhere: every entry is a candidate, far
+        over the budget, so every block runs the float64 kernel."""
+        pts = np.ones((200, 4))
+        monkeypatch.setattr(matrix_ops, "_TILE_COLS", 4)
+        calls = _record_prefilter(monkeypatch)
+        res = knn_scan(pts, 3, exclude_self=exclude_self)
+        assert calls and not any(used for _, used in calls)
+        exp_idx, exp_val = naive_topk(np.zeros((200, 200)), 3, exclude_self=exclude_self)
+        assert_array_equal(res.indices, exp_idx)
+        assert_array_equal(res.values, exp_val)
+
+    def test_matches_float64_scan_on_clustered_data(self, monkeypatch):
+        """On 2,000 unit rows in clusters of 10 (the benchmark's kind of
+        data), DMON's scan (k 2 without own columns) and ARO's (here k 6
+        with them) pick the float64 kernel's neighbours, and the values
+        differ only in rounding."""
+        fq, _, fg, _ = generate(SynthSpec(num_ids=200, imgs_per_id=10, dim=32, seed=5))
+        feats = l2_normalize_rows(np.vstack([fq, fg]))
+        for k, exclude_self in ((2, True), (6, False)):
+            prefiltered = knn_scan(feats, k, exclude_self=exclude_self)
+            with monkeypatch.context() as mp:
+                mp.setattr(matrix_ops, "_prefiltered_block", lambda *args: None)
+                plain = knn_scan(feats, k, exclude_self=exclude_self)
+            assert_array_equal(prefiltered.indices, plain.indices)
+            assert_allclose(prefiltered.values, plain.values, rtol=0, atol=1e-14)
+
 
 class FakeBlasThreads:
     """Stands in for the OpenBLAS thread controls: reports `threads` and
@@ -452,6 +613,23 @@ class TestScanLanes:
         assert blas.set_to == [1, 2] * 3  # DMON scans query and gallery, ARO the gallery
         assert {"knn_scan", "pairwise_sq_euclidean", "topk_smallest"} <= {n for n, _ in seen}
         assert {thread for _, thread in seen} == {threading.current_thread()}
+
+    def test_prefilter_stays_off_stage_functions(self, monkeypatch):
+        """The same rerank with 2-column tiles, so all three scans take the
+        float32 prefilter on both lanes and re-score there."""
+        monkeypatch.setattr(matrix_ops, "_TILE_COLS", 2)
+        lanes = []
+        real = matrix_ops._prefiltered_block
+
+        def spy(*args):
+            found = real(*args)
+            lanes.append((threading.current_thread(), found is not None))
+            return found
+
+        monkeypatch.setattr(matrix_ops, "_prefiltered_block", spy)
+        self.test_stage_functions_stay_on_calling_thread(monkeypatch)
+        assert {thread.name for thread, _ in lanes} == {"MainThread", "knn-lane-1"}
+        assert all(used for _, used in lanes)
 
 
 class TestPairSqEuclidean:

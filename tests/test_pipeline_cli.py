@@ -198,6 +198,20 @@ class TestRerankCommand:
         assert code == EXIT_DATA
         assert "overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", [[], ["--sigma-mode", "fixed", "--sigma", "1.0"]])
+    def test_dmon_scan_overflow_is_typed_data_error(self, tmp_path, capsys, sigma):
+        """Row norms near 1e160 are finite, but their squared distances are
+        not: DMON's first scan reports the overflow, not a later symptom."""
+        feats = tmp_path / "huge.npy"
+        rng = np.random.default_rng(13)
+        feats.write_bytes(write_npy(rng.standard_normal((300, 16)) * 2.5e159, precision="float64"))
+        code = main([
+            "rerank", "--query", str(feats), "--gallery", str(feats),
+            "--out", str(tmp_path / "x"), "--no-pre-normalize", *sigma,
+        ])
+        assert code == EXIT_DATA
+        assert "squared distances overflow float64" in capsys.readouterr().err
+
 
 @contextmanager
 def stripes_of(rows, num_g):
