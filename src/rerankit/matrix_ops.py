@@ -13,8 +13,16 @@ proven margin for that error and re-scores them in float64 (see
 
 The kNN scan splits its blocks over one lane per BLAS thread, with each
 GEMM on one thread, so the passes after each product use every core
-too. `OPENBLAS_NUM_THREADS=1` gives one lane. Scratch is one half-stripe
-block per lane, and results do not depend on the number of lanes.
+too. `OPENBLAS_NUM_THREADS=1` gives one lane. Scratch is one float64
+half-stripe block per lane; the float32 prefilter fills it with blocks
+of twice the height (a full stripe of float32 entries), and a block it
+sends back to float64 runs as half-stripe sub-blocks. Results do not
+depend on the number of lanes.
+
+Selection works on column tiles of _TILE_COLS entries. The exact
+float64 top-k (`_topk_tiled`) cuts each row into contiguous tiles; the
+float32 prefilter uses residue classes (column c in tile c mod F, for
+F = N // _TILE_COLS), whose minima are one vectorised reduction.
 """
 
 import ctypes
@@ -32,7 +40,8 @@ import numpy as np
 # most half of each row and needs no full-width index buffer.
 _CHUNK_ELEMS = 16_000_000
 
-# Column tile width of the tile-minimum selection in `topk_smallest`.
+# Column tile width of the tile-minimum selection in `topk_smallest` and
+# in the float32 prefilter of `knn_scan`.
 _TILE_COLS = 128
 
 # Target entries per row stripe of the distance and normalization passes:
@@ -46,8 +55,9 @@ _STRIPE_ELEMS = 2_000_000
 _GATHER_ELEMS = 65_536
 
 # Upper bound on the rows of one block of the k-nearest-neighbour scan;
-# the block also stays within _STRIPE_ELEMS / 2 entries, so two lanes
-# hold one stripe between them.
+# a float64 block also stays within _STRIPE_ELEMS / 2 entries, so two
+# lanes hold one stripe between them, and a float32 block, of twice the
+# height, fits in the same bytes.
 _SCAN_BLOCK_ROWS = 1024
 
 # Candidates per row, beyond k, that the float32 prefilter of `knn_scan`
@@ -245,7 +255,8 @@ def topk_smallest(d, k: int) -> TopKResult:
 
     When 2 * k * _TILE_COLS <= M, selection runs through column tiles
     (see `_topk_tiled`): each row's k tiles with the smallest minima are
-    gathered and only they are searched, at most half of the row.
+    gathered, at most half of the row, and only their entries no larger
+    than the k-th smallest tile minimum are searched.
     Narrower matrices, relative to k, are searched whole.
 
     Args:
@@ -282,24 +293,27 @@ def _topk_block(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _topk_tiled(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """`_topk_rows` through column tiles; needs at least k tiles per row.
 
-    The columns are cut into tiles of _TILE_COLS (the last may be
-    narrower). Each row picks its k tiles by (tile minimum, tile index),
-    gathers them in ascending tile order, and `_topk_rows` selects from
-    the gathered entries; local columns map back to global ones.
+    The columns are cut into contiguous tiles of _TILE_COLS (the last may
+    be narrower). Each row picks its k tiles by (tile minimum, tile
+    index) and gathers them in ascending tile order; T is the k-th
+    smallest tile minimum. Only the gathered entries <= T are kept,
+    packed in column order and padded with +inf, and `_topk_rows`
+    selects from the packed rows; packed positions map back to columns.
 
-    Why it is exact. Let T be the k-th smallest tile minimum. Each chosen
-    tile holds an entry <= T, so at least k entries are <= T and every
-    entry of the true top-k is <= T. An unchosen tile has a minimum above
-    T, or a minimum equal to T and a higher index than every chosen tile
-    whose minimum is T; for any of its entries equal to T, each of the k
-    chosen tiles holds an entry that comes first in (value, column)
-    order: one below T, or one equal to T at a lower column. So the
-    top-k lies in the chosen tiles. Gathered in ascending tile order,
-    local column order is global column order, and `_topk_rows`'
-    (value, index) rule gives the same ties as on the whole row. The
-    ragged last tile is padded with +inf after its real columns: a pad
-    comes after every real entry of the gathered row, and the k chosen
-    tiles hold at least k real entries, so no pad is selected.
+    Why it is exact. Each chosen tile holds an entry <= T, its minimum,
+    so at least k entries are <= T and every entry of the true top-k is
+    <= T. An unchosen tile has a minimum above T, or a minimum equal to T
+    and a higher index than every chosen tile whose minimum is T; for
+    any of its entries equal to T, each of the k chosen tiles holds an
+    entry that comes first in (value, column) order: one below T, or one
+    equal to T at a lower column (tiles are contiguous). So the top-k
+    lies in the chosen tiles, among their entries <= T. Gathered in
+    ascending tile order, kept entries are packed in global column
+    order, and `_topk_rows`' (value, index) rule gives the same ties as
+    on the whole row. The ragged last tile is padded with NaN, which is
+    never <= T, so no pad is kept. Each row keeps at least k entries,
+    all before the +inf padding of its packed row and no larger than
+    it, so no padding is selected either.
     """
     n, m = work.shape
     full, rem = divmod(m, _TILE_COLS)
@@ -308,16 +322,34 @@ def _topk_tiled(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     np.min(body, axis=2, out=mins[:, :full])
     if rem:
         np.min(work[:, full * _TILE_COLS :], axis=1, out=mins[:, full])
-    tiles, _ = _topk_rows(mins, k)
+    tiles, tile_mins = _topk_rows(mins, k)
     tiles.sort(axis=1)
     gathered = body[np.arange(n)[:, None], np.minimum(tiles, full - 1)]
     if rem:
         rows, pos = np.nonzero(tiles == full)
         gathered[rows, pos, :rem] = work[rows, full * _TILE_COLS :]
-        gathered[rows, pos, rem:] = np.inf
-    local, vals = _topk_rows(gathered.reshape(n, k * _TILE_COLS), k)
+        gathered[rows, pos, rem:] = np.nan
+    gathered = gathered.reshape(n, k * _TILE_COLS)
+    rows, local = np.divmod(np.flatnonzero(gathered <= tile_mins[:, -1:]), k * _TILE_COLS)
+    packed, packed_local = _pack_rows(n, rows, local, gathered[rows, local])
+    picked, vals = _topk_rows(packed, k)
+    local = np.take_along_axis(packed_local, picked, axis=1)
     tile_of = np.take_along_axis(tiles, local // _TILE_COLS, axis=1)
     return tile_of * _TILE_COLS + local % _TILE_COLS, vals
+
+
+def _pack_rows(n: int, rows, cols, values) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter the entries (rows[t], cols[t], values[t]), sorted by row, into
+    n rows: each row's entries in the given order, then +inf padding.
+    Returns the packed values and their columns (0 under the padding)."""
+    counts = np.bincount(rows, minlength=n)
+    pos = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    width = counts.max()
+    packed = np.full((n, width), np.inf)
+    packed[rows, pos] = values
+    packed_cols = np.zeros((n, width), dtype=np.int64)
+    packed_cols[rows, pos] = cols
+    return packed, packed_cols
 
 
 def _topk_rows(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -347,27 +379,32 @@ def _topk_rows(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
     """Each row's k nearest rows of the same matrix, by squared distance.
 
-    Blocked brute-force search: blocks of at most `_SCAN_BLOCK_ROWS` rows
-    and `_STRIPE_ELEMS / 2` entries are each measured against every row
-    and reduced to their smallest k, so the N x N matrix never exists.
-    The blocks are split over lanes, one per BLAS thread (see
+    Blocked brute-force search: blocks of rows are each measured against
+    every row and reduced to their smallest k, so the N x N matrix never
+    exists. The blocks are split over lanes, one per BLAS thread (see
     `_run_lanes`; `OPENBLAS_NUM_THREADS=1` gives one lane), and scratch is
-    one block per lane. The block height does not depend on the number
-    of lanes, so neither does the result. Each row's own column is set to
-    inf with `exclude_self` and to exactly zero without it. Results are
-    ordered by (value, column index), exactly as `topk_smallest` orders a
-    full matrix. k is clamped to the number of candidates (N - 1 with
-    `exclude_self`, else N).
+    one float64 block of at most `_SCAN_BLOCK_ROWS` rows and
+    `_STRIPE_ELEMS / 2` entries per lane. Block heights do not depend on
+    the number of lanes, so neither does the result. Each row's own
+    column is set to inf with `exclude_self` and to exactly zero without
+    it. Results are ordered by (value, column index), exactly as
+    `topk_smallest` orders a full matrix. k is clamped to the number of
+    candidates (N - 1 with `exclude_self`, else N).
 
-    When 2 * k * _TILE_COLS <= N, a block is first measured in float32
+    When 2 * k * _TILE_COLS <= N, each block is first measured in float32
     and only its candidates are re-scored in float64 (`_prefiltered_block`):
     the returned values are then the per-pair distances of
     `pair_sq_euclidean`, and the neighbours are exactly the smallest k by
-    those values. A block with more than k + _SCAN_CANDIDATES candidates
-    per row on average, and every block of a narrower matrix or of
-    2^23 or more columns, is measured in float64 by one GEMM and searched
-    as in `topk_smallest` (inside its k column tiles with the smallest
-    minima when 2 * k * _TILE_COLS <= N, see `_topk_tiled`).
+    those values. These blocks are twice the float64 height (at most
+    `_SCAN_BLOCK_ROWS`), 156 rows at N = 12,800, and fill the same
+    scratch. A block with more than k + _SCAN_CANDIDATES candidates per
+    row on average falls back to the float64 kernel, in sub-blocks of
+    the float64 height. Block 0 runs before any other block starts; if
+    it falls back, every block does, without a float32 pass. Every block
+    of a narrower matrix, or of 2^23 or more columns, is measured in
+    float64 by one GEMM and searched as in `topk_smallest` (inside its k
+    column tiles with the smallest minima when 2 * k * _TILE_COLS <= N,
+    see `_topk_tiled`).
 
     Args:
         feats: (N, d) array-like, all values finite.
@@ -396,39 +433,51 @@ def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
             "squared distances overflow float64: four times the largest squared row "
             "norm is not finite; scale the features down or enable pre-normalization"
         )
-    rows = max(1, min(_SCAN_BLOCK_ROWS, _STRIPE_ELEMS // 2 // n))
+    half = max(1, min(_SCAN_BLOCK_ROWS, _STRIPE_ELEMS // 2 // n))
     coarse = _coarse_copy(arr, sq_norms) if 2 * k * _TILE_COLS <= n else None
+    rows = half if coarse is None else min(_SCAN_BLOCK_ROWS, 2 * half)
     self_value = np.inf if exclude_self else 0.0
     out = TopKResult(np.empty((n, k), dtype=np.int64), np.empty((n, k)))
 
     def scan_block(j, scratch):
+        nonlocal coarse
         start = j * rows
         stop = min(start + rows, n)
         found = None
         if coarse is not None:
             found = _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratch)
-        if found is None:
-            block = scratch[: stop - start]
-            _sq_dist_stripe(arr[start:stop], arr.T, sq_norms[start:stop], sq_norms, block)
-            local = np.arange(stop - start)
-            block[local, local + start] = self_value
-            found = _topk_block(block, k)
-        out.indices[start:stop], out.values[start:stop] = found
+            if found is None and j == 0:
+                coarse = None  # read by the other blocks only after block 0 ends
+        if found is not None:
+            out.indices[start:stop], out.values[start:stop] = found
+            return
+        for s0 in range(start, stop, half):
+            s1 = min(s0 + half, stop)
+            block = scratch[: s1 - s0]
+            _sq_dist_stripe(arr[s0:s1], arr.T, sq_norms[s0:s1], sq_norms, block)
+            local = np.arange(s1 - s0)
+            block[local, local + s0] = self_value
+            out.indices[s0:s1], out.values[s0:s1] = _topk_block(block, k)
 
-    _run_lanes(scan_block, -(-n // rows), (rows, n))
+    _run_lanes(scan_block, -(-n // rows), (half, n), first_alone=coarse is not None)
     return out
 
 
 class _CoarseCopy(NamedTuple):
     """The float32 operands of `_prefiltered_block`, built by `_coarse_copy`."""
 
-    feats: np.ndarray  # (N, d) float32: the features times 2^-e
-    sq_norms: np.ndarray  # (N,) float32 squared row norms of `feats`
+    feats_t: np.ndarray  # (d, N) float32: the features times 2^-e, transposed
+    sq_norms: np.ndarray  # (N,) float32 squared row norms of the scaled features
     margin: np.ndarray  # (N,) float64: 2 eps_i, in units of the scaled distances
 
 
 def _coarse_copy(arr: np.ndarray, sq_norms: np.ndarray) -> _CoarseCopy | None:
     """The float32 copy of `arr`, scaled so the largest row norm is in [1/2, 1).
+
+    The copy is stored transposed, C-ordered (d, N): the GEMM of a block
+    then reads both operands in the layout OpenBLAS's sgemm packs
+    fastest (about 20 % less time than the row-ordered copy on 156-row
+    blocks at d 128), and no second copy is kept.
 
     e is the exponent of the largest row norm M, with M in [2^(e-1), 2^e),
     so scaling by 2^-e is exact (bar float64 underflow) and no entry
@@ -446,32 +495,36 @@ def _coarse_copy(arr: np.ndarray, sq_norms: np.ndarray) -> _CoarseCopy | None:
         return None
     norm_max = float(np.sqrt(sq_norms.max()))
     e = int(np.frexp(norm_max)[1]) if norm_max > 0.0 else 0
-    feats = np.empty(arr.shape, dtype=np.float32)
-    np.ldexp(arr, -e, out=feats, casting="same_kind")
-    coarse_sq = np.einsum("ij,ij->i", feats, feats, dtype=np.float64).astype(np.float32)
+    feats_t = np.empty(arr.shape[::-1], dtype=np.float32)
+    np.ldexp(arr.T, -e, out=feats_t, casting="same_kind")
+    coarse_sq = np.einsum("ji,ji->i", feats_t, feats_t, dtype=np.float64).astype(np.float32)
     reach = np.ldexp(np.sqrt(sq_norms) + norm_max, -e)
     eps = (d * u / (1 - d * u) / 2 + 6 * u) * reach**2 + d * 2.0**-120
     with np.errstate(over="ignore"):  # tiny features: an infinite margin sends blocks to float64
         eps += np.ldexp(float(d), -1016 - 2 * e)
-    return _CoarseCopy(feats, coarse_sq, 2 * eps)
+    return _CoarseCopy(feats_t, coarse_sq, 2 * eps)
 
 
 def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratch):
     """`knn_scan`'s smallest k of rows start..stop, from float32 candidates.
 
     Steps: (1) V, the rows' float32 squared distances less their own
-    squared norms, by `_sq_dist_stripe` on the scaled copy, in the first
-    half of `scratch`; (2) own columns set to inf with `exclude_self`,
-    else to minus the float32 own squared norm (a distance of zero);
-    (3) T = each row's k-th smallest minimum of V over its column tiles
-    of _TILE_COLS; (4) the candidates: the entries with V <= T + 2 eps_i,
-    found in the tiles whose minimum is <= T + 2 eps_i; (5) the
-    candidates re-scored in float64 by `_pair_sq_dist`, own columns set
-    to `self_value`; (6) the smallest k of each row's candidates by
-    (value, column), through `_topk_block` on the candidates packed in
-    column order and padded with inf. Returns (indices, values), or None
-    when the block holds more than k + _SCAN_CANDIDATES tiles or
-    candidates per row on average.
+    squared norms, by `_sq_dist_stripe` on the scaled copy, in `scratch`
+    read as float32; (2) own columns set to inf with `exclude_self`, else
+    to minus the float32 own squared norm (a distance of zero); (3) T =
+    each row's k-th smallest minimum of V over its column tiles. With
+    F = N // _TILE_COLS, tile t < F is the residue class of the first
+    F * _TILE_COLS columns c with c mod F = t, so the minima are one
+    reduction over the middle axis of a (rows, _TILE_COLS, F) view; the
+    ragged tail of N mod _TILE_COLS columns is tile F. (4) The
+    candidates: the entries with V <= T + 2 eps_i, found in the tiles
+    whose minimum is <= T + 2 eps_i, sorted into column order per row;
+    (5) the candidates re-scored in float64 by `_pair_sq_dist`, own
+    columns set to `self_value`; (6) the smallest k of each row's
+    candidates by (value, column), through `_topk_block` on the
+    candidates packed in column order and padded with inf. Returns
+    (indices, values), or None when the block holds more than
+    k + _SCAN_CANDIDATES tiles or candidates per row on average.
 
     Why it is exact. Write x' = 2^-e x for the scaled rows, a and b for
     the float32 rows i and j, P = (|x'_i| + |x'_j|)^2 and
@@ -480,26 +533,30 @@ def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratc
     at most u |x'| (or 2^-126 if it is a float32 subnormal), so
     |b|^2 - 2 <a, b> is within (2 u + u^2) P of W; (b) the float32 GEMM
     is off by at most 2 gamma_d |a| |b| <= (gamma_d / 2) (|a| + |b|)^2,
-    in any summation order, with or without FMA; (c) the float32 squared
-    norm of b, rounded once from a float64 sum, and the one float32
-    addition of it to the product add at most about 2 u (|a| + |b|)^2.
-    An own column without `exclude_self` holds -fl32(|a|^2), within
-    3 u |x'_i|^2 of -|x'_i|^2. (d) The float64 expansion of
-    `_pair_sq_dist`, in scaled units, is off by at most
+    in any summation order and at any block height, with or without
+    FMA; (c) the float32 squared norm of b, rounded once from a float64
+    sum, and the one float32 addition of it to the product add at most
+    about 2 u (|a| + |b|)^2. An own column without `exclude_self` holds
+    -fl32(|a|^2), within 3 u |x'_i|^2 of -|x'_i|^2. (d) The float64
+    expansion of `_pair_sq_dist`, in scaled units, is off by at most
     (gamma_d(2^-53) / 2 + 3 * 2^-53) P; with the second-order terms of
     (a)-(c) this stays below the sixth u. (e) Float32 subnormals, flushed
     or not, cost at most (10 d + 4) 2^-126 in (a)-(c), below d 2^-120, and
     float64 subnormals at most d 2^-1016 unscaled. The clamp at zero
     cannot add error, as distances are >= 0. So for every column j of
     row i, V_ij + |x'_i|^2 is within eps_i of the scaled float64 value
-    (own columns with `exclude_self` are inf in both). Now the k tiles
-    with the smallest minima hold k distinct columns with V <= T, whose
-    scaled float64 values are <= T + |x'_i|^2 + eps_i; so the float64
-    k-th value of the row is no larger, and every entry at or before it
-    in (value, column) order has V <= T + 2 eps_i: it is a candidate,
-    and its tile, whose minimum is no larger, is searched. T + 2 eps_i is
-    rounded once in float64, by far less than u P, and compared with V
-    exactly. Candidates are packed in ascending column order, so
+    (own columns with `exclude_self` are inf in both).
+
+    The selection needs only that the tiles are disjoint and cover the
+    row, not that they are contiguous. The k tiles with the smallest
+    minima hold k distinct columns with V <= T, whose scaled float64
+    values are <= T + |x'_i|^2 + eps_i; so the float64 k-th value of the
+    row is no larger, and every entry at or before it in (value, column)
+    order has V <= T + 2 eps_i: it is a candidate, and its tile, whose
+    minimum is no larger, is searched, whichever residue class holds it.
+    T + 2 eps_i is rounded once in float64, by far less than u P, and
+    compared with V exactly. Sorted into ascending column order before
+    packing, the candidates' packed positions follow their columns, so
     `_topk_block`'s (value, index) order on the packed row is the
     (value, column) order on the whole row; a pad comes after every
     candidate, and at least k candidates are finite (the k with V <= T
@@ -510,43 +567,43 @@ def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratc
     r = stop - start
     budget = (k + _SCAN_CANDIDATES) * r
     block = scratch.reshape(-1).view(np.float32)[: r * n].reshape(r, n)
-    _sq_dist_stripe(coarse.feats[start:stop], coarse.feats.T, None, coarse.sq_norms, block)
+    rows_t = coarse.feats_t[:, start:stop]
+    _sq_dist_stripe(rows_t.T, coarse.feats_t, None, coarse.sq_norms, block)
     local = np.arange(r)
     block[local, local + start] = -coarse.sq_norms[start:stop] if self_value == 0.0 else self_value
     full, rem = divmod(n, _TILE_COLS)
-    body = block[:, : full * _TILE_COLS].reshape(r, full, _TILE_COLS)
+    body = block[:, : full * _TILE_COLS].reshape(r, _TILE_COLS, full)
     mins = np.empty((r, full + (rem > 0)), dtype=np.float32)
-    np.min(body, axis=2, out=mins[:, :full])
+    np.min(body, axis=1, out=mins[:, :full])
     if rem:
         np.min(block[:, full * _TILE_COLS :], axis=1, out=mins[:, full])
     limit = np.partition(mins, k - 1, axis=1)[:, k - 1] + coarse.margin[start:stop]
     rows, tiles = np.divmod(np.flatnonzero(mins <= limit[:, None]), mins.shape[1])
     if len(rows) > budget:
         return None
-    gathered = body[rows, np.minimum(tiles, full - 1)]
+    gathered = body[rows, :, np.minimum(tiles, full - 1)]
     if rem:
         ragged = np.flatnonzero(tiles == full)
         gathered[ragged, :rem] = block[rows[ragged], full * _TILE_COLS :]
         gathered[ragged, rem:] = np.nan  # never <= a limit
-    hit, col = np.divmod(np.flatnonzero(gathered <= limit[rows, None]), _TILE_COLS)
+    hit, pos = np.divmod(np.flatnonzero(gathered <= limit[rows, None]), _TILE_COLS)
     if len(hit) > budget:
         return None
-    cand_rows = rows[hit]
-    cand_cols = tiles[hit] * _TILE_COLS + col
-    scores = np.empty(len(hit))
+    tile = tiles[hit]
+    cols = np.where(tile < full, tile + pos * full, full * _TILE_COLS + pos)
+    keys = rows[hit] * n + cols
+    keys.sort()
+    cand_rows, cand_cols = np.divmod(keys, n)
+    scores = np.empty(len(keys))
     _pair_sq_dist(arr, sq_norms, cand_rows + start, cand_cols, scores)
     scores[cand_cols == cand_rows + start] = self_value
-    counts = np.bincount(cand_rows, minlength=r)
-    pos = np.arange(len(hit)) - (np.cumsum(counts) - counts)[cand_rows]
-    packed = np.full((r, counts.max()), np.inf)
-    packed[cand_rows, pos] = scores
-    packed_cols = np.zeros((r, counts.max()), dtype=np.int64)
-    packed_cols[cand_rows, pos] = cand_cols
+    packed, packed_cols = _pack_rows(r, cand_rows, cand_cols, scores)
     picked, values = _topk_block(packed, k)
     return np.take_along_axis(packed_cols, picked, axis=1), values
 
 
-def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shape) -> None:
+def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shape,
+               first_alone: bool = False) -> None:
     """Call task(j, scratch) for every j in range(count), over L lanes.
 
     L is the BLAS thread count, read now. Lane 0 is the calling thread
@@ -556,7 +613,8 @@ def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shap
     thread count is restored afterwards, and glibc's `malloc_trim` hands
     back the memory the helpers' temporaries left in their malloc arenas.
     The first exception a lane raises stops the others at their next
-    task and is re-raised here.
+    task and is re-raised here. With `first_alone`, the helpers start
+    only once task 0 has ended, so task 0 can settle what the others do.
 
     All tasks run on the calling thread, with BLAS left as it is, when
     the BLAS thread controls are not found, BLAS has one thread, count
@@ -576,6 +634,9 @@ def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shap
         return
     scratch = np.empty((lanes, *scratch_shape))
     stop = threading.Event()
+    first_done = threading.Event()
+    if not first_alone:
+        first_done.set()
     errors = []
 
     def lane(i):
@@ -583,9 +644,11 @@ def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shap
             if stop.is_set():
                 return
             task(j, scratch[i])
+            first_done.set()
 
     def helper(i):
         try:
+            first_done.wait()
             lane(i)
         except Exception as exc:  # re-raised on the calling thread
             errors.append(exc)
@@ -603,6 +666,7 @@ def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shap
         stop.set()
         raise
     finally:
+        first_done.set()
         for thread in started:
             thread.join()
         controls.set(threads)

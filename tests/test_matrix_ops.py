@@ -209,9 +209,10 @@ class TestTopkSmallest:
     ])
     def test_tile_path_routing(self, width, k, full_rows, equal):
         """Below the cutoff 2 * k * _TILE_COLS <= width, no row reaches
-        `_topk_rows` at full width: it sees the tile minima, then k
-        gathered tiles, also when every entry ties. Above it, the rows
-        are searched whole."""
+        `_topk_rows` at full width: it sees the tile minima, then the
+        packed entries of the k chosen tiles that are at most T, the k-th
+        smallest tile minimum (all k * _TILE_COLS of them when every entry
+        ties). Above it, the rows are searched whole."""
         d = np.random.default_rng(47).random((156, width))
         if equal:
             d[:] = 1.0
@@ -227,10 +228,40 @@ class TestTopkSmallest:
         tile = matrix_ops._TILE_COLS
         if full_rows:
             assert widths == [width]
-        else:
+        elif equal:
             assert widths == [width // tile, k * tile]
+        else:
+            tiles = d.reshape(len(d), width // tile, tile)
+            mins = tiles.min(axis=2)
+            chosen = np.argsort(mins, axis=1, kind="stable")[:, :k]
+            limit = np.take_along_axis(mins, chosen[:, -1:], axis=1)
+            kept = (tiles[np.arange(len(d))[:, None], chosen] <= limit[:, :, None]).sum(axis=(1, 2))
+            assert widths == [width // tile, kept.max()]
         exp_idx = np.argsort(d, axis=1, kind="stable")[:, :k]
         assert_array_equal(res.indices, exp_idx)
+
+    @given(
+        st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda tk: st.tuples(
+            st.just(tk),
+            arrays(
+                np.float64,
+                st.tuples(st.integers(1, 6), st.integers(2 * tk[0] * tk[1], 2 * tk[0] * tk[1] + 9)),
+                elements=st.sampled_from([0.0, 1.0, np.inf, np.inf, np.inf, np.inf]),
+            ),
+        )),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tile_path_inf_entries(self, case):
+        """Rows on the tile path (2 * k * tile <= width) that are mostly
+        +inf: where fewer than k tiles hold a finite entry, T is +inf, so
+        +inf entries are kept too and must be picked in column order,
+        never the padding of a packed row or of a ragged tile."""
+        (tile, k), d = case
+        with mock.patch.object(matrix_ops, "_TILE_COLS", tile):
+            res = topk_smallest(d, k)
+        exp_idx, exp_val = naive_topk(d, k)
+        assert_array_equal(res.indices, exp_idx)
+        assert_array_equal(res.values, exp_val)
 
 
 class TestKnnScan:
@@ -295,8 +326,10 @@ class TestKnnScan:
         assert_array_equal(res.values, exp_val)
 
     def test_blocks_capped_at_one_stripe(self, monkeypatch):
-        """A scan block is at most _STRIPE_ELEMS / 2 entries: 8000 rows run
-        in blocks of 125, not 1024, so scratch is a few stripes."""
+        """A float32 scan block is at most _STRIPE_ELEMS entries, so it fits
+        the lane's float64 scratch of _STRIPE_ELEMS / 2 entries: 8000 rows
+        run in float32 blocks of 250, not 1024, and scratch is a few
+        stripes."""
         monkeypatch.setattr(matrix_ops, "_SCAN_BLOCK_ROWS", 1024)
         pts = np.random.default_rng(43).standard_normal((8000, 8))
         heights = []
@@ -313,7 +346,7 @@ class TestKnnScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert max(heights) == matrix_ops._STRIPE_ELEMS // 2 // 8000
+        assert max(heights) == matrix_ops._STRIPE_ELEMS // 8000
         stripe_bytes = matrix_ops._STRIPE_ELEMS * 8
         assert peak < 3 * stripe_bytes, f"peak {peak / 2**20:.1f} MiB"
 
@@ -364,6 +397,34 @@ def _prefiltered_scan(pts, k, exclude_self, block, tile, fail_start=None):
 
 
 @st.composite
+def _residue_tie_case(draw):
+    """(points on a line, k, tile, lo): row 0's k-th neighbour ties at T
+    between columns lo < hi, where lo lies in the higher-numbered residue
+    tile, and its k - 1 nearer neighbours (at distance 0) lie one each in
+    other tiles, so T, the k-th smallest tile minimum, is that tie."""
+    tile = draw(st.integers(2, 3), label="tile columns")
+    full = draw(st.integers(3, 10), label="residue tiles")
+    rem = draw(st.integers(0, tile - 1), label="tail columns")
+    n = full * tile + rem
+    members = {t: [t + full * p for p in range(tile)] for t in range(full)}
+    if rem:
+        members[full] = list(range(full * tile, n))
+    lo_tile = draw(st.integers(1, full - 1), label="tile of lo")
+    hi_tile = draw(st.integers(0, lo_tile - 1), label="tile of hi")
+    lo_pos = draw(st.integers(0, tile - 2), label="position of lo")
+    hi_pos = draw(st.integers(lo_pos + 1, tile - 1), label="position of hi")
+    lo, hi = members[lo_tile][lo_pos], members[hi_tile][hi_pos]
+    free = [t for t in members if t not in (lo_tile, hi_tile)]
+    k = draw(st.integers(1, min(len(free) + 1, n // (2 * tile))), label="k")
+    pos = np.array(draw(st.lists(st.sampled_from([-3.0, -2.0, 2.0, 3.0]), min_size=n, max_size=n)))
+    pos[0] = 0.0
+    pos[[lo, hi]] = draw(st.sampled_from([-1.0, 1.0]))
+    for t in draw(st.lists(st.sampled_from(free), min_size=k - 1, max_size=k - 1, unique=True)):
+        pos[draw(st.sampled_from([c for c in members[t] if c != 0]))] = 0.0
+    return pos[:, None], k, tile, lo
+
+
+@st.composite
 def _scan_case(draw, rows):
     """(points, k, tile) with at least 2 * k tiles of `tile` columns, so
     the scan takes the float32 prefilter."""
@@ -390,13 +451,18 @@ class TestPrefilter:
     @settings(max_examples=150, deadline=None)
     def test_integer_rows_match_oracle(self, case, exclude_self, block, data):
         """Duplicate integer rows tie across block and tile edges; one block
-        may be sent to the float64 kernel, the others take the prefilter."""
+        may be sent to the float64 kernel, the others take the prefilter.
+        When block 0 is sent there, so is the whole scan, and no other
+        block runs the float32 pass."""
         pts, k, tile = case
         fail_start = data.draw(st.sampled_from([None, *range(0, len(pts), block)]),
                                label="float64 block")
         res, calls = _prefiltered_scan(pts, k, exclude_self, block, tile, fail_start)
-        assert len(calls) == -(-len(pts) // block)
-        assert sum(used for _, used in calls) == len(calls) - (fail_start is not None)
+        if fail_start == 0:
+            assert calls == [(0, False)]
+        else:
+            assert len(calls) == -(-len(pts) // block)
+            assert sum(used for _, used in calls) == len(calls) - (fail_start is not None)
         exp_idx, exp_val = naive_topk(naive_pairwise_sq(pts, pts), k, exclude_self=exclude_self)
         assert_array_equal(res.indices, exp_idx)
         assert_array_equal(res.values, exp_val)
@@ -463,6 +529,96 @@ class TestPrefilter:
         assert_array_equal(res.indices, exp_idx)
         assert_array_equal(res.values, exp_val)
 
+    @given(_residue_tie_case(), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_residue_tie_at_threshold(self, case, block):
+        """Equal values at T in two residue classes, the lower column in
+        the higher-numbered tile: row 0 picks the lower column, as the
+        (value, column) rule says, and every row matches the oracle."""
+        pts, k, tile, lo = case
+        res, calls = _prefiltered_scan(pts, k, True, block, tile)
+        assert all(used for _, used in calls)
+        assert res.indices[0, -1] == lo
+        exp_idx, exp_val = naive_topk(naive_pairwise_sq(pts, pts), k, exclude_self=True)
+        assert_array_equal(res.indices, exp_idx)
+        assert_array_equal(res.values, exp_val)
+
+    @given(st.integers(2, 4), st.integers(2, 8), st.booleans(), st.integers(1, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_ragged_tail_matches_oracle(self, tile, full, exclude_self, block, data):
+        """N = F * tile + rem with 0 < rem < tile: the tail is its own tile
+        and holds copies of earlier rows, so neighbours and their ties sit
+        both in residue classes and in the tail."""
+        rem = data.draw(st.integers(1, tile - 1), label="tail columns")
+        body = data.draw(arrays(np.float64, (full * tile, 3),
+                                elements=st.integers(-2, 2).map(float)), label="rows")
+        copies = data.draw(st.lists(st.integers(0, full * tile - 1), min_size=rem,
+                                    max_size=rem), label="tail copies")
+        pts = np.vstack([body, body[copies]])
+        k = data.draw(st.integers(1, len(pts) // (2 * tile)), label="k")
+        res, calls = _prefiltered_scan(pts, k, exclude_self, block, tile)
+        assert all(used for _, used in calls)
+        exp_idx, exp_val = naive_topk(naive_pairwise_sq(pts, pts), k, exclude_self=exclude_self)
+        assert_array_equal(res.indices, exp_idx)
+        assert_array_equal(res.values, exp_val)
+
+    @given(
+        st.lists(st.lists(st.integers(-2, 2).map(float), min_size=3, max_size=3),
+                 min_size=1, max_size=5),
+        st.lists(st.integers(0, 4), min_size=4, max_size=40),
+        st.integers(1, 4),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fallback_block_runs_in_float64_halves(self, pool, picks, half, exclude_self, data):
+        """Float32 blocks are twice the float64 height `half`; a block sent
+        to the float64 kernel runs as float64 sub-blocks of `half` rows.
+        Sent there, block 0 takes the whole scan with it."""
+        pts = np.array([pool[i % len(pool)] for i in picks])
+        n = len(pts)
+        k = data.draw(st.integers(1, n // 2), label="k")
+        fail_start = data.draw(st.sampled_from(range(0, n, 2 * half)), label="float64 block")
+        heights = []
+        real = matrix_ops._sq_dist_stripe
+
+        def spy(a, bt, a_sq, b_sq, out):
+            if out.dtype == np.float64:
+                heights.append(len(a))
+            return real(a, bt, a_sq, b_sq, out)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrix_ops, "_STRIPE_ELEMS", 2 * n * half)
+            mp.setattr(matrix_ops, "_TILE_COLS", 1)
+            mp.setattr(matrix_ops, "_sq_dist_stripe", spy)
+            calls = _record_prefilter(mp, fail_start)
+            res = knn_scan(pts, k, exclude_self=exclude_self)
+        stop = n if fail_start == 0 else min(fail_start + 2 * half, n)
+        # lanes may run the blocks in any order
+        assert sorted(heights) == sorted(min(half, stop - s) for s in range(fail_start, stop, half))
+        assert sorted(start for start, _ in calls) == (
+            [0] if fail_start == 0 else list(range(0, n, 2 * half)))
+        exp_idx, exp_val = naive_topk(naive_pairwise_sq(pts, pts), k, exclude_self=exclude_self)
+        assert_array_equal(res.indices, exp_idx)
+        assert_array_equal(res.values, exp_val)
+
+    def test_block_zero_fallback_decides_scan(self, monkeypatch):
+        """100 distinct rows, 128 copies each, at 12,800 rows: every row has
+        128 columns at distance 0, far over the candidate budget. Block 0
+        falls back, so the whole scan runs the float64 kernel, and no other
+        block runs the float32 pass, on two lanes too."""
+        grid = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * 4, indexing="ij"), -1).reshape(-1, 4)
+        pool = grid[np.random.default_rng(61).choice(len(grid), 100, replace=False)]
+        copy_of = np.arange(12_800) % 100
+        monkeypatch.setattr(matrix_ops, "_blas_threads", lambda: FakeBlasThreads(2))
+        calls = _record_prefilter(monkeypatch)
+        res = knn_scan(pool[copy_of], 2, exclude_self=False)
+        assert calls == [(0, False)]
+        # copies of one row have equal distance rows, own column included
+        exp_idx, exp_val = naive_topk(naive_pairwise_sq(pool, pool)[:, copy_of], 2)
+        assert_array_equal(res.indices, exp_idx[copy_of])
+        assert_array_equal(res.values, exp_val[copy_of])
+
     def test_matches_float64_scan_on_clustered_data(self, monkeypatch):
         """On 2,000 unit rows in clusters of 10 (the benchmark's kind of
         data), DMON's scan (k 2 without own columns) and ARO's (here k 6
@@ -511,7 +667,8 @@ def _spy_threads(monkeypatch, module, name, seen):
 class TestScanLanes:
     """`knn_scan` splits its blocks over one lane per BLAS thread."""
 
-    # 50 rows give blocks of 7: eight blocks, the last ragged
+    # 50 rows give float64 blocks of 7 (eight, the last ragged) and
+    # float32 blocks of 14 (four, the last ragged)
     STRIPE = 2 * 50 * 7
 
     @staticmethod
@@ -541,7 +698,7 @@ class TestScanLanes:
             laned = knn_scan(pts, k, exclude_self=exclude_self)
         finally:
             sys.setswitchinterval(interval)
-        assert len(seen) == 8
+        assert len(seen) == (8 if 2 * k * 3 > 50 else 4)
         assert len({thread for _, thread in seen}) == threads
         assert blas.set_to == [1, threads]
         exp_idx, exp_val = naive_topk(naive_pairwise_sq(pts, pts), k, exclude_self=exclude_self)

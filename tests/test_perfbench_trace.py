@@ -43,10 +43,11 @@ def _traced(tmp_path, tag, cli_args, memory=False) -> dict:
 def traced_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("traced")
     data, out = tmp / "data", tmp / "out"
-    # 1,100 query and 1,100 gallery rows: every kNN scan runs at least two
-    # blocks, so on two BLAS threads it runs on lanes, under --trace-memory
-    # too; DMON's scans (k1 2) take the float32 prefilter, ARO's (k2 20,
-    # fewer than 2 * 20 tiles) the float64 kernel.
+    # 1,100 query and 1,100 gallery rows: every kNN scan runs two blocks,
+    # so on two BLAS threads the helper lane runs one of them, under
+    # --trace-memory too. DMON's scans (k1 2) take the float32 prefilter in
+    # blocks of 1,024 + 76 rows; ARO's (k2 20, fewer than 2 * 20 tiles)
+    # take the float64 kernel in blocks of 909 + 191 rows.
     synth = _traced(tmp, "synth", ["synth", "--ids", "110", "--per-id", "20", "--dim", "16",
                                    "--query-fraction", "0.5", "--out", str(data)])
     rerank_args = ["rerank", "--query", str(data / "q.npy"), "--gallery", str(data / "g.npy"),
