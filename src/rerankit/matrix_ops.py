@@ -13,16 +13,17 @@ proven margin for that error and re-scores them in float64 (see
 
 The kNN scan splits its blocks over one lane per BLAS thread, with each
 GEMM on one thread, so the passes after each product use every core
-too. `OPENBLAS_NUM_THREADS=1` gives one lane. Scratch is one float64
+too (`_run_lanes`; ARO's query-gallery stage runs on the same lanes).
+`OPENBLAS_NUM_THREADS=1` gives one lane. Scratch is one float64
 half-stripe block per lane; the float32 prefilter fills it with blocks
 of twice the height (a full stripe of float32 entries), and a block it
 sends back to float64 runs as half-stripe sub-blocks. Results do not
 depend on the number of lanes.
 
-Selection works on column tiles of _TILE_COLS entries. The exact
-float64 top-k (`_topk_tiled`) cuts each row into contiguous tiles; the
-float32 prefilter uses residue classes (column c in tile c mod F, for
-F = N // _TILE_COLS), whose minima are one vectorised reduction.
+Selection works on column tiles of _TILE_COLS entries, cut as residue
+classes (column c in tile c mod F, for F = N // _TILE_COLS), whose
+minima are one vectorised reduction; the exact float64 top-k
+(`_topk_tiled`) and the float32 prefilter search the same tiles.
 """
 
 import ctypes
@@ -37,7 +38,7 @@ import numpy as np
 # the full-row path it keeps argpartition's int64 index buffer near
 # 128 MB even for very wide matrices (rows re-sorted for boundary ties
 # take a copy and a stable argsort of theirs); the tile path gathers at
-# most half of each row and needs no full-width index buffer.
+# most 2k tiles per row on average and needs no full-width index buffer.
 _CHUNK_ELEMS = 16_000_000
 
 # Column tile width of the tile-minimum selection in `topk_smallest` and
@@ -254,10 +255,10 @@ def topk_smallest(d, k: int) -> TopKResult:
     number of columns.
 
     When 2 * k * _TILE_COLS <= M, selection runs through column tiles
-    (see `_topk_tiled`): each row's k tiles with the smallest minima are
-    gathered, at most half of the row, and only their entries no larger
-    than the k-th smallest tile minimum are searched.
-    Narrower matrices, relative to k, are searched whole.
+    (see `_topk_tiled`): only the entries no larger than the k-th
+    smallest tile minimum are searched, gathered from the tiles whose
+    minimum is that small. Narrower matrices, relative to k, and rows
+    whose tiles tie too often, are searched whole.
 
     Args:
         d: (N, M) array-like of finite or +inf values.
@@ -293,49 +294,68 @@ def _topk_block(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _topk_tiled(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """`_topk_rows` through column tiles; needs at least k tiles per row.
 
-    The columns are cut into contiguous tiles of _TILE_COLS (the last may
-    be narrower). Each row picks its k tiles by (tile minimum, tile
-    index) and gathers them in ascending tile order; T is the k-th
-    smallest tile minimum. Only the gathered entries <= T are kept,
-    packed in column order and padded with +inf, and `_topk_rows`
-    selects from the packed rows; packed positions map back to columns.
+    The candidates of `_tile_candidates` with no margin: the entries no
+    larger than T, the k-th smallest residue-class tile minimum, found in
+    the tiles whose minimum is <= T and sorted into column order. They
+    are packed with +inf padding and `_topk_rows` selects from the packed
+    rows; packed positions map back to columns. When the searched tiles
+    exceed 2k per row on average, the rows are searched whole instead,
+    so the gather never exceeds the rows' own size.
 
-    Why it is exact. Each chosen tile holds an entry <= T, its minimum,
-    so at least k entries are <= T and every entry of the true top-k is
-    <= T. An unchosen tile has a minimum above T, or a minimum equal to T
-    and a higher index than every chosen tile whose minimum is T; for
-    any of its entries equal to T, each of the k chosen tiles holds an
-    entry that comes first in (value, column) order: one below T, or one
-    equal to T at a lower column (tiles are contiguous). So the top-k
-    lies in the chosen tiles, among their entries <= T. Gathered in
-    ascending tile order, kept entries are packed in global column
-    order, and `_topk_rows`' (value, index) rule gives the same ties as
-    on the whole row. The ragged last tile is padded with NaN, which is
-    never <= T, so no pad is kept. Each row keeps at least k entries,
-    all before the +inf padding of its packed row and no larger than
-    it, so no padding is selected either.
+    Why it is exact: the argument of `_prefiltered_block` with a zero
+    margin. The k tiles with the smallest minima hold k distinct columns
+    <= T, so the row's k-th smallest entry is <= T, and every entry at or
+    before it in (value, column) order is <= T, as is its tile's minimum.
+    Packed in column order, the candidates keep that order under
+    `_topk_rows`' (value, index) rule; a pad comes after every candidate,
+    so with at least k candidates no pad is selected, even when T is inf.
     """
     n, m = work.shape
-    full, rem = divmod(m, _TILE_COLS)
-    body = work[:, : full * _TILE_COLS].reshape(n, full, _TILE_COLS)
-    mins = np.empty((n, full + (rem > 0)), dtype=np.float64)
-    np.min(body, axis=2, out=mins[:, :full])
-    if rem:
-        np.min(work[:, full * _TILE_COLS :], axis=1, out=mins[:, full])
-    tiles, tile_mins = _topk_rows(mins, k)
-    tiles.sort(axis=1)
-    gathered = body[np.arange(n)[:, None], np.minimum(tiles, full - 1)]
-    if rem:
-        rows, pos = np.nonzero(tiles == full)
-        gathered[rows, pos, :rem] = work[rows, full * _TILE_COLS :]
-        gathered[rows, pos, rem:] = np.nan
-    gathered = gathered.reshape(n, k * _TILE_COLS)
-    rows, local = np.divmod(np.flatnonzero(gathered <= tile_mins[:, -1:]), k * _TILE_COLS)
-    packed, packed_local = _pack_rows(n, rows, local, gathered[rows, local])
+    found = _tile_candidates(work, k, 0.0, 2 * k * n, n * m)
+    if found is None:
+        return _topk_rows(work, k)
+    rows, cols = found
+    packed, packed_cols = _pack_rows(n, rows, cols, work[rows, cols])
     picked, vals = _topk_rows(packed, k)
-    local = np.take_along_axis(packed_local, picked, axis=1)
-    tile_of = np.take_along_axis(tiles, local // _TILE_COLS, axis=1)
-    return tile_of * _TILE_COLS + local % _TILE_COLS, vals
+    return np.take_along_axis(packed_cols, picked, axis=1), vals
+
+
+def _tile_candidates(block: np.ndarray, k: int, margin, tile_budget: int, budget: int):
+    """The entries of each row no larger than its limit, in (row, column) order.
+
+    The limit of a row is T + margin, T its k-th smallest minimum over
+    the column tiles. With F = n // _TILE_COLS for n columns, tile t < F
+    is the residue class of the first F * _TILE_COLS columns c with
+    c mod F = t, so the minima are one reduction over the middle axis of
+    a (rows, _TILE_COLS, F) view; the ragged tail of n mod _TILE_COLS
+    columns is tile F. Only the tiles whose minimum is within the limit
+    are gathered and compared. Needs k <= F. Returns (rows, columns), or
+    None when more than `tile_budget` tiles or `budget` entries qualify.
+    """
+    r, n = block.shape
+    full, rem = divmod(n, _TILE_COLS)
+    body = block[:, : full * _TILE_COLS].reshape(r, _TILE_COLS, full)
+    mins = np.empty((r, full + (rem > 0)), dtype=block.dtype)
+    np.min(body, axis=1, out=mins[:, :full])
+    if rem:
+        np.min(block[:, full * _TILE_COLS :], axis=1, out=mins[:, full])
+    limit = np.partition(mins, k - 1, axis=1)[:, k - 1] + margin
+    rows, tiles = np.divmod(np.flatnonzero(mins <= limit[:, None]), mins.shape[1])
+    if len(rows) > tile_budget:
+        return None
+    gathered = body[rows, :, np.minimum(tiles, full - 1)]
+    if rem:
+        ragged = np.flatnonzero(tiles == full)
+        gathered[ragged, :rem] = block[rows[ragged], full * _TILE_COLS :]
+        gathered[ragged, rem:] = np.nan  # never <= a limit
+    hit, pos = np.divmod(np.flatnonzero(gathered <= limit[rows, None]), _TILE_COLS)
+    if len(hit) > budget:
+        return None
+    tile = tiles[hit]
+    cols = np.where(tile < full, tile + pos * full, full * _TILE_COLS + pos)
+    keys = rows[hit] * n + cols
+    keys.sort()
+    return np.divmod(keys, n)
 
 
 def _pack_rows(n: int, rows, cols, values) -> tuple[np.ndarray, np.ndarray]:
@@ -402,9 +422,8 @@ def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
     the float64 height. Block 0 runs before any other block starts; if
     it falls back, every block does, without a float32 pass. Every block
     of a narrower matrix, or of 2^23 or more columns, is measured in
-    float64 by one GEMM and searched as in `topk_smallest` (inside its k
-    column tiles with the smallest minima when 2 * k * _TILE_COLS <= N,
-    see `_topk_tiled`).
+    float64 by one GEMM and searched as in `topk_smallest` (through
+    column tiles when 2 * k * _TILE_COLS <= N, see `_topk_tiled`).
 
     Args:
         feats: (N, d) array-like, all values finite.
@@ -512,14 +531,11 @@ def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratc
     squared norms, by `_sq_dist_stripe` on the scaled copy, in `scratch`
     read as float32; (2) own columns set to inf with `exclude_self`, else
     to minus the float32 own squared norm (a distance of zero); (3) T =
-    each row's k-th smallest minimum of V over its column tiles. With
-    F = N // _TILE_COLS, tile t < F is the residue class of the first
-    F * _TILE_COLS columns c with c mod F = t, so the minima are one
-    reduction over the middle axis of a (rows, _TILE_COLS, F) view; the
-    ragged tail of N mod _TILE_COLS columns is tile F. (4) The
-    candidates: the entries with V <= T + 2 eps_i, found in the tiles
-    whose minimum is <= T + 2 eps_i, sorted into column order per row;
-    (5) the candidates re-scored in float64 by `_pair_sq_dist`, own
+    each row's k-th smallest minimum of V over its residue-class column
+    tiles, and (4) the candidates, the entries with V <= T + 2 eps_i
+    found in the tiles whose minimum is <= T + 2 eps_i, sorted into
+    column order per row (both by `_tile_candidates`); (5) the
+    candidates re-scored in float64 by `_pair_sq_dist`, own
     columns set to `self_value`; (6) the smallest k of each row's
     candidates by (value, column), through `_topk_block` on the
     candidates packed in column order and padded with inf. Returns
@@ -571,30 +587,11 @@ def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratc
     _sq_dist_stripe(rows_t.T, coarse.feats_t, None, coarse.sq_norms, block)
     local = np.arange(r)
     block[local, local + start] = -coarse.sq_norms[start:stop] if self_value == 0.0 else self_value
-    full, rem = divmod(n, _TILE_COLS)
-    body = block[:, : full * _TILE_COLS].reshape(r, _TILE_COLS, full)
-    mins = np.empty((r, full + (rem > 0)), dtype=np.float32)
-    np.min(body, axis=1, out=mins[:, :full])
-    if rem:
-        np.min(block[:, full * _TILE_COLS :], axis=1, out=mins[:, full])
-    limit = np.partition(mins, k - 1, axis=1)[:, k - 1] + coarse.margin[start:stop]
-    rows, tiles = np.divmod(np.flatnonzero(mins <= limit[:, None]), mins.shape[1])
-    if len(rows) > budget:
+    found = _tile_candidates(block, k, coarse.margin[start:stop], budget, budget)
+    if found is None:
         return None
-    gathered = body[rows, :, np.minimum(tiles, full - 1)]
-    if rem:
-        ragged = np.flatnonzero(tiles == full)
-        gathered[ragged, :rem] = block[rows[ragged], full * _TILE_COLS :]
-        gathered[ragged, rem:] = np.nan  # never <= a limit
-    hit, pos = np.divmod(np.flatnonzero(gathered <= limit[rows, None]), _TILE_COLS)
-    if len(hit) > budget:
-        return None
-    tile = tiles[hit]
-    cols = np.where(tile < full, tile + pos * full, full * _TILE_COLS + pos)
-    keys = rows[hit] * n + cols
-    keys.sort()
-    cand_rows, cand_cols = np.divmod(keys, n)
-    scores = np.empty(len(keys))
+    cand_rows, cand_cols = found
+    scores = np.empty(len(cand_rows))
     _pair_sq_dist(arr, sq_norms, cand_rows + start, cand_cols, scores)
     scores[cand_cols == cand_rows + start] = self_value
     packed, packed_cols = _pack_rows(r, cand_rows, cand_cols, scores)
@@ -602,8 +599,9 @@ def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratc
     return np.take_along_axis(packed_cols, picked, axis=1), values
 
 
-def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shape,
-               first_alone: bool = False) -> None:
+def _run_lanes(task: Callable[[int, np.ndarray], object], count: int, scratch_shape,
+               first_alone: bool = False,
+               emit: Callable[[int, object], None] | None = None) -> None:
     """Call task(j, scratch) for every j in range(count), over L lanes.
 
     L is the BLAS thread count, read now. Lane 0 is the calling thread
@@ -612,17 +610,24 @@ def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shap
     thread allocates. Meanwhile BLAS runs each call on one thread; the
     thread count is restored afterwards, and glibc's `malloc_trim` hands
     back the memory the helpers' temporaries left in their malloc arenas.
-    The first exception a lane raises stops the others at their next
-    task and is re-raised here. With `first_alone`, the helpers start
-    only once task 0 has ended, so task 0 can settle what the others do.
+    With `first_alone`, the helpers start only once task 0 has ended, so
+    task 0 can settle what the others do. With `emit`, the lane that ran
+    task j then waits for its turn and calls emit(j, what task j
+    returned): the calls come in order j = 0, 1, ..., never two at once,
+    and the lane's next task starts only after its call, so a result
+    may live in the lane's scratch. The first exception a lane raises,
+    in a task or in `emit`, stops the others at their next task or turn
+    and is re-raised here.
 
     All tasks run on the calling thread, with BLAS left as it is, when
     the BLAS thread controls are not found, BLAS has one thread, count
-    is below 2, or another thread is running a scan on lanes.
+    is below 2, or another thread is running tasks on lanes.
 
-    A task must call no public function of this package: the benchmark's
-    tracer (`perfbench/spans.py`) wraps them and keeps one span stack
-    for the whole process.
+    Only lane 0 may call a function that the benchmark's tracer
+    (`perfbench/spans.py`) wraps: the tracer keeps one span stack for the
+    whole process. A task that serves a traced stage calls the public
+    functions on the calling thread and the private kernels they wrap
+    elsewhere.
     """
     controls = _blas_threads()
     threads = controls.get() if controls is not None else 1
@@ -630,21 +635,41 @@ def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shap
     if lanes < 2 or not _LANES_BUSY.acquire(blocking=False):
         scratch = np.empty(scratch_shape)
         for j in range(count):
-            task(j, scratch)
+            result = task(j, scratch)
+            if emit is not None:
+                emit(j, result)
         return
     scratch = np.empty((lanes, *scratch_shape))
     stop = threading.Event()
     first_done = threading.Event()
     if not first_alone:
         first_done.set()
+    turn = threading.Condition()
+    emitted = 0
     errors = []
 
+    def halt():
+        stop.set()
+        with turn:
+            turn.notify_all()
+
     def lane(i):
+        nonlocal emitted
         for j in range(i, count, lanes):
             if stop.is_set():
                 return
-            task(j, scratch[i])
+            result = task(j, scratch[i])
             first_done.set()
+            if emit is None:
+                continue
+            with turn:
+                turn.wait_for(lambda: emitted == j or stop.is_set())
+            if stop.is_set():
+                return
+            emit(j, result)
+            with turn:
+                emitted += 1
+                turn.notify_all()
 
     def helper(i):
         try:
@@ -652,7 +677,7 @@ def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shap
             lane(i)
         except Exception as exc:  # re-raised on the calling thread
             errors.append(exc)
-            stop.set()
+            halt()
 
     started = []
     try:
@@ -663,7 +688,7 @@ def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shap
             started.append(thread)
         lane(0)
     except BaseException:
-        stop.set()
+        halt()
         raise
     finally:
         first_done.set()

@@ -13,9 +13,12 @@ structure, without ever using query-query relations:
 
 Neither GG nor QG is ever built whole. The gallery's top-k2
 neighbourhoods come from a blocked kNN scan (`matrix_ops.knn_scan`);
-QG is then computed, refined and handed to a sink one row stripe of
-about 2M entries at a time, so memory is the features, the gallery
-neighbourhoods and one stripe, whatever Nq is. A filtered row is `fill`
+QG is then computed, refined and handed to a sink one half-stripe of
+query rows (about 1M entries) at a time, on the scan's lanes: each lane
+runs its half-stripe's GEMM on one BLAS thread, refines it, and sinks
+it in row order, so one lane's write overlaps the other's compute.
+Memory is the features, the gallery neighbourhoods and one half-stripe
+per lane, whatever Nq is. A filtered row is `fill`
 plus a residual on its k2 kept entries, so the similarity product is a
 constant, per-row residual sums and the products of kept entries that
 share a column. Those are index arithmetic: the gallery's kept entries
@@ -24,6 +27,7 @@ with its column's group, and the products are summed per query-gallery
 pair with `np.bincount`.
 """
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +35,9 @@ import numpy as np
 
 from .matrix_ops import (
     _STRIPE_ELEMS,
+    _run_lanes,
+    _sq_dist_stripe,
+    _topk_block,
     as_feature_matrix,
     gather_ranges,
     knn_scan,
@@ -195,11 +202,16 @@ def asymmetric_similarity(q_rows: FilteredRows, g_rows: FilteredRows) -> np.ndar
         raise ValueError(
             f"shape mismatch: {num_cols} query columns vs {g_rows.num_cols} gallery columns"
         )
+    return _similarity(q_rows, g_rows)
+
+
+def _similarity(q_rows: FilteredRows, g_rows: FilteredRows) -> np.ndarray:
+    """`asymmetric_similarity` of rows of equal width, unchecked."""
     q_resid, q_norms = q_rows._stats
     g_resid, g_norms = g_rows._stats
     sim = residual_product(q_rows, g_rows)
     if q_rows.fill != 0.0 or g_rows.fill != 0.0:
-        sim += q_rows.fill * g_rows.fill * num_cols
+        sim += q_rows.fill * g_rows.fill * q_rows.num_cols
         sim += g_rows.fill * q_resid[:, None]
         sim += q_rows.fill * g_resid[None, :]
     sim /= q_norms[:, None]
@@ -212,8 +224,9 @@ def optimize(query_feats, gallery_feats, cfg: AroConfig, sink=None) -> np.ndarra
     """Refine query-gallery distances via asymmetric similarity subtraction.
 
     The gallery neighbourhoods are scanned first; then the query-gallery
-    matrix is computed, refined and handed on one row stripe of about
-    _STRIPE_ELEMS entries at a time, so no (Nq, Ng) buffer is needed
+    matrix is computed, refined and handed on one half-stripe of query
+    rows (about _STRIPE_ELEMS / 2 entries) at a time, on the kNN scan's
+    lanes (see `_similarity_streamed`), so no (Nq, Ng) buffer is needed
     unless the caller collects one.
 
     Args:
@@ -222,8 +235,11 @@ def optimize(query_feats, gallery_feats, cfg: AroConfig, sink=None) -> np.ndarra
         cfg: AroConfig. With cfg.enabled False the raw squared
             query-gallery distances are produced unchanged.
         sink: called as sink(start, stripe) for each refined (rows, Ng)
-            float64 stripe, in row order; `stripe` is only valid during
-            the call. Without a sink the stripes fill the returned matrix.
+            float64 stripe. The calls come in row order and never
+            overlap, but may come from a helper lane's thread; `stripe`
+            is valid only during the call. An exception the sink raises
+            stops the stage and reaches the caller. Without a sink the
+            stripes fill the returned matrix.
 
     Returns:
         np.ndarray: (Nq, Ng) refined distances (entries may be negative),
@@ -249,40 +265,62 @@ def optimize(query_feats, gallery_feats, cfg: AroConfig, sink=None) -> np.ndarra
         def sink(start, stripe):
             out[start : start + stripe.shape[0]] = stripe
 
+    g_rows = None
     if cfg.enabled:
         nearest = knn_scan(fg, cfg.k2, exclude_self=False)
         g_rows = FilteredRows(nearest.indices, nearest.values, cfg.fill_value, fg.shape[0])
-        _similarity_streamed(_qg_stripes(fq, fg), g_rows, cfg.k2, cfg.fill_value, sink)
-    else:
-        for start, stripe in _qg_stripes(fq, fg):
-            sink(start, stripe)
+    _similarity_streamed(fq, fg, g_rows, sink)
     return out
 
 
-def _qg_stripes(fq, fg):
-    """Yield (start, squared distances of query rows start.. to the gallery).
+def _similarity_streamed(fq, fg, g_rows, sink):
+    """Hand sink(start, stripe) the query-gallery rows, refined by `g_rows`.
 
-    Stripes have the row boundaries `pairwise_sq_euclidean` uses for the
-    whole matrix, so each stripe is bitwise that matrix's rows.
+    The query rows are cut into half-stripes of at most 4096 rows and
+    _STRIPE_ELEMS / 2 entries, which `matrix_ops._run_lanes` spreads over
+    its lanes, each GEMM on one BLAS thread. A lane measures its
+    half-stripe's squared distances; then, unless `g_rows` is None,
+    filters each row block of about _STRIPE_ELEMS / 8 entries to its
+    top-k2 (k2 as kept by `g_rows`) and subtracts the block's asymmetric
+    similarity to the gallery's filtered rows in place; then waits for
+    its turn and sinks the half-stripe. Heights do not depend on the
+    number of lanes, and neither do the values.
+
+    The benchmark's tracer keeps one span stack per process, so the
+    calling thread goes through the public functions
+    (`pairwise_sq_euclidean`, `neighborhood_filter`,
+    `asymmetric_similarity`) and helper lanes call the kernels they wrap.
     """
-    fg = np.ascontiguousarray(fg)
+    fq, fg = np.ascontiguousarray(fq), np.ascontiguousarray(fg)
+    num_g = fg.shape[0]
     g_sq = np.einsum("ij,ij->i", fg, fg)
-    rows = max(1, min(4096, _STRIPE_ELEMS // fg.shape[0]))
-    for start in range(0, fq.shape[0], rows):
-        yield start, pairwise_sq_euclidean(fq[start : start + rows], fg, b_sq=g_sq)
+    rows = max(1, min(4096, _STRIPE_ELEMS // 2 // num_g))
+    block_rows = max(1, _STRIPE_ELEMS // 8 // num_g)
+    if g_rows is not None:  # compute the cached groupings before any lane reads them
+        g_rows._stats, g_rows._by_column
+    caller = threading.current_thread()
 
+    def half_stripe(j, scratch):
+        start = j * rows
+        part = fq[start : start + rows]
+        on_caller = threading.current_thread() is caller
+        if on_caller:
+            stripe = pairwise_sq_euclidean(part, fg, b_sq=g_sq)
+        else:
+            stripe = scratch[: len(part)]
+            _sq_dist_stripe(part, fg.T, np.einsum("ij,ij->i", part, part), g_sq, stripe)
+        if g_rows is None:
+            return stripe
+        k2, fill = g_rows.indices.shape[1], g_rows.fill
+        for i0 in range(0, len(part), block_rows):
+            block = stripe[i0 : i0 + block_rows]
+            if on_caller:
+                block -= asymmetric_similarity(neighborhood_filter(block, k2, fill), g_rows)
+            else:
+                q_rows = FilteredRows(*_topk_block(block, k2), fill, num_g)
+                block -= _similarity(q_rows, g_rows)
+        return stripe
 
-def _similarity_streamed(stripes, g_rows, k2, fill, sink):
-    """Subtract the asymmetric similarity from each QG stripe, then sink it.
-
-    Each (start, stripe) is filtered to its rows' top-k2 and compared
-    with the gallery's filtered rows `g_rows` in row blocks of about a
-    quarter stripe, so the scratch beside the stripe is one block's
-    filter and similarity.
-    """
-    for start, stripe in stripes:
-        rows = max(1, _STRIPE_ELEMS // 4 // stripe.shape[1])
-        for i0 in range(0, stripe.shape[0], rows):
-            block = stripe[i0 : i0 + rows]
-            block -= asymmetric_similarity(neighborhood_filter(block, k2, fill), g_rows)
-        sink(start, stripe)
+    count = -(-fq.shape[0] // rows)
+    _run_lanes(half_stripe, count, (rows, num_g),
+               emit=lambda j, stripe: sink(j * rows, stripe))

@@ -1,8 +1,9 @@
 import importlib
-import inspect
+import importlib.util
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,18 @@ from rerankit.matrix_ops import (
 from rerankit.synthetic import SynthSpec, generate
 
 from naive_impl import naive_pairwise_sq, naive_topk
+
+# The package re-exports the `optimize` function under the module's name.
+optimize_module = importlib.import_module("rerankit.optimize")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_spans():
+    """The benchmark tracer's module, for the names of the traced functions."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestL2NormalizeRows:
@@ -209,34 +222,36 @@ class TestTopkSmallest:
     ])
     def test_tile_path_routing(self, width, k, full_rows, equal):
         """Below the cutoff 2 * k * _TILE_COLS <= width, no row reaches
-        `_topk_rows` at full width: it sees the tile minima, then the
-        packed entries of the k chosen tiles that are at most T, the k-th
-        smallest tile minimum (all k * _TILE_COLS of them when every entry
-        ties). Above it, the rows are searched whole."""
+        `_topk_rows` at full width: it sees only the packed entries that
+        are at most T, the k-th smallest residue-class tile minimum. When
+        every entry ties, every tile qualifies, more than 2k per row, and
+        the rows are searched whole, as they are above the cutoff."""
         d = np.random.default_rng(47).random((156, width))
         if equal:
             d[:] = 1.0
-        widths = []
+        widths, packed = [], []
         real = matrix_ops._topk_rows
+        real_pack = matrix_ops._pack_rows
 
         def spy(work, kk):
             widths.append(work.shape[1])
             return real(work, kk)
 
-        with mock.patch.object(matrix_ops, "_topk_rows", spy):
+        def pack_spy(*args):
+            packed.append(len(args[1]))
+            return real_pack(*args)
+
+        with mock.patch.object(matrix_ops, "_topk_rows", spy), \
+                mock.patch.object(matrix_ops, "_pack_rows", pack_spy):
             res = topk_smallest(d, k)
         tile = matrix_ops._TILE_COLS
-        if full_rows:
+        assert len(packed) == (0 if full_rows or equal else 1)
+        if full_rows or equal:
             assert widths == [width]
-        elif equal:
-            assert widths == [width // tile, k * tile]
         else:
-            tiles = d.reshape(len(d), width // tile, tile)
-            mins = tiles.min(axis=2)
-            chosen = np.argsort(mins, axis=1, kind="stable")[:, :k]
-            limit = np.take_along_axis(mins, chosen[:, -1:], axis=1)
-            kept = (tiles[np.arange(len(d))[:, None], chosen] <= limit[:, :, None]).sum(axis=(1, 2))
-            assert widths == [width // tile, kept.max()]
+            mins = d.reshape(len(d), tile, width // tile).min(axis=1)
+            limit = np.sort(mins, axis=1)[:, k - 1 : k]
+            assert widths == [(d <= limit).sum(axis=1).max()]
         exp_idx = np.argsort(d, axis=1, kind="stable")[:, :k]
         assert_array_equal(res.indices, exp_idx)
 
@@ -746,30 +761,36 @@ class TestScanLanes:
         assert_array_equal(res.indices, exp_idx)
 
     def test_stage_functions_stay_on_calling_thread(self, monkeypatch):
-        """The benchmark tracer keeps one span stack per process, so a lane
-        may call no public function of the stages it serves."""
+        """The benchmark tracer keeps one span stack per process, so only
+        the calling thread may enter a function it wraps, while helper
+        lanes share the kNN scans and the ARO query-gallery half-stripes."""
         fq, _, fg, _ = generate(SynthSpec(num_ids=20, imgs_per_id=6, dim=8, seed=3))
         monkeypatch.setattr(matrix_ops, "_SCAN_BLOCK_ROWS", 16)
+        # 40 query rows against 80 gallery rows: 7 half-stripes of at most 6 rows
+        monkeypatch.setattr(optimize_module, "_STRIPE_ELEMS", 2 * 80 * 6)
         blas = FakeBlasThreads(2)
         monkeypatch.setattr(matrix_ops, "_blas_threads", lambda: blas)
-        stages = [importlib.import_module(f"rerankit.{name}")
-                  for name in ("matrix_ops", "enhance", "optimize")]
-        holders = [importlib.import_module("rerankit"), pipeline, *stages]
+        spans = _load_spans()
+        traced = (*spans.LAYERS, *spans.COUNTED)
+        holders = [importlib.import_module(f"rerankit{name}")
+                   for name in {"", *(f".{key.split('.')[0]}" for key in traced)}]
         seen = []
-        for module in stages:
-            for name, fn in list(vars(module).items()):
-                if name.startswith("_") or not inspect.isfunction(fn):
-                    continue
-                if fn.__module__ != module.__name__:
-                    continue
-                for holder in holders:
-                    if vars(holder).get(name) is fn:
-                        _spy_threads(monkeypatch, holder, name, seen)
+        for key in traced:
+            module, name = key.split(".")
+            fn = getattr(importlib.import_module(f"rerankit.{module}"), name)
+            for holder in holders:
+                if vars(holder).get(name) is fn:
+                    _spy_threads(monkeypatch, holder, name, seen)
+        qg_lanes = []
+        _spy_threads(monkeypatch, optimize_module, "_sq_dist_stripe", qg_lanes)
         assert pipeline.compute_refined_distances(fq, fg, pipeline.PipelineConfig()).shape == (
             fq.shape[0], fg.shape[0])
-        assert blas.set_to == [1, 2] * 3  # DMON scans query and gallery, ARO the gallery
-        assert {"knn_scan", "pairwise_sq_euclidean", "topk_smallest"} <= {n for n, _ in seen}
+        # DMON scans query and gallery, ARO the gallery, then the QG stage
+        assert blas.set_to == [1, 2] * 4
+        assert {"pairwise_sq_euclidean", "topk_smallest", "neighborhood_filter",
+                "asymmetric_similarity", "_similarity_streamed"} <= {n for n, _ in seen}
         assert {thread for _, thread in seen} == {threading.current_thread()}
+        assert {thread.name for _, thread in qg_lanes} == {"knn-lane-1"}
 
     def test_prefilter_stays_off_stage_functions(self, monkeypatch):
         """The same rerank with 2-column tiles, so all three scans take the

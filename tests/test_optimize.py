@@ -1,4 +1,7 @@
 import importlib
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -18,8 +21,9 @@ from rerankit.optimize import (
     optimize,
 )
 
-from naive_impl import naive_filter, naive_optimize, naive_similarity
+from naive_impl import naive_filter, naive_optimize, naive_pairwise_sq, naive_similarity
 from strategies import exact_rows
+from test_matrix_ops import FakeBlasThreads
 
 # The package re-exports the `optimize` function under the module's name.
 optimize_module = importlib.import_module("rerankit.optimize")
@@ -289,6 +293,126 @@ class TestOptimize:
         fq = rng.standard_normal((3, 4))
         out = optimize(fq, fq.copy(), AroConfig(k2=2))
         assert out.min() < 0.0  # self matches: distance 0 minus similarity
+
+
+class TestQueryGalleryLanes:
+    """The query-gallery stage runs its half-stripes on the kNN scan's lanes."""
+
+    # 45 query rows against 30 gallery rows: half-stripes of 8 rows (five,
+    # then a ragged one of 5), refined in row blocks of 2
+    STRIPE = 16 * 30
+
+    @staticmethod
+    def tied_rows():
+        """Copies of 5 integer rows: exact distances that tie across
+        half-stripe, row block and column tile edges."""
+        pool = np.random.default_rng(223).integers(-2, 3, size=(5, 4)).astype(np.float64)
+        return pool[np.arange(45) % 5], pool[np.arange(30) * 2 % 5]
+
+    def run(self, monkeypatch, cfg, blas, sink=None):
+        monkeypatch.setattr(optimize_module, "_STRIPE_ELEMS", self.STRIPE)
+        monkeypatch.setattr(matrix_ops, "_TILE_COLS", 3)
+        monkeypatch.setattr(matrix_ops, "_blas_threads", lambda: blas)
+        fq, fg = self.tied_rows()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            return optimize(fq, fg, cfg, sink=sink)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("fill", [0.0, 1.0])
+    @pytest.mark.parametrize("k2", [1, 4, 40])
+    def test_lanes_match_serial_and_oracle(self, monkeypatch, threads, fill, k2):
+        """Every lane sinks half-stripes; the values equal the serial run's
+        bit for bit, and the oracle's (exactly, for raw distances)."""
+        fq, fg = self.tied_rows()
+        for enabled in (True, False):
+            cfg = AroConfig(k2=k2, fill_value=fill, enabled=enabled, pre_normalize=False)
+            serial = self.run(monkeypatch, cfg, None)
+            blas = FakeBlasThreads(threads)
+            out = np.full_like(serial, np.nan)
+            sinks = []
+
+            def sink(start, stripe):
+                sinks.append((start, threading.current_thread()))
+                out[start : start + len(stripe)] = stripe
+
+            assert self.run(monkeypatch, cfg, blas, sink) is None
+            assert [start for start, _ in sinks] == list(range(0, 45, 8))
+            assert len({thread for _, thread in sinks}) == threads
+            assert_array_equal(out, serial)
+            if enabled:
+                expected = naive_optimize(fq, fg, k2=k2, fill=fill, pre_normalize=False)
+                assert_allclose(serial, expected, rtol=0, atol=1e-9)
+            else:
+                assert_array_equal(serial, naive_pairwise_sq(fq, fg))
+
+    def test_sink_calls_are_ordered_and_never_overlap(self, monkeypatch):
+        calls, active = [], []
+        lock = threading.Lock()
+
+        def sink(start, stripe):
+            with lock:
+                active.append(1)
+                overlap = len(active) > 1
+            time.sleep(0.002)  # a second lane would enter meanwhile
+            calls.append((start, len(stripe), overlap))
+            with lock:
+                active.pop()
+
+        self.run(monkeypatch, AroConfig(k2=4), FakeBlasThreads(3), sink)
+        assert [(start, rows) for start, rows, _ in calls] == [
+            (start, min(8, 45 - start)) for start in range(0, 45, 8)]
+        assert not any(overlap for _, _, overlap in calls)
+
+    @pytest.mark.parametrize("where", ["helper kernel", "sink on a helper", "sink on the caller"])
+    def test_failure_reaches_caller(self, monkeypatch, where):
+        """A failure stops the stage: the other lane, by then waiting for
+        its turn, wakes, no thread is left running, and the lanes are free
+        again. Lane 0 runs half-stripes 0, 2, 4 and lane 1 runs 1, 3, 5;
+        the failure comes in half-stripe 3 (from a helper) or 2 (from the
+        caller), 0.2 s late, so the other lane is waiting for it."""
+        blas = FakeBlasThreads(2)
+        real = optimize_module._similarity
+        helper_calls = []
+
+        def failing_kernel(q_rows, g_rows):
+            if threading.current_thread() is not caller:
+                helper_calls.append(1)
+                if len(helper_calls) == 5:  # the first row block of half-stripe 3
+                    time.sleep(0.2)
+                    raise RuntimeError("lane failed")
+            return real(q_rows, g_rows)
+
+        def sink(start, stripe):
+            if start == {"sink on a helper": 24, "sink on the caller": 16}.get(where):
+                time.sleep(0.2)
+                raise RuntimeError("lane failed")
+
+        if where == "helper kernel":
+            monkeypatch.setattr(optimize_module, "_similarity", failing_kernel)
+        caller = None
+        errors = []
+
+        def call():
+            nonlocal caller
+            caller = threading.current_thread()
+            try:
+                self.run(monkeypatch, AroConfig(k2=4), blas, sink)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        before = threading.active_count()
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert [str(exc) for exc in errors] == ["lane failed"]
+        assert threading.active_count() == before
+        assert not matrix_ops._LANES_BUSY.locked()
+        assert blas.set_to == [1, 2]  # the stage; the gallery scan is one block
 
 
 class TestAroConfig:

@@ -2,6 +2,7 @@ import importlib
 import json
 import subprocess
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -22,6 +23,7 @@ from rerankit.pipeline import PipelineConfig, compute_refined_distances, config_
 from rerankit.synthetic import SynthSpec, generate
 
 from naive_impl import naive_evaluate
+from test_matrix_ops import FakeBlasThreads
 
 # The package re-exports functions under their modules' names.
 metrics_module = importlib.import_module("rerankit.metrics")
@@ -348,6 +350,30 @@ class TestStreamedRerank:
                 assert not (target / "dist.npy.partial").exists()
         assert (out / "dist.npy").read_bytes() == earlier
         assert not (fresh / "dist.npy").exists()
+
+    def test_helper_lane_failure_leaves_no_partial(self, tmp_path, monkeypatch):
+        """A failure in a helper lane's similarity kernel reaches
+        `rerank_files`, which deletes the partial file (the caller's lane
+        may have written its first stripe) and writes no dist.npy."""
+        rng = np.random.default_rng(73)
+        labels = ((np.arange(9) % 2, np.zeros(9, int)), (np.arange(6) % 2, np.ones(6, int)))
+        data = write_split(tmp_path / "data", rng.standard_normal((9, 3)),
+                           rng.standard_normal((6, 3)), *labels)
+        monkeypatch.setattr(matrix_ops, "_blas_threads", lambda: FakeBlasThreads(2))
+        real = optimize_module._similarity
+
+        def failing(q_rows, g_rows):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("lane failed")
+            return real(q_rows, g_rows)
+
+        monkeypatch.setattr(optimize_module, "_similarity", failing)
+        out = tmp_path / "run"
+        with stripes_of(2, 6), pytest.raises(RuntimeError, match="lane failed"):
+            pipeline.rerank_files(data / "q.npy", data / "g.npy", out,
+                                  PipelineConfig(dmon_on=False))
+        assert list(out.iterdir()) == []
+        assert not matrix_ops._LANES_BUSY.locked()
 
     def test_too_little_free_space_fails_before_any_scan(
         self, data_dir, tmp_path, capsys, monkeypatch
