@@ -8,10 +8,10 @@ seeded synthetic data generator and a multi-command CLI.
 
 __version__ = "0.1.0"
 
-from .enhance import DmonConfig, NeighborOrders, enhance
+from .enhance import DmonConfig, NeighborOrders
 from .matrix_ops import TopKResult, l2_normalize_rows, pairwise_sq_euclidean, topk_smallest
 from .metrics import EvalReport, SampleLabels, average_precision, evaluate
-from .optimize import AroConfig, optimize
+from .optimize import AroConfig
 from .synthetic import SynthSpec, generate
 
 __all__ = [
@@ -24,11 +24,9 @@ __all__ = [
     "SynthSpec",
     "TopKResult",
     "average_precision",
-    "enhance",
     "evaluate",
     "generate",
     "l2_normalize_rows",
-    "optimize",
     "pairwise_sq_euclidean",
     "topk_smallest",
 ]

@@ -5,7 +5,10 @@ Subcommands: synth, rerank, eval, sweep, pipeline. Exit codes:
 """
 
 import argparse
+import itertools
 import sys
+from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -14,9 +17,9 @@ from .io_formats import LabelFormatError, NpyFormatError, write_json
 from .optimize import AroConfig
 from .pipeline import (
     PRESETS,
+    ConfigError,
     PipelineConfig,
     _manifest,
-    config_to_dict,
     eval_files,
     rerank_files,
     rerank_from_manifest,
@@ -32,9 +35,27 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DATA = 4
 
+# Parameter flags that set a value: flag dest -> (PipelineConfig section, field),
+# section None for PipelineConfig's own fields. Presets use the same keys.
+_VALUE_FLAGS = {
+    "k1": ("dmon", "k1"),
+    "orders": ("dmon", "orders"),
+    "gamma": ("dmon", "gamma"),
+    "sigma": ("dmon", "sigma"),
+    "batch_size": ("dmon", "batch_size"),
+    "k2": ("aro", "k2"),
+    "fill": ("aro", "fill_value"),
+    "max_rank": (None, "max_rank"),
+}
 
-class ConfigError(Exception):
-    pass
+
+@contextmanager
+def _config_errors():
+    """Report a ValueError from building a config as a configuration error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _add_synth_spec_flags(p: argparse.ArgumentParser):
@@ -48,16 +69,35 @@ def _add_synth_spec_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=7)
 
 
-def _add_rerank_flags(p: argparse.ArgumentParser):
+def _grid(cast):
+    """An argparse type: a comma-separated list of `cast` values."""
+
+    def parse(text: str) -> list:
+        values = [cast(v) for v in text.split(",") if v.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("empty grid")
+        return values
+
+    parse.__name__ = f"{cast.__name__} list"
+    return parse
+
+
+def _add_config_flags(p: argparse.ArgumentParser, grid: bool = False):
+    """The parameter flags of rerank, pipeline and sweep. Every flag defaults
+    to None (or False), so only the flags given override the defaults of
+    PipelineConfig and the preset. With `grid`, --k1/--k2/--gamma/--orders
+    take comma-separated lists."""
+    ints, floats = (_grid(int), _grid(float)) if grid else (int, float)
+    each = "comma-separated values of " if grid else ""
     p.add_argument("--preset", choices=sorted(PRESETS), help="published parameter bundle")
-    p.add_argument("--k1", type=int, help="first-order neighborhood size")
-    p.add_argument("--k2", type=int, help="distance-filter neighborhood size")
-    p.add_argument("--gamma", type=float, help="original-feature fusion weight")
-    p.add_argument("--orders", type=int, help="number of neighbor orders")
-    p.add_argument("--sigma", type=float, help="fixed kernel bandwidth")
-    p.add_argument("--sigma-mode", choices=["adaptive", "fixed"])
+    p.add_argument("--k1", type=ints, help=f"{each}first-order neighborhood size")
+    p.add_argument("--k2", type=ints, help=f"{each}distance-filter neighborhood size")
+    p.add_argument("--gamma", type=floats, help=f"{each}original-feature fusion weight")
+    p.add_argument("--orders", type=ints, help=f"{each}number of neighbor orders")
+    p.add_argument("--sigma", type=float, help="fixed kernel bandwidth (default: adaptive)")
     p.add_argument("--batch-size", type=int, help="gallery chunk size (default: unlimited)")
     p.add_argument("--fill", type=float, choices=[0.0, 1.0], help="filter fill value")
+    p.add_argument("--max-rank", type=int, help="CMC length")
     p.add_argument("--baseline", action="store_true", help="bypass both stages")
     p.add_argument("--no-dmon", action="store_true", help="skip feature enhancement")
     p.add_argument("--no-aro", action="store_true", help="skip distance optimization")
@@ -72,7 +112,6 @@ def _add_rerank_flags(p: argparse.ArgumentParser):
         action="store_true",
         help="skip L2 row normalization of input features",
     )
-    p.add_argument("--max-rank", type=int, default=50)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,14 +128,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gallery", help="gallery feature NPY")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="recorded in the manifest")
-    p.add_argument("--from-manifest", help="re-run with a previous manifest's parameters")
-    _add_rerank_flags(p)
+    p.add_argument(
+        "--from-manifest",
+        help="re-run a previous manifest's inputs and parameters (no other flag but --out)",
+    )
+    _add_config_flags(p)
 
     p = sub.add_parser("eval", help="score a distance matrix with CMC/mAP")
     p.add_argument("--dist", required=True, help="distance NPY")
     p.add_argument("--query-labels", required=True)
     p.add_argument("--gallery-labels", required=True)
-    p.add_argument("--max-rank", type=int, default=50)
+    p.add_argument("--max-rank", type=int, default=PipelineConfig.max_rank)
     p.add_argument("--out", help="report JSON path (printed to stdout regardless)")
 
     p = sub.add_parser("sweep", help="cartesian hyperparameter sweep")
@@ -104,21 +146,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gallery", required=True)
     p.add_argument("--query-labels", required=True)
     p.add_argument("--gallery-labels", required=True)
-    p.add_argument("--k1", default="2", help="comma-separated grid values")
-    p.add_argument("--k2", default="20", help="comma-separated grid values")
-    p.add_argument("--gamma", default="0.75", help="comma-separated grid values")
-    p.add_argument("--orders", default="3", help="comma-separated grid values")
-    p.add_argument("--fill", type=float, choices=[0.0, 1.0])
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--sigma-mode", choices=["adaptive", "fixed"])
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-rank", type=int, default=50)
+    _add_config_flags(p, grid=True)
     p.add_argument("--out", required=True, help="table path (.csv or .json)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("pipeline", help="synth -> rerank -> eval in one run")
     _add_synth_spec_flags(p)
-    _add_rerank_flags(p)
+    _add_config_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
         "--ablation",
@@ -129,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> SynthSpec:
-    try:
+    with _config_errors():
         return SynthSpec(
             num_ids=args.ids,
             imgs_per_id=args.per_id,
@@ -140,62 +174,30 @@ def _spec_from_args(args) -> SynthSpec:
             query_fraction=args.query_fraction,
             seed=args.seed,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
-def _pipeline_config_from_args(args) -> PipelineConfig:
-    effective = {
-        "k1": 2, "k2": 20, "gamma": 0.75, "orders": 3, "batch_size": None,
-        "sigma": 1.0, "sigma_mode": "adaptive", "fill": 1.0,
-    }
-    if args.preset:
-        effective.update(PRESETS[args.preset])
-    for key in ("k1", "k2", "gamma", "orders", "sigma", "sigma_mode", "batch_size", "fill"):
-        value = getattr(args, key, None)
-        if value is not None:
-            effective[key] = value
-    dmon_on = not (args.baseline or args.no_dmon)
-    aro_on = not (args.baseline or args.no_aro)
-    if not args.baseline and not (dmon_on or aro_on):
-        raise ConfigError(
-            "both stages disabled: plain ranking must be requested with --baseline"
-        )
+def _config_from_args(args) -> PipelineConfig:
+    """The config of the flags given, over the preset, over the dataclass defaults."""
+    if args.no_dmon and args.no_aro and not args.baseline:
+        raise ConfigError("both stages disabled: plain ranking must be requested with --baseline")
     pre_normalize = not args.no_pre_normalize
-    try:
+    parts = {
+        "dmon": {"pre_normalize": pre_normalize},
+        "aro": {"enabled": not (args.baseline or args.no_aro), "pre_normalize": pre_normalize},
+        None: {
+            "dmon_on": not (args.baseline or args.no_dmon),
+            "aro_uses_enhanced": not args.aro_on_raw,
+            "dmon_joint": args.joint,
+        },
+    }
+    given = {key: getattr(args, key) for key in _VALUE_FLAGS if getattr(args, key) is not None}
+    for key, value in {**PRESETS.get(args.preset, {}), **given}.items():
+        section, name = _VALUE_FLAGS[key]
+        parts[section][name] = value
+    with _config_errors():
         return PipelineConfig(
-            dmon=DmonConfig(
-                k1=effective["k1"],
-                orders=effective["orders"],
-                gamma=effective["gamma"],
-                sigma_mode=effective["sigma_mode"],
-                sigma=effective["sigma"],
-                batch_size=effective["batch_size"],
-                pre_normalize=pre_normalize,
-            ),
-            aro=AroConfig(
-                k2=effective["k2"],
-                fill_value=effective["fill"],
-                pre_normalize=pre_normalize,
-            ),
-            dmon_on=dmon_on,
-            aro_on=aro_on,
-            aro_uses_enhanced=not args.aro_on_raw,
-            dmon_joint=args.joint,
-            max_rank=args.max_rank,
+            dmon=DmonConfig(**parts["dmon"]), aro=AroConfig(**parts["aro"]), **parts[None]
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _parse_grid(text: str, cast, flag: str) -> list:
-    values = [v.strip() for v in text.split(",") if v.strip()]
-    if not values:
-        raise ConfigError(f"empty grid for {flag}")
-    try:
-        return [cast(v) for v in values]
-    except ValueError:
-        raise ConfigError(f"bad value in {flag} grid: {text!r}") from None
 
 
 def _cmd_synth(args) -> int:
@@ -208,17 +210,31 @@ def _cmd_synth(args) -> int:
 
 def _cmd_rerank(args) -> int:
     if args.from_manifest:
+        ignored = [
+            "--" + key.replace("_", "-")
+            for key, value in vars(args).items()
+            if key not in ("command", "out", "from_manifest")
+            and value is not None
+            and value is not False
+        ]
+        if ignored:
+            raise ConfigError(
+                f"--from-manifest takes inputs and parameters from the manifest; "
+                f"drop {', '.join(ignored)}"
+            )
         manifest = rerank_from_manifest(args.from_manifest, args.out)
     else:
         if not args.query or not args.gallery:
             raise ConfigError("--query and --gallery are required (or --from-manifest)")
-        cfg = _pipeline_config_from_args(args)
+        cfg = _config_from_args(args)
         manifest = rerank_files(args.query, args.gallery, args.out, cfg, seed=args.seed)
     print(str(Path(args.out) / manifest["outputs"]["distances"]))
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
+    with _config_errors():
+        PipelineConfig(max_rank=args.max_rank)
     doc = eval_files(
         args.dist,
         args.query_labels,
@@ -231,47 +247,23 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    k1s = _parse_grid(args.k1, int, "--k1")
-    k2s = _parse_grid(args.k2, int, "--k2")
-    gammas = _parse_grid(args.gamma, float, "--gamma")
-    orders = _parse_grid(args.orders, int, "--orders")
-    base = {
-        "sigma": args.sigma if args.sigma is not None else 1.0,
-        "sigma_mode": args.sigma_mode or "adaptive",
-        "batch_size": args.batch_size,
-        "fill": args.fill if args.fill is not None else 1.0,
-    }
-    try:
-        base_cfg = PipelineConfig(
-            dmon=DmonConfig(
-                sigma=base["sigma"], sigma_mode=base["sigma_mode"], batch_size=base["batch_size"]
-            ),
-            aro=AroConfig(fill_value=base["fill"]),
-            max_rank=args.max_rank,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    rows = run_sweep(
-        args.query,
-        args.gallery,
-        args.query_labels,
-        args.gallery_labels,
-        base_cfg,
-        k1s,
-        k2s,
-        gammas,
-        orders,
-    )
+    """Every cell's config is built, and so checked, before any data is read."""
+    keys = ("k1", "k2", "gamma", "orders")
+    cells = [
+        _config_from_args(argparse.Namespace(**{**vars(args), **dict(zip(keys, values))}))
+        for values in itertools.product(*(getattr(args, key) or [None] for key in keys))
+    ]
+    rows = run_sweep(args.query, args.gallery, args.query_labels, args.gallery_labels, cells)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
         out.write_text(write_json(rows), encoding="utf-8")
     else:
         out.write_text(sweep_rows_to_csv(rows), encoding="utf-8")
+    grid = {key: getattr(args, key) or [rows[1][key]] for key in keys}
     manifest = _manifest(
         "sweep",
-        {"k1": k1s, "k2": k2s, "gamma": gammas, "orders": orders,
-         "base": config_to_dict(base_cfg), "format": args.format},
+        {**grid, "base": asdict(cells[0]), "format": args.format},
         {"query": args.query, "gallery": args.gallery,
          "query_labels": args.query_labels, "gallery_labels": args.gallery_labels},
         {"table": str(out)},
@@ -283,7 +275,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     spec = _spec_from_args(args)
-    cfg = _pipeline_config_from_args(args)
+    cfg = _config_from_args(args)
     rows = run_pipeline(spec, cfg, args.out, ablation=args.ablation)
     width = max(len(r["variant"]) for r in rows)
     print(f"{'variant'.ljust(width)}  {'mAP':>10}  {'rank1':>10}")

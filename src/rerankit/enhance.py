@@ -56,8 +56,8 @@ class DmonConfig:
         k1: first-order neighborhood size.
         orders: number of neighbor orders H.
         gamma: fusion weight of the original features, in [0, 1].
-        sigma_mode: "adaptive" (mean first-order distance) or "fixed".
-        sigma: kernel base bandwidth, used when sigma_mode == "fixed".
+        sigma: fixed kernel base bandwidth, > 0; None selects the adaptive
+            bandwidth, the mean first-order distance.
         alphas: per-order decay coefficients (>= orders entries); None
             selects the default halving sequence 1, 0.5, 0.25, ...
         normalize_weight_rows: rescale each weight row to sum to 1, making
@@ -72,8 +72,7 @@ class DmonConfig:
     k1: int = 2
     orders: int = 3
     gamma: float = 0.75
-    sigma_mode: str = "adaptive"
-    sigma: float = 1.0
+    sigma: float | None = None
     alphas: tuple[float, ...] | None = None
     normalize_weight_rows: bool = True
     disjoint_orders: bool = False
@@ -87,10 +86,8 @@ class DmonConfig:
             raise ValueError(f"orders must be >= 1, got {self.orders}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.sigma_mode not in ("adaptive", "fixed"):
-            raise ValueError(f"sigma_mode must be 'adaptive' or 'fixed', got {self.sigma_mode!r}")
-        if self.sigma_mode == "fixed" and not self.sigma > 0.0:
-            raise ValueError(f"fixed sigma must be > 0, got {self.sigma}")
+        if self.sigma is not None and not self.sigma > 0.0:
+            raise ValueError(f"sigma must be > 0 or None, got {self.sigma}")
         if self.alphas is not None:
             if len(self.alphas) < self.orders:
                 raise ValueError(
@@ -346,9 +343,8 @@ def _enhance_whole(feats: np.ndarray, cfg: DmonConfig) -> np.ndarray:
     orders = build_first_order(base, cfg.k1)
     for _ in range(1, cfg.orders):
         orders = expand_order(orders, disjoint_orders=cfg.disjoint_orders)
-    if cfg.sigma_mode == "fixed":
-        sigma = cfg.sigma
-    else:
+    sigma = cfg.sigma
+    if sigma is None:
         sigma = adaptive_sigma(base, orders)
         if sigma <= 0.0:
             sigma = 1.0  # all first-order distances zero: kernel value is 1 anyway

@@ -6,9 +6,10 @@ bytes exactly. Dataset presets bundle published hyperparameter settings
 so the same configurations can be applied to real feature dumps.
 """
 
-import itertools
 import os
-from dataclasses import asdict, dataclass, replace
+import types
+import typing
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +37,12 @@ PRESETS = {
     "msmt17": {"k1": 5, "k2": 2, "gamma": 0.75, "orders": 3, "batch_size": 10000},
 }
 
+# (label, run subdirectory, DMON on, ARO on)
 ABLATION_VARIANTS = (
-    ("baseline", False, False),
-    ("+ARO", False, True),
-    ("+DMON", True, False),
-    ("+DMON+ARO", True, True),
+    ("baseline", "baseline", False, False),
+    ("+ARO", "aro", False, True),
+    ("+DMON", "dmon", True, False),
+    ("+DMON+ARO", "dmon_aro", True, True),
 )
 
 DIST_FILENAME = "dist.npy"
@@ -51,21 +53,24 @@ class InsufficientSpaceError(ValueError):
     """The output directory has less free space than the distance file needs."""
 
 
+class ConfigError(ValueError):
+    """A parameter or manifest field is missing, unknown, ill-typed or out of range."""
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Which stages run and with what hyperparameters.
 
-    `aro_uses_enhanced` selects whether the distance-optimization stage
-    consumes the enhanced features (the default, matching the serial
-    enhancement -> optimization flow) or the raw ones. `dmon_joint`
-    enhances the concatenation of query and gallery instead of each set
-    separately.
+    DMON runs when `dmon_on`, ARO when `aro.enabled`. `aro_uses_enhanced`
+    selects whether the distance-optimization stage consumes the enhanced
+    features (the default, matching the serial enhancement -> optimization
+    flow) or the raw ones. `dmon_joint` enhances the concatenation of
+    query and gallery instead of each set separately.
     """
 
     dmon: DmonConfig = DmonConfig()
     aro: AroConfig = AroConfig()
     dmon_on: bool = True
-    aro_on: bool = True
     aro_uses_enhanced: bool = True
     dmon_joint: bool = False
     max_rank: int = 50
@@ -74,35 +79,69 @@ class PipelineConfig:
         if self.max_rank < 1:
             raise ValueError(f"max_rank must be >= 1, got {self.max_rank}")
 
+    def with_stages(self, dmon_on: bool, aro_on: bool) -> "PipelineConfig":
+        """This config with DMON and ARO each switched on or off."""
+        return replace(self, dmon_on=dmon_on, aro=replace(self.aro, enabled=aro_on))
 
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    out = {
-        "dmon": asdict(cfg.dmon),
-        "aro": asdict(cfg.aro),
-        "dmon_on": cfg.dmon_on,
-        "aro_on": cfg.aro_on,
-        "aro_uses_enhanced": cfg.aro_uses_enhanced,
-        "dmon_joint": cfg.dmon_joint,
-        "max_rank": cfg.max_rank,
+
+def config_from_dict(params) -> PipelineConfig:
+    """The PipelineConfig that `asdict` recorded as a manifest's `params`.
+
+    Every field must be present and of its declared type (JSON integers
+    are read as floats where a float is declared, lists as tuples).
+    Manifests of earlier versions recorded `dmon.sigma_mode` beside
+    `dmon.sigma` and the ARO switch as a top-level `aro_on`; those map to
+    `dmon.sigma` (None when adaptive) and `aro.enabled`.
+
+    Raises:
+        ConfigError: naming the first field that is missing, unknown,
+            ill-typed or out of range.
+    """
+    if isinstance(params, dict):
+        params = {key: dict(v) if isinstance(v, dict) else v for key, v in params.items()}
+        dmon, aro = params.get("dmon"), params.get("aro")
+        mode = dmon.pop("sigma_mode", "fixed") if isinstance(dmon, dict) else "fixed"
+        if mode not in ("adaptive", "fixed"):
+            raise ConfigError(f"dmon.sigma_mode must be 'adaptive' or 'fixed', got {mode!r}")
+        if mode == "adaptive":
+            dmon["sigma"] = None
+        if "aro_on" in params and isinstance(aro, dict):
+            aro["enabled"] = params.pop("aro_on")
+    return _build(PipelineConfig, params, "")
+
+
+def _build(cls, data, where: str):
+    """An instance of the config dataclass `cls` from the fields in `data`."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where.rstrip('.') or 'params'} must be an object, got {data!r}")
+    hints = typing.get_type_hints(cls)
+    odd = sorted(set(data) ^ set(hints))
+    if odd:
+        raise ConfigError(f"{'unknown' if odd[0] in data else 'missing'} field {where}{odd[0]}")
+    values = {
+        name: _build(hint, data[name], f"{where}{name}.")
+        if is_dataclass(hint)
+        else _typed(data[name], hint, where + name)
+        for name, hint in hints.items()
     }
-    if out["dmon"]["alphas"] is not None:
-        out["dmon"]["alphas"] = list(out["dmon"]["alphas"])
-    return out
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}{exc}") from None
 
 
-def config_from_dict(data: dict) -> PipelineConfig:
-    dmon = dict(data["dmon"])
-    if dmon.get("alphas") is not None:
-        dmon["alphas"] = tuple(dmon["alphas"])
-    return PipelineConfig(
-        dmon=DmonConfig(**dmon),
-        aro=AroConfig(**data["aro"]),
-        dmon_on=data["dmon_on"],
-        aro_on=data["aro_on"],
-        aro_uses_enhanced=data["aro_uses_enhanced"],
-        dmon_joint=data["dmon_joint"],
-        max_rank=data["max_rank"],
-    )
+def _typed(value, hint, name: str):
+    """`value` checked against `hint` (a class, a union of classes, or
+    `tuple[float, ...]`), with JSON integers as floats and lists as tuples."""
+    for option in typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,):
+        if type(value) is option:
+            return value
+        if option is float and type(value) is int:
+            return float(value)
+        if typing.get_origin(option) is tuple and type(value) is list:
+            if all(type(v) in (int, float) for v in value):
+                return tuple(float(v) for v in value)
+    raise ConfigError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
 
 
 def compute_refined_distances(
@@ -124,9 +163,9 @@ def compute_refined_distances(
             # batching applies to the gallery side only
             enhanced_q = enhance(fq, replace(cfg.dmon, batch_size=None))
             enhanced_g = enhance(fg, cfg.dmon)
-        if cfg.aro_uses_enhanced or not cfg.aro_on:
+        if cfg.aro_uses_enhanced or not cfg.aro.enabled:
             fq, fg = enhanced_q, enhanced_g
-    return optimize(fq, fg, replace(cfg.aro, enabled=cfg.aro_on), sink=sink)
+    return optimize(fq, fg, cfg.aro, sink=sink)
 
 
 def _manifest(command: str, params: dict, inputs: dict, outputs: dict, seed=None) -> dict:
@@ -206,11 +245,11 @@ def rerank_files(
         partial.unlink(missing_ok=True)
         raise
     distance_kind = (
-        "squared_euclidean_minus_similarity" if cfg.aro_on else "squared_euclidean"
+        "squared_euclidean_minus_similarity" if cfg.aro.enabled else "squared_euclidean"
     )
     manifest = _manifest(
         "rerank",
-        config_to_dict(cfg),
+        asdict(cfg),
         {"query": str(query_path), "gallery": str(gallery_path)},
         {"distances": DIST_FILENAME, "distance_kind": distance_kind},
         seed=seed,
@@ -220,15 +259,25 @@ def rerank_files(
 
 
 def rerank_from_manifest(manifest_path, out_dir) -> dict:
-    """Re-run a rerank exactly as recorded in a previous manifest."""
-    manifest = read_json(Path(manifest_path).read_text(encoding="utf-8"))
-    cfg = config_from_dict(manifest["params"])
+    """Re-run a rerank exactly as recorded in a previous manifest.
+
+    Raises:
+        ConfigError: the manifest is not a JSON object, or a field is
+            missing, unknown, ill-typed or out of range.
+    """
+    try:
+        manifest = read_json(Path(manifest_path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{manifest_path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{manifest_path} does not hold a JSON object")
+    inputs = manifest.get("inputs") if isinstance(manifest.get("inputs"), dict) else {}
     return rerank_files(
-        manifest["inputs"]["query"],
-        manifest["inputs"]["gallery"],
+        _typed(inputs.get("query"), str, "inputs.query"),
+        _typed(inputs.get("gallery"), str, "inputs.gallery"),
         out_dir,
-        cfg,
-        seed=manifest.get("seed"),
+        config_from_dict(manifest.get("params")),
+        seed=_typed(manifest.get("seed"), int | None, "seed"),
     )
 
 
@@ -271,94 +320,54 @@ def _evaluate_config(fq, q_labels, fg, g_labels, cfg: PipelineConfig) -> EvalRep
     return evaluate(dist, q_labels, g_labels, max_rank=cfg.max_rank)
 
 
+def _grid_values(cfg: PipelineConfig) -> dict:
+    """The values of the swept parameters in `cfg`, keyed by their sweep column."""
+    return {"k1": cfg.dmon.k1, "k2": cfg.aro.k2, "gamma": cfg.dmon.gamma, "orders": cfg.dmon.orders}
+
+
+def _sweep_row(label: str, grid: dict, cfg: PipelineConfig, report, base) -> dict:
+    return {
+        "label": label,
+        **grid,
+        "dmon_on": cfg.dmon_on,
+        "aro_on": cfg.aro.enabled,
+        "mAP": report.mean_ap,
+        "rank1": report.rank1,
+        "delta_mAP": report.mean_ap - base.mean_ap,
+        "delta_rank1": report.rank1 - base.rank1,
+    }
+
+
 def run_sweep(
     query_path,
     gallery_path,
     query_labels_path,
     gallery_labels_path,
-    base_cfg: PipelineConfig,
-    k1_values,
-    k2_values,
-    gamma_values,
-    order_values,
+    cells: list[PipelineConfig],
 ) -> list[dict]:
-    """Cartesian hyperparameter sweep; one rerank+eval per grid cell.
+    """Hyperparameter sweep; one rerank+eval per grid cell, in the given order.
 
-    The first row is the baseline (both stages off), used for the delta
-    columns. Rows follow the deterministic grid order of
-    itertools.product(k1, k2, gamma, orders).
+    The first row is the baseline (both stages off, with the first
+    cell's other settings), used for the delta columns.
     """
-    grids = [list(k1_values), list(k2_values), list(gamma_values), list(order_values)]
-    if any(len(g) == 0 for g in grids):
+    if not cells:
         raise ValueError("empty sweep grid")
     fq = read_npy(Path(query_path).read_bytes())
     fg = read_npy(Path(gallery_path).read_bytes())
     q_labels = read_labels(Path(query_labels_path).read_text(encoding="utf-8"))
     g_labels = read_labels(Path(gallery_labels_path).read_text(encoding="utf-8"))
 
-    rows = []
-    base_report = _evaluate_config(
-        fq, q_labels, fg, g_labels, replace(base_cfg, dmon_on=False, aro_on=False)
-    )
-    rows.append(
-        {
-            "label": "baseline",
-            "k1": "",
-            "k2": "",
-            "gamma": "",
-            "orders": "",
-            "dmon_on": False,
-            "aro_on": False,
-            "mAP": base_report.mean_ap,
-            "rank1": base_report.rank1,
-            "delta_mAP": 0.0,
-            "delta_rank1": 0.0,
-        }
-    )
-    for k1, k2, gamma, orders in itertools.product(*grids):
-        cfg = replace(
-            base_cfg,
-            dmon=replace(base_cfg.dmon, k1=k1, gamma=gamma, orders=orders),
-            aro=replace(base_cfg.aro, k2=k2),
-        )
+    base_cfg = cells[0].with_stages(False, False)
+    base = _evaluate_config(fq, q_labels, fg, g_labels, base_cfg)
+    rows = [_sweep_row("baseline", dict.fromkeys(_grid_values(base_cfg), ""), base_cfg, base, base)]
+    for cfg in cells:
         report = _evaluate_config(fq, q_labels, fg, g_labels, cfg)
-        rows.append(
-            {
-                "label": "grid",
-                "k1": k1,
-                "k2": k2,
-                "gamma": gamma,
-                "orders": orders,
-                "dmon_on": cfg.dmon_on,
-                "aro_on": cfg.aro_on,
-                "mAP": report.mean_ap,
-                "rank1": report.rank1,
-                "delta_mAP": report.mean_ap - base_report.mean_ap,
-                "delta_rank1": report.rank1 - base_report.rank1,
-            }
-        )
+        rows.append(_sweep_row("grid", _grid_values(cfg), cfg, report, base))
     return rows
 
 
-SWEEP_COLUMNS = (
-    "label",
-    "k1",
-    "k2",
-    "gamma",
-    "orders",
-    "dmon_on",
-    "aro_on",
-    "mAP",
-    "rank1",
-    "delta_mAP",
-    "delta_rank1",
-)
-
-
 def sweep_rows_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in SWEEP_COLUMNS))
+    lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -376,19 +385,12 @@ def run_pipeline(
     """
     out = Path(out_dir)
     paths = synth_files(spec, out / "data")
-    if ablation:
-        variants = ABLATION_VARIANTS
-    else:
-        variants = (
-            ("baseline", False, False),
-            ("configured", cfg.dmon_on, cfg.aro_on),
-        )
-    subdir_names = {"baseline": "baseline", "+ARO": "aro", "+DMON": "dmon",
-                    "+DMON+ARO": "dmon_aro", "configured": "configured"}
+    configured = ("configured", "configured", cfg.dmon_on, cfg.aro.enabled)
+    variants = ABLATION_VARIANTS if ablation else (ABLATION_VARIANTS[0], configured)
     rows = []
-    for label, dmon_on, aro_on in variants:
-        variant_cfg = replace(cfg, dmon_on=dmon_on, aro_on=aro_on)
-        run_dir = out / subdir_names[label]
+    for label, subdir, dmon_on, aro_on in variants:
+        run_dir = out / subdir
+        variant_cfg = cfg.with_stages(dmon_on, aro_on)
         rerank_files(paths["query"], paths["gallery"], run_dir, variant_cfg, seed=spec.seed)
         doc = eval_files(
             run_dir / DIST_FILENAME,
@@ -405,9 +407,9 @@ def run_pipeline(
     (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
     manifest = _manifest(
         "pipeline",
-        {"spec": asdict(spec), "config": config_to_dict(cfg), "ablation": ablation},
+        {"spec": asdict(spec), "config": asdict(cfg), "ablation": ablation},
         {},
-        {"table": name, "variants": [subdir_names[label] for label, _, _ in variants]},
+        {"table": name, "variants": [subdir for _, subdir, _, _ in variants]},
         seed=spec.seed,
     )
     (out / "pipeline_manifest.json").write_text(write_json(manifest), encoding="utf-8")

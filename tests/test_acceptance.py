@@ -114,7 +114,7 @@ def test_criterion_1_oracle_equivalence():
         pre_norm = bool(rng.integers(0, 2))
 
         cfg = DmonConfig(
-            k1=k1, orders=orders, gamma=gamma, sigma_mode=sigma_mode, sigma=sigma,
+            k1=k1, orders=orders, gamma=gamma, sigma=sigma if sigma_mode == "fixed" else None,
             normalize_weight_rows=normalize_rows, disjoint_orders=disjoint,
             batch_size=batch, pre_normalize=pre_norm,
         )
@@ -157,7 +157,7 @@ def test_criterion_2_degeneration_identities():
 
     for _ in range(20):
         fq, fg = _random_instance(rng)
-        baseline_cfg = PipelineConfig(dmon_on=False, aro_on=False)
+        baseline_cfg = PipelineConfig().with_stages(dmon_on=False, aro_on=False)
         got = compute_refined_distances(fq, fg, baseline_cfg)
         raw = pairwise_sq_euclidean(l2_normalize_rows(fq), l2_normalize_rows(fg))
         assert_array_equal(got, raw)

@@ -274,7 +274,7 @@ class TestEnhance:
     def test_fixed_sigma_mode(self):
         rng = np.random.default_rng(131)
         feats = rng.standard_normal((16, 4))
-        cfg = DmonConfig(sigma_mode="fixed", sigma=0.4, orders=2)
+        cfg = DmonConfig(sigma=0.4, orders=2)
         expected = naive_enhance(feats, num_orders=2, sigma_mode="fixed", sigma=0.4)
         assert_allclose(enhance(feats, cfg), expected, atol=1e-6)
 
@@ -302,8 +302,8 @@ class TestEnhance:
         block = data.draw(st.integers(1, 3), label="block rows")
         tile = data.draw(st.integers(1, 4), label="tile columns")
         cfg = DmonConfig(
-            k1=k1, orders=orders, disjoint_orders=disjoint, sigma_mode=sigma_mode,
-            sigma=sigma, pre_normalize=pre_normalize,
+            k1=k1, orders=orders, disjoint_orders=disjoint,
+            sigma=sigma if sigma_mode == "fixed" else None, pre_normalize=pre_normalize,
         )
         with mock.patch.object(matrix_ops, "_SCAN_BLOCK_ROWS", block), \
                 mock.patch.object(matrix_ops, "_TILE_COLS", tile):
@@ -359,9 +359,9 @@ class TestDmonConfig:
             DmonConfig(gamma=1.5)
         with pytest.raises(ValueError, match="alphas"):
             DmonConfig(orders=3, alphas=(1.0, 0.5))
-        with pytest.raises(ValueError, match="sigma_mode"):
-            DmonConfig(sigma_mode="other")
         with pytest.raises(ValueError, match="sigma"):
-            DmonConfig(sigma_mode="fixed", sigma=0.0)
+            DmonConfig(sigma=0.0)
+        with pytest.raises(ValueError, match="sigma"):
+            DmonConfig(sigma=float("nan"))
         with pytest.raises(ValueError, match="batch_size"):
             DmonConfig(batch_size=0)

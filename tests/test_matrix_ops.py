@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
+import rerankit.optimize as optimize_module
 from rerankit import matrix_ops, pipeline
 from rerankit.matrix_ops import (
     knn_scan,
@@ -25,8 +26,6 @@ from rerankit.synthetic import SynthSpec, generate
 
 from naive_impl import naive_pairwise_sq, naive_topk
 
-# The package re-exports the `optimize` function under the module's name.
-optimize_module = importlib.import_module("rerankit.optimize")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 

@@ -1,4 +1,3 @@
-import importlib
 import sys
 import threading
 import time
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import rerankit.optimize as optimize_module
 from rerankit import matrix_ops
 from rerankit.matrix_ops import l2_normalize_rows, pairwise_sq_euclidean
 from rerankit.optimize import (
@@ -24,9 +24,6 @@ from rerankit.optimize import (
 from naive_impl import naive_filter, naive_optimize, naive_pairwise_sq, naive_similarity
 from strategies import exact_rows
 from test_matrix_ops import FakeBlasThreads
-
-# The package re-exports the `optimize` function under the module's name.
-optimize_module = importlib.import_module("rerankit.optimize")
 
 
 def all_columns(dense):

@@ -1,10 +1,10 @@
-import importlib
+import argparse
 import json
 import subprocess
 import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
 
@@ -12,22 +12,26 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import rerankit.metrics as metrics_module
+import rerankit.optimize as optimize_module
 from rerankit import matrix_ops, pipeline
+from rerankit import cli
 from rerankit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from rerankit.enhance import DmonConfig, enhance
 from rerankit.io_formats import npy_header, read_json, read_npy, write_labels, write_npy
 from rerankit.matrix_ops import l2_normalize_rows, pairwise_sq_euclidean
 from rerankit.metrics import SampleLabels, evaluate
 from rerankit.optimize import AroConfig, optimize
-from rerankit.pipeline import PipelineConfig, compute_refined_distances, config_from_dict
+from rerankit.pipeline import (
+    ConfigError,
+    PipelineConfig,
+    compute_refined_distances,
+    config_from_dict,
+)
 from rerankit.synthetic import SynthSpec, generate
 
 from naive_impl import naive_evaluate
 from test_matrix_ops import FakeBlasThreads
-
-# The package re-exports functions under their modules' names.
-metrics_module = importlib.import_module("rerankit.metrics")
-optimize_module = importlib.import_module("rerankit.optimize")
 
 
 def synth_args(out, ids=10, per_id=6, dim=16, cams=3, seed=7, noise=None):
@@ -200,7 +204,7 @@ class TestRerankCommand:
         assert code == EXIT_DATA
         assert "overflow" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sigma", [[], ["--sigma-mode", "fixed", "--sigma", "1.0"]])
+    @pytest.mark.parametrize("sigma", [[], ["--sigma", "1.0"]])
     def test_dmon_scan_overflow_is_typed_data_error(self, tmp_path, capsys, sigma):
         """Row norms near 1e160 are finite, but their squared distances are
         not: DMON's first scan reports the overflow, not a later symptom."""
@@ -213,6 +217,202 @@ class TestRerankCommand:
         ])
         assert code == EXIT_DATA
         assert "squared distances overflow float64" in capsys.readouterr().err
+
+
+# A value other than the default for each parameter flag of `rerank`.
+NON_DEFAULT_FLAGS = {
+    "--preset": ["msmt17"],
+    "--k1": ["3"],
+    "--k2": ["5"],
+    "--gamma": ["0.5"],
+    "--orders": ["2"],
+    "--sigma": ["0.4"],
+    "--batch-size": ["7"],
+    "--fill": ["0"],
+    "--max-rank": ["10"],
+    "--baseline": [],
+    "--no-dmon": [],
+    "--no-aro": [],
+    "--aro-on-raw": [],
+    "--joint": [],
+    "--no-pre-normalize": [],
+}
+
+# A rerank manifest as earlier versions wrote it: the bandwidth as
+# `sigma_mode` plus `sigma`, the ARO switch as top-level `aro_on`.
+OLD_MANIFEST = """{{
+  "command": "rerank",
+  "inputs": {{"gallery": {gallery}, "query": {query}}},
+  "outputs": {{"distance_kind": "squared_euclidean", "distances": "dist.npy"}},
+  "params": {{
+    "aro": {{"enabled": true, "fill_value": 1.0, "k2": 20, "pre_normalize": true}},
+    "aro_on": {aro_on},
+    "aro_uses_enhanced": true,
+    "dmon": {{
+      "alphas": null, "batch_size": null, "disjoint_orders": false, "gamma": 0.75,
+      "k1": 2, "normalize_weight_rows": true, "orders": 3, "pre_normalize": true,
+      "sigma": {sigma}, "sigma_mode": "{sigma_mode}"
+    }},
+    "dmon_joint": false,
+    "dmon_on": true,
+    "max_rank": 50
+  }},
+  "seed": null,
+  "tool": "rerankit",
+  "version": "0.1.0"
+}}
+"""
+
+
+def rerank_parameter_flags() -> set:
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.option_strings[-1] for a in sub.choices["rerank"]._actions}
+    return flags - {"--help", "--query", "--gallery", "--out", "--seed", "--from-manifest"}
+
+
+def replay(manifest, out, *flags):
+    return main(["rerank", "--from-manifest", str(manifest), "--out", str(out), *flags])
+
+
+def params_of(run):
+    return read_json((run / "manifest.json").read_text())["params"]
+
+
+class TestParameterSurface:
+    """Every parameter is defined once, recorded in the manifest, and
+    replayed from it; nothing the user passes is silently ignored."""
+
+    def test_every_rerank_parameter_flag_has_a_case(self):
+        assert rerank_parameter_flags() == set(NON_DEFAULT_FLAGS)
+
+    @pytest.mark.parametrize("flag", sorted(NON_DEFAULT_FLAGS))
+    def test_flag_changes_params_and_replays(self, data_dir, tmp_path, flag):
+        default, run, again = tmp_path / "default", tmp_path / "run", tmp_path / "again"
+        assert main(rerank_args(data_dir, default)) == EXIT_OK
+        assert main(rerank_args(data_dir, run, flag, *NON_DEFAULT_FLAGS[flag])) == EXIT_OK
+        assert params_of(run) != params_of(default)
+        assert replay(run / "manifest.json", again) == EXIT_OK
+        assert (again / "dist.npy").read_bytes() == (run / "dist.npy").read_bytes()
+
+    @pytest.mark.parametrize(
+        "sigma_mode, sigma, aro_on, flags",
+        [("fixed", 0.4, "false", ["--sigma", "0.4", "--no-aro"]), ("adaptive", 1.0, "true", [])],
+    )
+    def test_old_manifest_replays_like_the_new_flags(
+        self, data_dir, tmp_path, sigma_mode, sigma, aro_on, flags
+    ):
+        old = tmp_path / "old.json"
+        old.write_text(OLD_MANIFEST.format(
+            query=json.dumps(str(data_dir / "q.npy")), gallery=json.dumps(str(data_dir / "g.npy")),
+            sigma=sigma, sigma_mode=sigma_mode, aro_on=aro_on,
+        ))
+        assert replay(old, tmp_path / "old") == EXIT_OK
+        assert main(rerank_args(data_dir, tmp_path / "new", *flags)) == EXIT_OK
+        assert params_of(tmp_path / "old") == params_of(tmp_path / "new")
+        assert (tmp_path / "old" / "dist.npy").read_bytes() == (
+            tmp_path / "new" / "dist.npy").read_bytes()
+
+    def test_sigma_alone_means_fixed(self, data_dir, tmp_path):
+        assert main(rerank_args(data_dir, tmp_path / "adaptive")) == EXIT_OK
+        assert main(rerank_args(data_dir, tmp_path / "fixed", "--sigma", "0.05")) == EXIT_OK
+        assert params_of(tmp_path / "adaptive")["dmon"]["sigma"] is None
+        assert params_of(tmp_path / "fixed")["dmon"]["sigma"] == 0.05
+        assert (tmp_path / "adaptive" / "dist.npy").read_bytes() != (
+            tmp_path / "fixed" / "dist.npy").read_bytes()
+
+    def test_no_aro_is_recorded_as_aro_disabled(self, data_dir, tmp_path):
+        assert main(rerank_args(data_dir, tmp_path / "run", "--no-aro")) == EXIT_OK
+        params = params_of(tmp_path / "run")
+        assert params["aro"]["enabled"] is False
+        assert "aro_on" not in params
+
+    @pytest.mark.parametrize("extra", [
+        ["--query", "q.npy"], ["--gallery", "g.npy"], ["--seed", "0"], ["--k1", "7"],
+        ["--fill", "0"], ["--no-aro"], ["--preset", "dukemtmc"],
+    ])
+    def test_from_manifest_rejects_other_flags(self, data_dir, tmp_path, capsys, extra):
+        assert main(rerank_args(data_dir, tmp_path / "run")) == EXIT_OK
+        code = replay(tmp_path / "run" / "manifest.json", tmp_path / "again", *extra)
+        assert code == EXIT_CONFIG
+        assert extra[0] in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
+
+
+def edit_params(params, edit):
+    if edit == "missing":
+        del params["dmon"]["k1"]
+    elif edit == "unknown":
+        params["aro"]["k3"] = 4
+    else:
+        params["aro"]["k2"] = "x"
+
+
+class TestManifestErrors:
+    """A malformed manifest is a configuration error (exit 2) that names
+    the field, before any input is read."""
+
+    @pytest.mark.parametrize("edit, field", [
+        ("missing", "dmon.k1"), ("unknown", "aro.k3"), ("ill_typed", "aro.k2"),
+    ])
+    def test_bad_field_is_config_error(self, data_dir, tmp_path, capsys, edit, field):
+        assert main(rerank_args(data_dir, tmp_path / "run")) == EXIT_OK
+        manifest = read_json((tmp_path / "run" / "manifest.json").read_text())
+        edit_params(manifest["params"], edit)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert replay(bad, tmp_path / "again") == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
+
+    def test_invalid_json_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"params": ')
+        assert replay(bad, tmp_path / "again") == EXIT_CONFIG
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params, field", [
+        ({"dmon_on": "false"}, "dmon_on"),
+        ({"dmon": {"gamma": 2.0}}, "dmon.gamma"),
+        ({"dmon": {"sigma": None, "sigma_mode": "other"}}, "dmon.sigma_mode"),
+        ({"aro": {"fill_value": True}}, "aro.fill_value"),
+        ({"dmon": {"alphas": [1, "x", 0.25]}}, "dmon.alphas"),
+    ])
+    def test_config_from_dict_names_the_field(self, params, field):
+        good = asdict(PipelineConfig())
+        for key, value in params.items():
+            good[key] = {**good[key], **value} if isinstance(value, dict) else value
+        with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+            config_from_dict(good)
+
+    def test_config_from_dict_inverts_asdict(self):
+        cfg = PipelineConfig(
+            dmon=DmonConfig(sigma=0.3, alphas=(1.0, 0.25, 0.125), batch_size=9),
+            aro=AroConfig(fill_value=0.0, enabled=False), dmon_joint=True, max_rank=7,
+        )
+        assert config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
+
+
+class TestConfigErrorsBeforeData:
+    """Bad parameters exit 2 before any input is read: the inputs here do not exist."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--k1", "0"], ["--gamma", "2"], ["--k1", "2,0"], ["--max-rank", "0"], ["--sigma", "0"],
+        ["--no-dmon", "--no-aro"],
+    ])
+    def test_sweep(self, tmp_path, flags):
+        absent = str(tmp_path / "absent")
+        code = main(["sweep", "--query", absent, "--gallery", absent, "--query-labels", absent,
+                     "--gallery-labels", absent, "--out", str(tmp_path / "s.csv"), *flags])
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["rerank", "eval"])
+    def test_max_rank_zero(self, tmp_path, command):
+        absent = tmp_path / "absent"
+        args = (rerank_args(absent, tmp_path / "run") if command == "rerank"
+                else eval_args(absent, tmp_path / "run"))
+        assert main([*args, "--max-rank", "0"]) == EXIT_CONFIG
 
 
 @contextmanager
@@ -585,7 +785,7 @@ class TestComputeRefinedDistances:
     def test_batch_flag_only_chunks_gallery(self):
         fq, _, fg, _ = generate(SynthSpec(num_ids=8, imgs_per_id=5, dim=8, seed=9))
         cfg = PipelineConfig(
-            dmon=DmonConfig(batch_size=7), aro=AroConfig(), aro_on=False
+            dmon=DmonConfig(batch_size=7), aro=AroConfig(enabled=False)
         )
         out = compute_refined_distances(fq, fg, cfg)
         assert np.all(np.isfinite(out))
