@@ -8,8 +8,7 @@ seeded synthetic data generator and a multi-command CLI.
 
 __version__ = "0.1.0"
 
-from .enhance import DmonConfig, NeighborOrders
-from .matrix_ops import TopKResult, l2_normalize_rows, pairwise_sq_euclidean, topk_smallest
+from .enhance import DmonConfig
 from .metrics import EvalReport, SampleLabels, average_precision, evaluate
 from .optimize import AroConfig
 from .synthetic import SynthSpec, generate
@@ -19,14 +18,9 @@ __all__ = [
     "AroConfig",
     "DmonConfig",
     "EvalReport",
-    "NeighborOrders",
     "SampleLabels",
     "SynthSpec",
-    "TopKResult",
     "average_precision",
     "evaluate",
     "generate",
-    "l2_normalize_rows",
-    "pairwise_sq_euclidean",
-    "topk_smallest",
 ]

@@ -127,15 +127,13 @@ class NeighborOrders:
         return self.levels[h - 1]
 
 
-def build_first_order(feats, k1: int) -> NeighborOrders:
+def build_first_order(feats: np.ndarray, k1: int) -> NeighborOrders:
     """First-order neighbors: the k1 nearest other samples of each row.
 
     Found by a blocked scan of the (N, d) features, ordered nearest
     first with ties broken by ascending index. If k1 >= N it is clamped
     to N-1 with a warning.
     """
-    if k1 < 1:
-        raise ValueError(f"k1 must be >= 1, got {k1}")
     n = len(feats)
     if k1 >= n:
         warnings.warn(
@@ -185,7 +183,7 @@ def expand_order(orders: NeighborOrders, disjoint_orders: bool = False) -> Neigh
     return NeighborOrders(levels=orders.levels + [[cols[i:j] for i, j in zip(bounds, bounds[1:])]])
 
 
-def adaptive_sigma(feats, orders: NeighborOrders) -> float:
+def adaptive_sigma(feats: np.ndarray, orders: NeighborOrders) -> float:
     """Mean unsquared distance over all first-order (sample, neighbor) pairs.
 
     Distances are computed from the (N, d) features on those pairs only.
@@ -252,7 +250,7 @@ class OrderWeights:
 
 
 def gaussian_weights(
-    feats,
+    feats: np.ndarray,
     orders: NeighborOrders,
     sigma: float,
     normalize_rows: bool = True,
@@ -274,8 +272,6 @@ def gaussian_weights(
     Returns:
         One OrderWeights per order, of an (N, N) matrix.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
     n = orders.num_samples
     weights = []
     for h, level in enumerate(orders.levels, start=1):
@@ -292,17 +288,10 @@ def gaussian_weights(
     return weights
 
 
-def latent_features(weights: list[OrderWeights], features, alphas) -> np.ndarray:
+def latent_features(weights: list[OrderWeights], feats: np.ndarray, alphas) -> np.ndarray:
     """Decayed sum of per-order neighbor aggregates: sum_h alphas[h] * (W_h @ F)."""
-    feats = np.asarray(features, dtype=np.float64)
-    if len(alphas) < len(weights):
-        raise ValueError(f"need {len(weights)} decay coefficients, got {len(alphas)}")
     latent = np.zeros_like(feats)
     for w, alpha in zip(weights, alphas):
-        if w.n != feats.shape[0]:
-            raise ValueError(
-                f"weight matrix ({w.n}, {w.n}) incompatible with {feats.shape[0]} feature rows"
-            )
         latent += alpha * w.dot(feats)
     return latent
 
@@ -316,7 +305,8 @@ def enhance(features, cfg: DmonConfig) -> np.ndarray:
     enhanced independently and concatenated.
 
     Args:
-        features: (N, d) embedding matrix.
+        features: (N, d) embeddings, any array-like; checked and converted
+            by `as_feature_matrix`.
         cfg: DmonConfig.
 
     Returns:

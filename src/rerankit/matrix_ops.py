@@ -24,6 +24,15 @@ Selection works on column tiles of _TILE_COLS entries, cut as residue
 classes (column c in tile c mod F, for F = N // _TILE_COLS), whose
 minima are one vectorised reduction; the exact float64 top-k
 (`_topk_tiled`) and the float32 prefilter search the same tiles.
+
+Every function here, and every stage function of `enhance` and
+`optimize` below their entry points, takes prepared arrays: a feature
+matrix is a finite, 2-D, C-ordered float64 array (a distance matrix may
+also hold +inf), and k and sigma are as `DmonConfig` and `AroConfig`
+validate them. `as_feature_matrix` makes such a matrix from any
+array-like input. It runs only where features enter the toolkit
+(`pipeline.compute_refined_distances`, `enhance.enhance` and
+`optimize.optimize`); nothing below those checks or converts again.
 """
 
 import ctypes
@@ -79,13 +88,13 @@ class TopKResult(NamedTuple):
 
 
 def as_feature_matrix(m, name: str = "features") -> np.ndarray:
-    """Validate and convert an embedding matrix to a float64 2-D array.
+    """Validate and convert an embedding matrix to a C-ordered float64 2-D array.
 
     Raises:
         ValueError: if the input is not 2-D, is empty, or contains a
             non-finite value (the first offending row is reported).
     """
-    arr = np.asarray(m, dtype=np.float64)
+    arr = np.asarray(m, dtype=np.float64, order="C")
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D (rows, dim), got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -97,7 +106,7 @@ def as_feature_matrix(m, name: str = "features") -> np.ndarray:
     return arr
 
 
-def l2_normalize_rows(m) -> np.ndarray:
+def l2_normalize_rows(arr: np.ndarray) -> np.ndarray:
     """Scale each row to unit Euclidean norm; zero rows pass through unchanged.
 
     Rows are pre-scaled by their max-abs entry so the squared sum neither
@@ -105,13 +114,9 @@ def l2_normalize_rows(m) -> np.ndarray:
     Row stripes are written into one output buffer, so the only scratch
     is one stripe.
 
-    Args:
-        m: (N, d) array-like, all values finite.
-
     Returns:
         np.ndarray: (N, d) float64 with unit-norm (or zero) rows.
     """
-    arr = as_feature_matrix(m)
     out = np.empty(arr.shape, dtype=np.float64)
     rows = max(1, _STRIPE_ELEMS // arr.shape[1])
     for i0 in range(0, arr.shape[0], rows):
@@ -126,7 +131,7 @@ def l2_normalize_rows(m) -> np.ndarray:
     return out
 
 
-def pairwise_sq_euclidean(a, b, block: int = 4096, b_sq=None) -> np.ndarray:
+def pairwise_sq_euclidean(a: np.ndarray, b: np.ndarray, block: int = 4096, b_sq=None) -> np.ndarray:
     """Squared-Euclidean distance matrix between two row sets, by row stripes.
 
     Uses the expansion |x|^2 + |y|^2 - 2<x,y>. Each full-width stripe of
@@ -140,42 +145,30 @@ def pairwise_sq_euclidean(a, b, block: int = 4096, b_sq=None) -> np.ndarray:
     row sets are treated alike whatever their shape.
 
     Args:
-        a: (N, d) array-like.
-        b: (M, d) array-like with matching d.
+        a: (N, d) feature matrix.
+        b: (M, d) feature matrix with matching d.
         block: upper bound on the rows of one stripe, >= 1.
         b_sq: the squared row norms of `b` (einsum "ij,ij->i"), from a
-            caller that measures many row sets against one `b`. `b` must
-            then be a C-ordered, finite float64 matrix; it is used as
-            given, without being validated again.
+            caller that measures many row sets against one `b`.
 
     Returns:
         np.ndarray: (N, M) float64, non-negative.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    arr_a = np.ascontiguousarray(as_feature_matrix(a, "a"))
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: a has dim {a.shape[1]}, b has dim {b.shape[1]}")
     same = a is b
-    if same:
-        arr_b = arr_a
-    elif b_sq is None:
-        arr_b = np.ascontiguousarray(as_feature_matrix(b, "b"))
-    else:
-        arr_b = b
-    if arr_a.shape[1] != arr_b.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: a has dim {arr_a.shape[1]}, b has dim {arr_b.shape[1]}"
-        )
-    n, m = arr_a.shape[0], arr_b.shape[0]
-    a_sq = np.einsum("ij,ij->i", arr_a, arr_a)
+    n, m = a.shape[0], b.shape[0]
+    a_sq = np.einsum("ij,ij->i", a, a)
     if b_sq is None:
-        b_sq = a_sq if same else np.einsum("ij,ij->i", arr_b, arr_b)
+        b_sq = a_sq if same else np.einsum("ij,ij->i", b, b)
 
     out = np.empty((n, m), dtype=np.float64)
-    bt = arr_b.T
     rows = max(1, min(block, _STRIPE_ELEMS // max(m, 1)))
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
-        _sq_dist_stripe(arr_a[i0:i1], bt, a_sq[i0:i1], b_sq, out[i0:i1])
+        _sq_dist_stripe(a[i0:i1], b.T, a_sq[i0:i1], b_sq, out[i0:i1])
     if same:
         np.fill_diagonal(out, 0.0)
     return out
@@ -199,7 +192,7 @@ def _sq_dist_stripe(a, bt, a_sq, b_sq, out) -> None:
     np.maximum(out, 0.0, out=out)
 
 
-def pair_sq_euclidean(feats, rows, cols) -> np.ndarray:
+def pair_sq_euclidean(feats: np.ndarray, rows, cols) -> np.ndarray:
     """Squared-Euclidean distances of the listed row pairs of one matrix.
 
     Entry t is the distance between rows `rows[t]` and `cols[t]`, by the
@@ -208,13 +201,12 @@ def pair_sq_euclidean(feats, rows, cols) -> np.ndarray:
     of about _GATHER_ELEMS feature entries.
 
     Args:
-        feats: (N, d) float64 array, all values finite.
+        feats: (N, d) feature matrix.
         rows, cols: equal-length integer index arrays into the rows.
 
     Returns:
         np.ndarray: float64 distances, non-negative, one per pair.
     """
-    feats = np.asarray(feats, dtype=np.float64)
     out = np.empty(len(rows), dtype=np.float64)
     _pair_sq_dist(feats, np.einsum("ij,ij->i", feats, feats), rows, cols, out)
     return out
@@ -247,7 +239,7 @@ def gather_ranges(starts, lengths, *arrays) -> list[np.ndarray]:
     return [arr[pos] for arr in arrays]
 
 
-def topk_smallest(d, k: int) -> TopKResult:
+def topk_smallest(arr: np.ndarray, k: int) -> TopKResult:
     """Per-row smallest-k entries, ordered by (value, column index).
 
     Ties are broken by ascending column index, so repeated calls on the
@@ -261,17 +253,12 @@ def topk_smallest(d, k: int) -> TopKResult:
     whose tiles tie too often, are searched whole.
 
     Args:
-        d: (N, M) array-like of finite or +inf values.
-        k: number of entries to keep per row, >= 1.
+        arr: (N, M) distance matrix.
+        k: number of entries to keep per row.
 
     Returns:
         TopKResult: indices (N, k_eff) int64 and values (N, k_eff) float64.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    arr = np.asarray(d, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     n, m = arr.shape
     k_eff = min(k, m)
     out = TopKResult(np.empty((n, k_eff), dtype=np.int64), np.empty((n, k_eff)))
@@ -396,7 +383,7 @@ def _topk_rows(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, vals
 
 
-def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
+def knn_scan(arr: np.ndarray, k: int, exclude_self: bool) -> TopKResult:
     """Each row's k nearest rows of the same matrix, by squared distance.
 
     Blocked brute-force search: blocks of rows are each measured against
@@ -427,8 +414,8 @@ def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
     column tiles when 2 * k * _TILE_COLS <= N, see `_topk_tiled`).
 
     Args:
-        feats: (N, d) array-like, all values finite.
-        k: neighbours to keep per row, >= 1.
+        arr: (N, d) feature matrix.
+        k: neighbours to keep per row.
         exclude_self: drop each row's own column from its candidates.
 
     Returns:
@@ -436,13 +423,9 @@ def knn_scan(feats, k: int, exclude_self: bool) -> TopKResult:
         (N, k_eff) float64.
 
     Raises:
-        ValueError: if k < 1, the features are invalid, or four times the
-            largest squared row norm overflows float64, so that squared
-            distances could.
+        ValueError: if four times the largest squared row norm overflows
+            float64, so that squared distances could.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    arr = np.ascontiguousarray(as_feature_matrix(feats))
     n = arr.shape[0]
     k = min(k, n - 1 if exclude_self else n)
     if k < 1:

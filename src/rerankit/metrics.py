@@ -14,6 +14,9 @@ import numpy as np
 # positive of the stripe is counted against them.
 _STRIPE_ENTRIES = 1 << 17
 
+# CMC curve length when none is given: ranks 1..MAX_RANK.
+MAX_RANK = 50
+
 
 @dataclass(frozen=True)
 class SampleLabels:
@@ -89,7 +92,7 @@ def evaluate(
     distances,
     query_labels: SampleLabels,
     gallery_labels: SampleLabels,
-    max_rank: int = 50,
+    max_rank: int = MAX_RANK,
 ) -> EvalReport:
     """Score a query-gallery distance matrix with CMC and mAP.
 

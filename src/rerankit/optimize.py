@@ -168,20 +168,15 @@ def residual_product(q_rows: FilteredRows, g_rows: FilteredRows) -> np.ndarray:
     return out
 
 
-def neighborhood_filter(distances, k2: int, fill: float) -> FilteredRows:
+def neighborhood_filter(distances: np.ndarray, k2: int, fill: float) -> FilteredRows:
     """Keep each row's k2 smallest entries; every other entry reads as `fill`.
 
     Ties are broken by ascending column index and the self column is not
     excluded (a zero self-distance always survives the filter anyway).
     If k2 covers every column the whole row is kept.
     """
-    dist = np.asarray(distances, dtype=np.float64)
-    if dist.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={dist.ndim}")
-    if k2 < 1:
-        raise ValueError(f"k2 must be >= 1, got {k2}")
-    kept = topk_smallest(dist, k2)
-    return FilteredRows(kept.indices, kept.values, fill, dist.shape[1])
+    kept = topk_smallest(distances, k2)
+    return FilteredRows(kept.indices, kept.values, fill, distances.shape[1])
 
 
 def asymmetric_similarity(q_rows: FilteredRows, g_rows: FilteredRows) -> np.ndarray:
@@ -220,6 +215,22 @@ def _similarity(q_rows: FilteredRows, g_rows: FilteredRows) -> np.ndarray:
     return sim
 
 
+def as_query_gallery(query_feats, gallery_feats) -> tuple[np.ndarray, np.ndarray]:
+    """Query and gallery features as `as_feature_matrix` checks and converts
+    them, each error naming its set.
+
+    Raises:
+        ValueError: if either set is invalid, or their widths differ.
+    """
+    fq = as_feature_matrix(query_feats, "query features")
+    fg = as_feature_matrix(gallery_feats, "gallery features")
+    if fq.shape[1] != fg.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: query dim {fq.shape[1]}, gallery dim {fg.shape[1]}"
+        )
+    return fq, fg
+
+
 def optimize(query_feats, gallery_feats, cfg: AroConfig, sink=None) -> np.ndarray | None:
     """Refine query-gallery distances via asymmetric similarity subtraction.
 
@@ -230,8 +241,9 @@ def optimize(query_feats, gallery_feats, cfg: AroConfig, sink=None) -> np.ndarra
     unless the caller collects one.
 
     Args:
-        query_feats: (Nq, d) embeddings.
-        gallery_feats: (Ng, d) embeddings.
+        query_feats: (Nq, d) embeddings, any array-like.
+        gallery_feats: (Ng, d) embeddings, any array-like; both are
+            checked and converted by `as_query_gallery`.
         cfg: AroConfig. With cfg.enabled False the raw squared
             query-gallery distances are produced unchanged.
         sink: called as sink(start, stripe) for each refined (rows, Ng)
@@ -246,15 +258,10 @@ def optimize(query_feats, gallery_feats, cfg: AroConfig, sink=None) -> np.ndarra
         or None when a sink took the stripes.
 
     Raises:
-        ValueError: on a dimension mismatch, or when the squared distances
-            overflow float64.
+        ValueError: on invalid features or a dimension mismatch, or when
+            the squared distances overflow float64.
     """
-    fq = as_feature_matrix(query_feats, "query features")
-    fg = as_feature_matrix(gallery_feats, "gallery features")
-    if fq.shape[1] != fg.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: query dim {fq.shape[1]}, gallery dim {fg.shape[1]}"
-        )
+    fq, fg = as_query_gallery(query_feats, gallery_feats)
     if cfg.pre_normalize:
         fq = l2_normalize_rows(fq)
         fg = l2_normalize_rows(fg)
@@ -291,7 +298,6 @@ def _similarity_streamed(fq, fg, g_rows, sink):
     (`pairwise_sq_euclidean`, `neighborhood_filter`,
     `asymmetric_similarity`) and helper lanes call the kernels they wrap.
     """
-    fq, fg = np.ascontiguousarray(fq), np.ascontiguousarray(fg)
     num_g = fg.shape[0]
     g_sq = np.einsum("ij,ij->i", fg, fg)
     rows = max(1, min(4096, _STRIPE_ELEMS // 2 // num_g))

@@ -27,8 +27,8 @@ from .io_formats import (
     write_labels,
     write_npy,
 )
-from .metrics import EvalReport, evaluate
-from .optimize import AroConfig, optimize
+from .metrics import MAX_RANK, EvalReport, evaluate
+from .optimize import AroConfig, as_query_gallery, optimize
 from .synthetic import SynthSpec, generate
 
 PRESETS = {
@@ -73,7 +73,7 @@ class PipelineConfig:
     dmon_on: bool = True
     aro_uses_enhanced: bool = True
     dmon_joint: bool = False
-    max_rank: int = 50
+    max_rank: int = MAX_RANK
 
     def __post_init__(self):
         if self.max_rank < 1:
@@ -151,10 +151,10 @@ def compute_refined_distances(
 
     With both stages off this is the plain (pre-normalized) squared
     distance matrix. With a `sink`, the matrix is handed to it as
-    `optimize` row stripes instead, and None is returned.
+    `optimize` row stripes instead, and None is returned. Both feature
+    sets are checked by `as_query_gallery` before any stage runs.
     """
-    fq = np.asarray(query_feats, dtype=np.float64)
-    fg = np.asarray(gallery_feats, dtype=np.float64)
+    fq, fg = as_query_gallery(query_feats, gallery_feats)
     if cfg.dmon_on:
         if cfg.dmon_joint:
             stacked = enhance(np.vstack([fq, fg]), cfg.dmon)
@@ -285,7 +285,7 @@ def eval_files(
     dist_path,
     query_labels_path,
     gallery_labels_path,
-    max_rank: int = 50,
+    max_rank: int = MAX_RANK,
     report_path=None,
     config: dict | None = None,
 ) -> dict:

@@ -205,11 +205,6 @@ class TestGaussianWeights:
                 vals = mat.vals
                 assert np.all(vals > 0.0) and np.all(vals <= 1.0)
 
-    def test_sigma_must_be_positive(self):
-        orders = build_first_order(line_points(), k1=1)
-        with pytest.raises(ValueError, match="sigma"):
-            gaussian_weights(line_points(), orders, sigma=0.0)
-
 
 class TestLatentFeatures:
     def test_zero_weights_give_zero(self):

@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import rerankit.optimize as optimize_module
 from rerankit import matrix_ops, pipeline
 from rerankit.matrix_ops import (
+    as_feature_matrix,
     knn_scan,
     l2_normalize_rows,
     pair_sq_euclidean,
@@ -37,23 +38,43 @@ def _load_spans():
     return module
 
 
+class TestAsFeatureMatrix:
+    def test_non_finite_reports_row(self):
+        bad = np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, 4.0]])
+        message = "^gallery features contains a non-finite value in row 1$"
+        with pytest.raises(ValueError, match=message):
+            as_feature_matrix(bad, "gallery features")
+
+    @pytest.mark.parametrize("bad", [
+        np.ones(3), np.ones((2, 2, 2)), np.ones((0, 3)), np.ones((2, 0)),
+    ])
+    def test_rejects_shapes(self, bad):
+        with pytest.raises(ValueError, match="^features must"):
+            as_feature_matrix(bad)
+
+    @pytest.mark.parametrize("form", [
+        np.asfortranarray, lambda x: x.astype(np.float32), lambda x: x.astype(np.int64),
+        lambda x: x.tolist(), lambda x: x[:, ::-1][:, ::-1],
+    ])
+    def test_returns_c_ordered_float64(self, form):
+        x = np.arange(12.0).reshape(4, 3)
+        arr = as_feature_matrix(form(x))
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous
+        assert_array_equal(arr, x)
+
+
 class TestL2NormalizeRows:
     def test_three_four_five(self):
-        assert_allclose(l2_normalize_rows([[3.0, 4.0]]), [[0.6, 0.8]])
+        assert_allclose(l2_normalize_rows(np.array([[3.0, 4.0]])), [[0.6, 0.8]])
 
     def test_zero_row_unchanged(self):
-        assert_array_equal(l2_normalize_rows([[0.0, 0.0]]), [[0.0, 0.0]])
+        assert_array_equal(l2_normalize_rows(np.zeros((1, 2))), [[0.0, 0.0]])
 
     def test_seeded_norms_are_unit(self):
         rng = np.random.default_rng(11)
         out = l2_normalize_rows(rng.standard_normal((5, 8)))
         norms = np.linalg.norm(out, axis=1)
         assert_allclose(norms, np.ones(5), atol=1e-9)
-
-    def test_non_finite_reports_row(self):
-        bad = np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, 4.0]])
-        with pytest.raises(ValueError, match="row 1"):
-            l2_normalize_rows(bad)
 
     @given(
         arrays(
@@ -70,7 +91,8 @@ class TestL2NormalizeRows:
 
 class TestPairwiseSqEuclidean:
     def test_unit_axes(self):
-        assert_allclose(pairwise_sq_euclidean([[1.0, 0.0]], [[0.0, 1.0]]), [[2.0]])
+        a, b = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+        assert_allclose(pairwise_sq_euclidean(a, b), [[2.0]])
 
     def test_self_distance_zero_diag_symmetric(self):
         rng = np.random.default_rng(3)
@@ -138,12 +160,12 @@ class TestPairwiseSqEuclidean:
 
 class TestTopkSmallest:
     def test_sorted_row(self):
-        res = topk_smallest([[0.2, 0.5, 0.9]], 2)
+        res = topk_smallest(np.array([[0.2, 0.5, 0.9]]), 2)
         assert_array_equal(res.indices, [[0, 1]])
         assert_allclose(res.values, [[0.2, 0.5]])
 
     def test_tie_break_by_index(self):
-        res = topk_smallest([[1.0, 1.0, 0.5]], 2)
+        res = topk_smallest(np.array([[1.0, 1.0, 0.5]]), 2)
         assert_array_equal(res.indices, [[2, 0]])
 
     def test_matches_full_sort(self):
@@ -155,7 +177,7 @@ class TestTopkSmallest:
         assert_allclose(res.values, exp_val)
 
     def test_k_clamped_to_columns(self):
-        res = topk_smallest([[3.0, 1.0]], 10)
+        res = topk_smallest(np.array([[3.0, 1.0]]), 10)
         assert_array_equal(res.indices, [[1, 0]])
 
     def test_no_rows(self):

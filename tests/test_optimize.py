@@ -35,7 +35,7 @@ def all_columns(dense):
 
 class TestNeighborhoodFilter:
     def test_keep_two_smallest(self):
-        out = neighborhood_filter([[0.2, 0.5, 0.9]], k2=2, fill=1.0)
+        out = neighborhood_filter(np.array([[0.2, 0.5, 0.9]]), k2=2, fill=1.0)
         assert_array_equal(out.indices, [[0, 1]])
         assert (out.fill, out.num_cols) == (1.0, 3)
         assert_allclose(out, [[0.2, 0.5, 1.0]])
@@ -109,8 +109,8 @@ class TestAsymmetricSimilarity:
     def test_no_shared_kept_columns(self, fill):
         """No gallery row keeps the query's kept column, so there is no
         residual product at all; only the fill terms remain."""
-        q_rows = neighborhood_filter([[0.5, 0.0]], 1, fill)
-        g_rows = neighborhood_filter([[0.0, 0.5], [0.0, 0.7]], 1, fill)
+        q_rows = neighborhood_filter(np.array([[0.5, 0.0]]), 1, fill)
+        g_rows = neighborhood_filter(np.array([[0.0, 0.5], [0.0, 0.7]]), 1, fill)
         assert_allclose(
             asymmetric_similarity(q_rows, g_rows),
             naive_similarity(np.asarray(q_rows), np.asarray(g_rows)),

@@ -73,6 +73,13 @@ def test_every_traced_layer_records_a_span(traced_run):
         assert traced_run["rerank"]["counted"][name] > 0, name
 
 
+def test_features_are_checked_once_per_entry(traced_run):
+    """A default rerank checks its features where they enter and nowhere
+    below: `compute_refined_distances` checks query and gallery, each of
+    the two `enhance` calls checks its set, and `optimize` checks both."""
+    assert len(_spans(traced_run["rerank"], "matrix_ops.as_feature_matrix")) == 6
+
+
 def test_memory_trace_records_peaks(traced_run):
     for name in ("enhance.enhance", "optimize.optimize"):
         peaks = [span["peak_alloc"] for span in _spans(traced_run["mem"], name)]

@@ -791,6 +791,68 @@ class TestComputeRefinedDistances:
         assert np.all(np.isfinite(out))
 
 
+def npy_bytes(arr) -> bytes:
+    """A float64 NPY file of `arr` as given, non-finite values included."""
+    return npy_header(arr.shape) + np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+class TestInputContract:
+    """Features are checked once, where they enter, each named, before any stage runs."""
+
+    @pytest.mark.parametrize("flags", [[], ["--joint"], ["--no-dmon"], ["--baseline"]])
+    def test_width_mismatch_fails_before_any_scan(self, tmp_path, capsys, flags):
+        rng = np.random.default_rng(71)
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "q.npy").write_bytes(write_npy(rng.standard_normal((12, 8))))
+        (data / "g.npy").write_bytes(write_npy(rng.standard_normal((30, 6))))
+        with mock.patch("rerankit.enhance.knn_scan") as dmon_scan, \
+                mock.patch.object(optimize_module, "knn_scan") as aro_scan:
+            assert main(rerank_args(data, tmp_path / "run", *flags)) == EXIT_DATA
+        dmon_scan.assert_not_called()
+        aro_scan.assert_not_called()
+        err = capsys.readouterr().err
+        assert err == "data error: dimension mismatch: query dim 8, gallery dim 6\n"
+
+    @pytest.mark.parametrize("side", ["query", "gallery"])
+    @pytest.mark.parametrize("dmon_on", [True, False])
+    def test_non_finite_value_names_its_input(self, side, dmon_on):
+        fq, _, fg, _ = generate(SynthSpec(num_ids=6, imgs_per_id=5, dim=8, seed=3))
+        (fq if side == "query" else fg)[3, 2] = np.nan
+        message = f"^{side} features contains a non-finite value in row 3$"
+        with pytest.raises(ValueError, match=message):
+            compute_refined_distances(fq, fg, PipelineConfig(dmon_on=dmon_on))
+
+    def test_cli_names_the_non_finite_input(self, data_dir, tmp_path, capsys):
+        fg = read_npy((data_dir / "g.npy").read_bytes()).copy()
+        fg[3, 0] = np.inf
+        (data_dir / "g.npy").write_bytes(npy_bytes(fg))
+        assert main(rerank_args(data_dir, tmp_path / "run")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: gallery features contains a non-finite value in row 3\n"
+
+    @pytest.mark.parametrize("form", ["fortran", "float32", "int64", "list"])
+    @pytest.mark.parametrize("pre_normalize", [True, False])
+    def test_any_input_form_gives_the_same_bytes(self, form, pre_normalize):
+        """The entry points convert what they are handed; the stages then see
+        the same C-ordered float64 matrix, so the output bytes do not depend
+        on the input's layout or storage type."""
+        rng = np.random.default_rng(73)
+        fq = rng.integers(-6, 7, size=(20, 5)).astype(np.float64)
+        fg = rng.integers(-6, 7, size=(45, 5)).astype(np.float64)
+        convert = {"fortran": np.asfortranarray, "float32": lambda x: x.astype(np.float32),
+                   "int64": lambda x: x.astype(np.int64), "list": lambda x: x.tolist()}[form]
+        dmon = DmonConfig(pre_normalize=pre_normalize)
+        aro = AroConfig(k2=5, pre_normalize=pre_normalize)
+        cfg = PipelineConfig(dmon=dmon, aro=aro)
+        assert enhance(convert(fg), dmon).tobytes() == enhance(fg, dmon).tobytes()
+        assert optimize(convert(fq), convert(fg), aro).tobytes() == optimize(fq, fg, aro).tobytes()
+        for joint in (False, True):
+            joint_cfg = replace(cfg, dmon_joint=joint)
+            got = compute_refined_distances(convert(fq), convert(fg), joint_cfg)
+            assert got.tobytes() == compute_refined_distances(fq, fg, joint_cfg).tobytes()
+
+
 class TestReadOnlyInputs:
     """float64 files load as read-only views; no stage may write into its input."""
 
