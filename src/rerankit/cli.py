@@ -101,11 +101,6 @@ def _add_config_flags(p: argparse.ArgumentParser, grid: bool = False):
     p.add_argument("--baseline", action="store_true", help="bypass both stages")
     p.add_argument("--no-dmon", action="store_true", help="skip feature enhancement")
     p.add_argument("--no-aro", action="store_true", help="skip distance optimization")
-    p.add_argument(
-        "--aro-on-raw",
-        action="store_true",
-        help="optimize distances of the raw (not enhanced) features",
-    )
     p.add_argument("--joint", action="store_true", help="enhance query+gallery jointly")
     p.add_argument(
         "--no-pre-normalize",
@@ -184,11 +179,7 @@ def _config_from_args(args) -> PipelineConfig:
     parts = {
         "dmon": {"pre_normalize": pre_normalize},
         "aro": {"enabled": not (args.baseline or args.no_aro), "pre_normalize": pre_normalize},
-        None: {
-            "dmon_on": not (args.baseline or args.no_dmon),
-            "aro_uses_enhanced": not args.aro_on_raw,
-            "dmon_joint": args.joint,
-        },
+        None: {"dmon_on": not (args.baseline or args.no_dmon), "dmon_joint": args.joint},
     }
     given = {key: getattr(args, key) for key in _VALUE_FLAGS if getattr(args, key) is not None}
     for key, value in {**PRESETS.get(args.preset, {}), **given}.items():

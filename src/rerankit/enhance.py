@@ -10,8 +10,10 @@ aggregate of its 1st..H-th order neighbors' embeddings:
    computed by index arithmetic: each row's two-hop pool of
    `row * N + col` keys is sorted once and its repeats dropped.
 3. Per-order Gaussian kernel weights with a bandwidth that widens with
-   the order (sigma_h = sigma * 1.5**h), restricted to the neighbor sets.
+   the order (sigma_h = sigma * 1.5**h), restricted to the neighbor sets
+   and row-normalized.
 4. Latent features: sum over orders of decay * (weights @ features),
+   with the halving decay 1, 0.5, 0.25, ...,
    each row's weighted neighbor sum taken over its entries in column
    order.
 5. Output: row-normalized gamma * features + (1 - gamma) * latent.
@@ -58,12 +60,6 @@ class DmonConfig:
         gamma: fusion weight of the original features, in [0, 1].
         sigma: fixed kernel base bandwidth, > 0; None selects the adaptive
             bandwidth, the mean first-order distance.
-        alphas: per-order decay coefficients (>= orders entries); None
-            selects the default halving sequence 1, 0.5, 0.25, ...
-        normalize_weight_rows: rescale each weight row to sum to 1, making
-            the per-order aggregate a weighted neighbor average. Off
-            reproduces the raw-kernel formulation verbatim.
-        disjoint_orders: drop members of lower orders when expanding.
         batch_size: enhance contiguous row chunks of at most this many
             rows independently; None processes the whole set at once.
         pre_normalize: L2-normalize input rows before computing distances.
@@ -73,9 +69,6 @@ class DmonConfig:
     orders: int = 3
     gamma: float = 0.75
     sigma: float | None = None
-    alphas: tuple[float, ...] | None = None
-    normalize_weight_rows: bool = True
-    disjoint_orders: bool = False
     batch_size: int | None = None
     pre_normalize: bool = True
 
@@ -88,19 +81,8 @@ class DmonConfig:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.sigma is not None and not self.sigma > 0.0:
             raise ValueError(f"sigma must be > 0 or None, got {self.sigma}")
-        if self.alphas is not None:
-            if len(self.alphas) < self.orders:
-                raise ValueError(
-                    f"alphas needs at least {self.orders} entries, got {len(self.alphas)}"
-                )
-            object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1 or None, got {self.batch_size}")
-
-    def resolved_alphas(self) -> tuple[float, ...]:
-        if self.alphas is None:
-            return default_decay(self.orders)
-        return self.alphas[: self.orders]
 
 
 @dataclass
@@ -151,15 +133,14 @@ def _pairs(level: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def expand_order(orders: NeighborOrders, disjoint_orders: bool = False) -> NeighborOrders:
+def expand_order(orders: NeighborOrders) -> NeighborOrders:
     """Append the next neighbor order by one-hop expansion.
 
     Order-h neighbors of x are the union of the first-order neighbors of
     x's order-(h-1) neighbors, minus x itself, duplicates removed. The
     two-hop pool of every row is listed as `row * N + col` keys, which
-    one sort orders by row, then column, for dropping repeats. With
-    `disjoint_orders`, members already present at any lower order are
-    removed as well.
+    one sort orders by row, then column, for dropping repeats. A member
+    of a lower order may appear again at a higher one.
     """
     if orders.num_orders < 1:
         raise ValueError("need at least the first order to expand")
@@ -174,10 +155,6 @@ def expand_order(orders: NeighborOrders, disjoint_orders: bool = False) -> Neigh
     keys = keys[np.diff(keys, prepend=-1) != 0]
     rows, cols = np.divmod(keys, n)
     keep = rows != cols
-    if disjoint_orders:
-        for level in orders.levels:
-            lower_rows, lower_cols = _pairs(level)
-            keep &= ~np.isin(keys, lower_rows * n + lower_cols)
     bounds = [0, *np.cumsum(np.bincount(rows[keep], minlength=n)).tolist()]
     cols = cols[keep]
     return NeighborOrders(levels=orders.levels + [[cols[i:j] for i, j in zip(bounds, bounds[1:])]])
@@ -253,21 +230,20 @@ def gaussian_weights(
     feats: np.ndarray,
     orders: NeighborOrders,
     sigma: float,
-    normalize_rows: bool = True,
 ) -> list[OrderWeights]:
     """Per-order Gaussian kernel weights on the neighbor supports.
 
     The order-h weight of neighbor y of sample x is
     exp(-d(x, y)^2 / (2 * sigma_h^2)) with sigma_h = sigma * 1.5**h, and
-    zero off the neighbor sets. With `normalize_rows`, each nonempty row
-    is rescaled to sum to 1 (entries stay in (0, 1]).
+    zero off the neighbor sets. Each nonempty row is then rescaled to
+    sum to 1 (entries stay in (0, 1]), so each order's aggregate is a
+    weighted neighbor average.
 
     Args:
         feats: (N, d) features; d(x, y) is their Euclidean distance,
             computed on the neighbor supports only.
         orders: neighbor sets defining each order's support.
         sigma: base bandwidth, > 0.
-        normalize_rows: rescale rows to unit sum.
 
     Returns:
         One OrderWeights per order, of an (N, N) matrix.
@@ -279,20 +255,19 @@ def gaussian_weights(
         dist = np.sqrt(pair_sq_euclidean(feats, rows, cols))
         sigma_h = sigma * _BANDWIDTH_GROWTH**h
         vals = np.exp(-np.square(dist) / (2.0 * sigma_h**2))
-        if normalize_rows and vals.size:
-            row_sums = np.bincount(rows, weights=vals, minlength=n)
-            vals = vals / row_sums[rows]
+        vals = vals / np.bincount(rows, weights=vals, minlength=n)[rows]
         # first-order lists are nearest first; the sum in `dot` runs in column order
         order = np.argsort(rows * n + cols, kind="stable")
         weights.append(OrderWeights(rows[order], cols[order], vals[order], n))
     return weights
 
 
-def latent_features(weights: list[OrderWeights], feats: np.ndarray, alphas) -> np.ndarray:
-    """Decayed sum of per-order neighbor aggregates: sum_h alphas[h] * (W_h @ F)."""
+def latent_features(weights: list[OrderWeights], feats: np.ndarray) -> np.ndarray:
+    """Decayed sum of per-order neighbor aggregates: sum_h decay[h] * (W_h @ F),
+    with the halving `default_decay`."""
     latent = np.zeros_like(feats)
-    for w, alpha in zip(weights, alphas):
-        latent += alpha * w.dot(feats)
+    for w, decay in zip(weights, default_decay(len(weights))):
+        latent += decay * w.dot(feats)
     return latent
 
 
@@ -332,13 +307,13 @@ def _enhance_whole(feats: np.ndarray, cfg: DmonConfig) -> np.ndarray:
         return l2_normalize_rows(cfg.gamma * base)
     orders = build_first_order(base, cfg.k1)
     for _ in range(1, cfg.orders):
-        orders = expand_order(orders, disjoint_orders=cfg.disjoint_orders)
+        orders = expand_order(orders)
     sigma = cfg.sigma
     if sigma is None:
         sigma = adaptive_sigma(base, orders)
         if sigma <= 0.0:
             sigma = 1.0  # all first-order distances zero: kernel value is 1 anyway
-    weights = gaussian_weights(base, orders, sigma, cfg.normalize_weight_rows)
-    latent = latent_features(weights, base, cfg.resolved_alphas())
+    weights = gaussian_weights(base, orders, sigma)
+    latent = latent_features(weights, base)
     fused = cfg.gamma * base + (1.0 - cfg.gamma) * latent
     return l2_normalize_rows(fused)

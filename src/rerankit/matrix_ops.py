@@ -131,11 +131,11 @@ def l2_normalize_rows(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_sq_euclidean(a: np.ndarray, b: np.ndarray, block: int = 4096, b_sq=None) -> np.ndarray:
+def pairwise_sq_euclidean(a: np.ndarray, b: np.ndarray, b_sq=None) -> np.ndarray:
     """Squared-Euclidean distance matrix between two row sets, by row stripes.
 
     Uses the expansion |x|^2 + |y|^2 - 2<x,y>. Each full-width stripe of
-    at most `block` rows (and about _STRIPE_ELEMS entries) is one GEMM of
+    at most 4096 rows (and about _STRIPE_ELEMS entries) is one GEMM of
     the -2-scaled rows written straight into the output, followed by the
     norm additions while the stripe is still in cache; scratch memory is
     one stripe of `a`. Scaling by -2 is exact, so the values equal those
@@ -147,15 +147,12 @@ def pairwise_sq_euclidean(a: np.ndarray, b: np.ndarray, block: int = 4096, b_sq=
     Args:
         a: (N, d) feature matrix.
         b: (M, d) feature matrix with matching d.
-        block: upper bound on the rows of one stripe, >= 1.
         b_sq: the squared row norms of `b` (einsum "ij,ij->i"), from a
             caller that measures many row sets against one `b`.
 
     Returns:
         np.ndarray: (N, M) float64, non-negative.
     """
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: a has dim {a.shape[1]}, b has dim {b.shape[1]}")
     same = a is b
@@ -165,7 +162,7 @@ def pairwise_sq_euclidean(a: np.ndarray, b: np.ndarray, block: int = 4096, b_sq=
         b_sq = a_sq if same else np.einsum("ij,ij->i", b, b)
 
     out = np.empty((n, m), dtype=np.float64)
-    rows = max(1, min(block, _STRIPE_ELEMS // max(m, 1)))
+    rows = max(1, min(4096, _STRIPE_ELEMS // max(m, 1)))
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
         _sq_dist_stripe(a[i0:i1], b.T, a_sq[i0:i1], b_sq, out[i0:i1])

@@ -6,6 +6,7 @@ bytes exactly. Dataset presets bundle published hyperparameter settings
 so the same configurations can be applied to real feature dumps.
 """
 
+import json
 import os
 import types
 import typing
@@ -61,17 +62,14 @@ class ConfigError(ValueError):
 class PipelineConfig:
     """Which stages run and with what hyperparameters.
 
-    DMON runs when `dmon_on`, ARO when `aro.enabled`. `aro_uses_enhanced`
-    selects whether the distance-optimization stage consumes the enhanced
-    features (the default, matching the serial enhancement -> optimization
-    flow) or the raw ones. `dmon_joint` enhances the concatenation of
-    query and gallery instead of each set separately.
+    DMON runs when `dmon_on`, ARO when `aro.enabled`; ARO measures the
+    enhanced features whenever DMON ran. `dmon_joint` enhances the
+    concatenation of query and gallery instead of each set separately.
     """
 
     dmon: DmonConfig = DmonConfig()
     aro: AroConfig = AroConfig()
     dmon_on: bool = True
-    aro_uses_enhanced: bool = True
     dmon_joint: bool = False
     max_rank: int = MAX_RANK
 
@@ -88,26 +86,41 @@ def config_from_dict(params) -> PipelineConfig:
     """The PipelineConfig that `asdict` recorded as a manifest's `params`.
 
     Every field must be present and of its declared type (JSON integers
-    are read as floats where a float is declared, lists as tuples).
-    Manifests of earlier versions recorded `dmon.sigma_mode` beside
-    `dmon.sigma` and the ARO switch as a top-level `aro_on`; those map to
-    `dmon.sigma` (None when adaptive) and `aro.enabled`.
+    are read as floats where a float is declared). Manifests of earlier
+    versions recorded fields that map to the current ones:
+    - `dmon.sigma_mode` beside `dmon.sigma` maps to `dmon.sigma` (None
+      when adaptive), and a top-level `aro_on` to `aro.enabled`;
+    - `dmon.alphas`, `dmon.normalize_weight_rows` and
+      `dmon.disjoint_orders` are dropped at the one value each can hold
+      now (null, true and false: halving decay, row-normalized kernel
+      weights, overlapping orders);
+    - `aro_uses_enhanced` is dropped; false with ARO on, which measured
+      the raw features, maps to `dmon_on` false.
 
     Raises:
         ConfigError: naming the first field that is missing, unknown,
             ill-typed or out of range.
     """
+    uses_enhanced = True
     if isinstance(params, dict):
         params = {key: dict(v) if isinstance(v, dict) else v for key, v in params.items()}
-        dmon, aro = params.get("dmon"), params.get("aro")
-        mode = dmon.pop("sigma_mode", "fixed") if isinstance(dmon, dict) else "fixed"
+        dmon = params["dmon"] if isinstance(params.get("dmon"), dict) else {}
+        mode = dmon.pop("sigma_mode", "fixed")
         if mode not in ("adaptive", "fixed"):
             raise ConfigError(f"dmon.sigma_mode must be 'adaptive' or 'fixed', got {mode!r}")
         if mode == "adaptive":
             dmon["sigma"] = None
-        if "aro_on" in params and isinstance(aro, dict):
-            aro["enabled"] = params.pop("aro_on")
-    return _build(PipelineConfig, params, "")
+        if "aro_on" in params and isinstance(params.get("aro"), dict):
+            params["aro"]["enabled"] = params.pop("aro_on")
+        retired = {"alphas": None, "normalize_weight_rows": True, "disjoint_orders": False}
+        for name, value in retired.items():
+            got = dmon.pop(name, value)
+            if got is not value:
+                raise ConfigError(f"dmon.{name} can only be {json.dumps(value)}, got {got!r}")
+        uses_enhanced = _typed(params.pop("aro_uses_enhanced", True), bool, "aro_uses_enhanced")
+    cfg = _build(PipelineConfig, params, "")
+    # ARO on the raw features is ARO without DMON
+    return cfg if uses_enhanced or not cfg.aro.enabled else replace(cfg, dmon_on=False)
 
 
 def _build(cls, data, where: str):
@@ -131,16 +144,13 @@ def _build(cls, data, where: str):
 
 
 def _typed(value, hint, name: str):
-    """`value` checked against `hint` (a class, a union of classes, or
-    `tuple[float, ...]`), with JSON integers as floats and lists as tuples."""
+    """`value` checked against `hint` (a class or a union of classes), with
+    JSON integers as floats."""
     for option in typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,):
         if type(value) is option:
             return value
         if option is float and type(value) is int:
             return float(value)
-        if typing.get_origin(option) is tuple and type(value) is list:
-            if all(type(v) in (int, float) for v in value):
-                return tuple(float(v) for v in value)
     raise ConfigError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
 
 
@@ -158,13 +168,10 @@ def compute_refined_distances(
     if cfg.dmon_on:
         if cfg.dmon_joint:
             stacked = enhance(np.vstack([fq, fg]), cfg.dmon)
-            enhanced_q, enhanced_g = stacked[: fq.shape[0]], stacked[fq.shape[0] :]
+            fq, fg = stacked[: fq.shape[0]], stacked[fq.shape[0] :]
         else:
             # batching applies to the gallery side only
-            enhanced_q = enhance(fq, replace(cfg.dmon, batch_size=None))
-            enhanced_g = enhance(fg, cfg.dmon)
-        if cfg.aro_uses_enhanced or not cfg.aro.enabled:
-            fq, fg = enhanced_q, enhanced_g
+            fq, fg = enhance(fq, replace(cfg.dmon, batch_size=None)), enhance(fg, cfg.dmon)
     return optimize(fq, fg, cfg.aro, sink=sink)
 
 

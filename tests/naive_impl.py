@@ -46,7 +46,7 @@ def naive_topk(d, k, exclude_self=False):
     return np.asarray(indices, dtype=np.int64), np.asarray(values)
 
 
-def naive_neighbor_orders(dist, k1, num_orders, disjoint=False):
+def naive_neighbor_orders(dist, k1, num_orders):
     """Order-1 sets from sorted distances; higher orders via set unions."""
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
@@ -64,9 +64,6 @@ def naive_neighbor_orders(dist, k1, num_orders, disjoint=False):
             for y in prev[x]:
                 members.update(first[y])
             members.discard(x)
-            if disjoint:
-                for lower in levels:
-                    members -= set(lower[x])
             nxt.append(sorted(members))
         levels.append(nxt)
     return levels
@@ -79,9 +76,6 @@ def naive_enhance(
     gamma=0.75,
     sigma_mode="adaptive",
     sigma=1.0,
-    alphas=None,
-    normalize_weight_rows=True,
-    disjoint_orders=False,
     batch_size=None,
     pre_normalize=True,
 ):
@@ -98,9 +92,6 @@ def naive_enhance(
                 gamma,
                 sigma_mode,
                 sigma,
-                alphas,
-                normalize_weight_rows,
-                disjoint_orders,
                 None,
                 pre_normalize,
             )
@@ -114,7 +105,7 @@ def naive_enhance(
     dist = np.sqrt(naive_pairwise_sq(base, base))
     for i in range(n):
         dist[i, i] = 0.0
-    levels = naive_neighbor_orders(dist, k1, num_orders, disjoint_orders)
+    levels = naive_neighbor_orders(dist, k1, num_orders)
 
     if sigma_mode == "fixed":
         sig = sigma
@@ -124,8 +115,6 @@ def naive_enhance(
         if sig <= 0.0:
             sig = 1.0
 
-    if alphas is None:
-        alphas = [0.5**h for h in range(num_orders)]
     latent = np.zeros_like(base)
     for h, level in enumerate(levels, start=1):
         sig_h = sig * 1.5**h
@@ -133,9 +122,9 @@ def naive_enhance(
         for x in range(n):
             for y in level[x]:
                 weights[x, y] = math.exp(-(dist[x, y] ** 2) / (2.0 * sig_h**2))
-            if normalize_weight_rows and weights[x].sum() > 0:
+            if weights[x].sum() > 0:
                 weights[x] /= weights[x].sum()
-        latent += alphas[h - 1] * (weights @ base)
+        latent += 0.5 ** (h - 1) * (weights @ base)
     return naive_normalize_rows(gamma * base + (1.0 - gamma) * latent)
 
 

@@ -98,24 +98,6 @@ class TestExpandOrder:
             for x in range(30):
                 assert_array_equal(orders.order(h)[x], expected[h - 1][x])
 
-    def test_disjoint_orders_exclude_lower_levels(self):
-        rng = np.random.default_rng(71)
-        pts = rng.standard_normal((25, 3))
-        dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
-        orders = build_first_order(pts, k1=3)
-        orders = expand_order(orders, disjoint_orders=True)
-        orders = expand_order(orders, disjoint_orders=True)
-        expected = naive_neighbor_orders(dist, k1=3, num_orders=3, disjoint=True)
-        for h in (2, 3):
-            for x in range(25):
-                assert_array_equal(orders.order(h)[x], expected[h - 1][x])
-        # higher levels share no member with lower ones
-        for x in range(25):
-            l1 = set(orders.order(1)[x])
-            l2 = set(orders.order(2)[x])
-            l3 = set(orders.order(3)[x])
-            assert not l1 & l2 and not (l1 | l2) & l3
-
 
 class TestAdaptiveSigma:
     def test_constant_distances(self):
@@ -146,24 +128,22 @@ class TestAdaptiveSigma:
 class TestGaussianWeights:
     def test_zero_distance_weight_is_one(self):
         orders = build_first_order(np.array([[0.0], [1.0]]), k1=1)
-        weights = gaussian_weights(np.zeros((2, 1)), orders, sigma=1.0, normalize_rows=False)
+        weights = gaussian_weights(np.zeros((2, 1)), orders, sigma=1.0)
         assert np.asarray(weights[0])[0, 1] == 1.0
 
     def test_bandwidth_scaling_second_order(self):
-        # sigma=1, order 2 -> bandwidth 2.25; distance 1 -> exp(-1/10.125)
+        # sigma=1, order 2 -> bandwidth 2.25; the row's weights at distances
+        # 1 and 2 keep the ratio of their kernel values through the row
+        # normalization: exp(-1/10.125) / exp(-4/10.125)
         from rerankit.enhance import NeighborOrders
 
-        pts = np.array([[0.0], [1.0]])
-        orders = NeighborOrders(
-            levels=[
-                [np.array([1]), np.array([0])],
-                [np.array([1]), np.array([0])],
-            ]
-        )
-        weights = gaussian_weights(pts, orders, sigma=1.0, normalize_rows=False)
-        expected = math.exp(-1.0 / (2.0 * 2.25**2))
-        assert abs(np.asarray(weights[1])[0, 1] - expected) <= 1e-12
-        assert abs(expected - 0.90595) <= 1e-5
+        pts = np.array([[0.0], [1.0], [2.0]])
+        one = [np.array([1]), np.array([0]), np.array([1])]
+        orders = NeighborOrders(levels=[one, [np.array([1, 2]), one[1], one[2]]])
+        weights = np.asarray(gaussian_weights(pts, orders, sigma=1.0)[1])
+        expected = math.exp(-1.0 / (2.0 * 2.25**2)) / math.exp(-4.0 / (2.0 * 2.25**2))
+        assert abs(weights[0, 1] / weights[0, 2] - expected) <= 1e-12
+        assert abs(expected - 1.34487) <= 1e-5
 
     def test_non_neighbors_have_zero_weight(self):
         rng = np.random.default_rng(79)
@@ -182,7 +162,7 @@ class TestGaussianWeights:
         rng = np.random.default_rng(83)
         pts = rng.standard_normal((12, 3))
         orders = expand_order(build_first_order(pts, k1=2))
-        for mat in gaussian_weights(pts, orders, sigma=0.7, normalize_rows=True):
+        for mat in gaussian_weights(pts, orders, sigma=0.7):
             sums = np.bincount(mat.rows, weights=mat.vals, minlength=mat.n)
             nonempty = np.bincount(mat.rows, minlength=mat.n) > 0
             assert_allclose(sums[nonempty], 1.0, atol=1e-12)
@@ -200,10 +180,9 @@ class TestGaussianWeights:
         rng = np.random.default_rng(97)
         pts = rng.standard_normal((15, 4))
         orders = expand_order(build_first_order(pts, k1=3))
-        for normalize in (False, True):
-            for mat in gaussian_weights(pts, orders, sigma=1.0, normalize_rows=normalize):
-                vals = mat.vals
-                assert np.all(vals > 0.0) and np.all(vals <= 1.0)
+        for mat in gaussian_weights(pts, orders, sigma=1.0):
+            vals = mat.vals
+            assert np.all(vals > 0.0) and np.all(vals <= 1.0)
 
 
 class TestLatentFeatures:
@@ -211,12 +190,15 @@ class TestLatentFeatures:
         empty = np.empty(0, dtype=np.int64)
         weights = [OrderWeights(empty, empty, np.empty(0), 3)]
         feats = np.ones((3, 2))
-        assert_array_equal(latent_features(weights, feats, [1.0]), np.zeros((3, 2)))
+        assert_array_equal(latent_features(weights, feats), np.zeros((3, 2)))
 
     def test_single_unit_weight_scales_neighbor(self):
+        # one unit weight at order 2, whose decay is 0.5
+        empty = np.empty(0, dtype=np.int64)
+        none = OrderWeights(empty, empty, np.empty(0), 2)
         w = OrderWeights(np.array([0]), np.array([1]), np.array([1.0]), 2)
         feats = np.array([[5.0, 0.0], [1.0, 2.0]])
-        out = latent_features([w], feats, [0.5])
+        out = latent_features([none, w], feats)
         assert_allclose(out[0], 0.5 * feats[1])
         assert_allclose(out[1], [0.0, 0.0])
 
@@ -225,11 +207,10 @@ class TestLatentFeatures:
         pts = rng.standard_normal((18, 5))
         orders = expand_order(build_first_order(pts, k1=3))
         weights = gaussian_weights(pts, orders, sigma=1.0)
-        alphas = default_decay(2)
         expected = sum(
-            a * (np.asarray(w) @ pts) for w, a in zip(weights, alphas)
+            a * (np.asarray(w) @ pts) for w, a in zip(weights, default_decay(2))
         )
-        assert_allclose(latent_features(weights, pts, alphas), expected, atol=1e-6)
+        assert_allclose(latent_features(weights, pts), expected, atol=1e-6)
 
 
 class TestEnhance:
@@ -291,20 +272,19 @@ class TestEnhance:
         n = feats.shape[0]
         k1 = data.draw(st.integers(1, n + 1), label="k1")
         orders = data.draw(st.integers(1, 3), label="orders")
-        disjoint = data.draw(st.booleans(), label="disjoint_orders")
         sigma_mode = data.draw(st.sampled_from(["adaptive", "fixed"]), label="sigma_mode")
         sigma = data.draw(st.sampled_from([0.3, 1.0, 2.5]), label="sigma")
         block = data.draw(st.integers(1, 3), label="block rows")
         tile = data.draw(st.integers(1, 4), label="tile columns")
         cfg = DmonConfig(
-            k1=k1, orders=orders, disjoint_orders=disjoint,
+            k1=k1, orders=orders,
             sigma=sigma if sigma_mode == "fixed" else None, pre_normalize=pre_normalize,
         )
         with mock.patch.object(matrix_ops, "_SCAN_BLOCK_ROWS", block), \
                 mock.patch.object(matrix_ops, "_TILE_COLS", tile):
             out = enhance(feats, cfg)
         expected = naive_enhance(
-            feats, k1=k1, num_orders=orders, disjoint_orders=disjoint,
+            feats, k1=k1, num_orders=orders,
             sigma_mode=sigma_mode, sigma=sigma, pre_normalize=pre_normalize,
         )
         assert_allclose(out, expected, atol=1e-6)
@@ -340,20 +320,16 @@ class TestEnhance:
 class TestDmonConfig:
     def test_default_decay_sequence(self):
         assert default_decay(4) == (1.0, 0.5, 0.25, 0.125)
-        cfg = DmonConfig(orders=3)
-        assert cfg.resolved_alphas() == (1.0, 0.5, 0.25)
 
     def test_decay_strictly_decreasing(self):
-        alphas = DmonConfig(orders=5).resolved_alphas()
-        assert all(b < a for a, b in zip(alphas, alphas[1:]))
+        decay = default_decay(5)
+        assert all(b < a for a, b in zip(decay, decay[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="k1"):
             DmonConfig(k1=0)
         with pytest.raises(ValueError, match="gamma"):
             DmonConfig(gamma=1.5)
-        with pytest.raises(ValueError, match="alphas"):
-            DmonConfig(orders=3, alphas=(1.0, 0.5))
         with pytest.raises(ValueError, match="sigma"):
             DmonConfig(sigma=0.0)
         with pytest.raises(ValueError, match="sigma"):

@@ -129,20 +129,22 @@ class TestPairwiseSqEuclidean:
         with pytest.raises(ValueError, match="dimension mismatch"):
             pairwise_sq_euclidean(np.ones((2, 3)), np.ones((2, 4)))
 
-    def test_block_size_invariance(self):
+    def test_block_size_invariance(self, monkeypatch):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((23, 6))
         b = rng.standard_normal((75, 6))
-        whole = pairwise_sq_euclidean(a, b, block=200)
+        whole = pairwise_sq_euclidean(a, b)
         for block in (1, 64):
-            assert_allclose(pairwise_sq_euclidean(a, b, block=block), whole, atol=1e-5)
+            monkeypatch.setattr(matrix_ops, "_STRIPE_ELEMS", block * 75)  # stripes of `block` rows
+            assert_allclose(pairwise_sq_euclidean(a, b), whole, atol=1e-5)
 
-    def test_fixed_block_bitwise_stable(self):
+    def test_fixed_block_bitwise_stable(self, monkeypatch):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((18, 5))
         b = rng.standard_normal((31, 5))
-        first = pairwise_sq_euclidean(a, b, block=7)
-        second = pairwise_sq_euclidean(a, b, block=7)
+        monkeypatch.setattr(matrix_ops, "_STRIPE_ELEMS", 7 * 31)  # stripes of 7 rows
+        first = pairwise_sq_euclidean(a, b)
+        second = pairwise_sq_euclidean(a, b)
         assert_array_equal(first, second)
 
     def test_permutation_equivariance(self):
@@ -152,10 +154,6 @@ class TestPairwiseSqEuclidean:
         perm = rng.permutation(10)
         direct = pairwise_sq_euclidean(a, b[perm])
         assert_allclose(direct, pairwise_sq_euclidean(a, b)[:, perm], atol=1e-9)
-
-    def test_bad_block(self):
-        with pytest.raises(ValueError, match="block"):
-            pairwise_sq_euclidean(np.ones((2, 2)), np.ones((2, 2)), block=0)
 
 
 class TestTopkSmallest:

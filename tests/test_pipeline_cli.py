@@ -146,12 +146,11 @@ class TestRerankCommand:
         code = main([
             "rerank", "--query", str(data_dir / "q.npy"), "--gallery",
             str(data_dir / "g.npy"), "--out", str(out),
-            "--joint", "--aro-on-raw", "--no-pre-normalize",
+            "--joint", "--no-pre-normalize",
         ])
         assert code == EXIT_OK
         params = read_json((out / "manifest.json").read_text())["params"]
         assert params["dmon_joint"] is True
-        assert params["aro_uses_enhanced"] is False
         assert params["dmon"]["pre_normalize"] is False
         assert params["aro"]["pre_normalize"] is False
 
@@ -233,13 +232,14 @@ NON_DEFAULT_FLAGS = {
     "--baseline": [],
     "--no-dmon": [],
     "--no-aro": [],
-    "--aro-on-raw": [],
     "--joint": [],
     "--no-pre-normalize": [],
 }
 
 # A rerank manifest as earlier versions wrote it: the bandwidth as
-# `sigma_mode` plus `sigma`, the ARO switch as top-level `aro_on`.
+# `sigma_mode` plus `sigma`, the ARO switch as top-level `aro_on`, and
+# DMON and ARO settings that are fixed now (`dmon.alphas`,
+# `dmon.normalize_weight_rows`, `dmon.disjoint_orders`, `aro_uses_enhanced`).
 OLD_MANIFEST = """{{
   "command": "rerank",
   "inputs": {{"gallery": {gallery}, "query": {query}}},
@@ -279,12 +279,37 @@ def params_of(run):
     return read_json((run / "manifest.json").read_text())["params"]
 
 
+def field_paths(cfg) -> dict:
+    """Each field of a PipelineConfig, its sections' fields as `section.field`."""
+    paths = {}
+    for key, value in asdict(cfg).items():
+        if isinstance(value, dict):
+            paths.update({f"{key}.{name}": v for name, v in value.items()})
+        else:
+            paths[key] = value
+    return paths
+
+
 class TestParameterSurface:
     """Every parameter is defined once, recorded in the manifest, and
     replayed from it; nothing the user passes is silently ignored."""
 
     def test_every_rerank_parameter_flag_has_a_case(self):
         assert rerank_parameter_flags() == set(NON_DEFAULT_FLAGS)
+
+    def test_every_config_field_can_be_set_from_the_command_line(self):
+        """A field that no flag or preset changes holds one value in use, so
+        it belongs in the code as a constant. Builds configs only."""
+        parser = cli._build_parser()
+        default = field_paths(PipelineConfig())
+        cases = [[flag, *values] for flag, values in NON_DEFAULT_FLAGS.items()]
+        cases += [["--preset", name] for name in pipeline.PRESETS]
+        changed = set()
+        for case in cases:
+            args = parser.parse_args(rerank_args(Path("data"), Path("run"), *case))
+            got = field_paths(cli._config_from_args(args))
+            changed |= {path for path, value in default.items() if got[path] != value}
+        assert changed == set(default)
 
     @pytest.mark.parametrize("flag", sorted(NON_DEFAULT_FLAGS))
     def test_flag_changes_params_and_replays(self, data_dir, tmp_path, flag):
@@ -295,20 +320,40 @@ class TestParameterSurface:
         assert replay(run / "manifest.json", again) == EXIT_OK
         assert (again / "dist.npy").read_bytes() == (run / "dist.npy").read_bytes()
 
-    @pytest.mark.parametrize(
-        "sigma_mode, sigma, aro_on, flags",
-        [("fixed", 0.4, "false", ["--sigma", "0.4", "--no-aro"]), ("adaptive", 1.0, "true", [])],
-    )
+    @pytest.mark.parametrize("sigma_mode, sigma, aro_on, edit, expect", [
+        ("fixed", 0.4, "false", {}, ["--sigma", "0.4", "--no-aro"]),
+        ("adaptive", 1.0, "true", {}, []),
+        # ARO on the raw features is ARO without DMON
+        ("adaptive", 1.0, "true", {"aro_uses_enhanced": False}, ["--no-dmon"]),
+        # without ARO, the features it would measure change nothing
+        ("adaptive", 1.0, "false", {"aro_uses_enhanced": False}, ["--no-aro"]),
+        ("adaptive", 1.0, "true", {"dmon": {"alphas": [1, 0.5, 0.25]}}, "dmon.alphas"),
+        ("adaptive", 1.0, "true", {"dmon": {"normalize_weight_rows": False}},
+         "dmon.normalize_weight_rows"),
+        ("adaptive", 1.0, "true", {"dmon": {"disjoint_orders": True}}, "dmon.disjoint_orders"),
+    ])
     def test_old_manifest_replays_like_the_new_flags(
-        self, data_dir, tmp_path, sigma_mode, sigma, aro_on, flags
+        self, data_dir, tmp_path, capsys, sigma_mode, sigma, aro_on, edit, expect
     ):
-        old = tmp_path / "old.json"
-        old.write_text(OLD_MANIFEST.format(
+        """`expect` is the flags of a new run with the same params and bytes,
+        or the field named by the configuration error (exit 2) of a replay
+        that a fixed setting refuses."""
+        manifest = json.loads(OLD_MANIFEST.format(
             query=json.dumps(str(data_dir / "q.npy")), gallery=json.dumps(str(data_dir / "g.npy")),
             sigma=sigma, sigma_mode=sigma_mode, aro_on=aro_on,
         ))
+        params = manifest["params"]
+        for key, value in edit.items():
+            params[key] = {**params[key], **value} if isinstance(value, dict) else value
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        if isinstance(expect, str):
+            assert replay(old, tmp_path / "old") == EXIT_CONFIG
+            assert expect in capsys.readouterr().err
+            assert not (tmp_path / "old").exists()
+            return
         assert replay(old, tmp_path / "old") == EXIT_OK
-        assert main(rerank_args(data_dir, tmp_path / "new", *flags)) == EXIT_OK
+        assert main(rerank_args(data_dir, tmp_path / "new", *expect)) == EXIT_OK
         assert params_of(tmp_path / "old") == params_of(tmp_path / "new")
         assert (tmp_path / "old" / "dist.npy").read_bytes() == (
             tmp_path / "new" / "dist.npy").read_bytes()
@@ -388,7 +433,7 @@ class TestManifestErrors:
 
     def test_config_from_dict_inverts_asdict(self):
         cfg = PipelineConfig(
-            dmon=DmonConfig(sigma=0.3, alphas=(1.0, 0.25, 0.125), batch_size=9),
+            dmon=DmonConfig(sigma=0.3, batch_size=9),
             aro=AroConfig(fill_value=0.0, enabled=False), dmon_joint=True, max_rank=7,
         )
         assert config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
@@ -771,16 +816,6 @@ class TestComputeRefinedDistances:
         joint = compute_refined_distances(fq, fg, replace(cfg, dmon_joint=True))
         assert separate.shape == joint.shape == (fq.shape[0], fg.shape[0])
         assert not np.allclose(separate, joint)
-
-    def test_aro_on_raw_ignores_enhancement(self):
-        fq, _, fg, _ = generate(SynthSpec(num_ids=6, imgs_per_id=5, dim=8, seed=5))
-        with_raw = compute_refined_distances(
-            fq, fg, PipelineConfig(aro_uses_enhanced=False)
-        )
-        aro_only = compute_refined_distances(
-            fq, fg, PipelineConfig(dmon_on=False)
-        )
-        assert_array_equal(with_raw, aro_only)
 
     def test_batch_flag_only_chunks_gallery(self):
         fq, _, fg, _ = generate(SynthSpec(num_ids=8, imgs_per_id=5, dim=8, seed=9))

@@ -50,15 +50,11 @@ def _adjacency(level):
     return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(len(level), len(level)))
 
 
-def csr_expand(orders, disjoint_orders):
+def csr_expand(orders):
     """The next order as the support of S_last @ S_1 minus the diagonal."""
     n = orders.num_samples
     reach = _adjacency(orders.levels[-1]) @ _adjacency(orders.levels[0])
-    dropped = sp.identity(n, format="csr")
-    if disjoint_orders:
-        for level in orders.levels:
-            dropped = dropped + _adjacency(level)
-    reach = reach - reach.multiply(dropped > 0)
+    reach = reach - reach.multiply(sp.identity(n, format="csr") > 0)
     reach.sort_indices()
     return np.split(reach.indices.astype(np.int64), reach.indptr[1:-1])
 
@@ -85,12 +81,12 @@ def neighbor_lists(draw):
     return NeighborOrders(levels=[level])
 
 
-@given(orders=neighbor_lists(), disjoint=st.booleans(), hops=st.integers(1, 3))
+@given(orders=neighbor_lists(), hops=st.integers(1, 3))
 @settings(max_examples=300, deadline=None)
-def test_expand_order_matches_csr_product(orders, disjoint, hops):
+def test_expand_order_matches_csr_product(orders, hops):
     for _ in range(hops):
-        expected = csr_expand(orders, disjoint)
-        orders = expand_order(orders, disjoint_orders=disjoint)
+        expected = csr_expand(orders)
+        orders = expand_order(orders)
         assert len(orders.levels[-1]) == len(expected)
         for got, want in zip(orders.levels[-1], expected):
             assert got.dtype == np.int64
@@ -102,13 +98,11 @@ def test_expand_order_matches_csr_product(orders, disjoint, hops):
     dim=st.integers(1, 5),
     k1=st.integers(1, 4),
     num_orders=st.integers(1, 4),
-    disjoint=st.booleans(),
-    normalize=st.booleans(),
     gather=st.sampled_from([1, 7, 64, matrix_ops._GATHER_ELEMS]),
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=200, deadline=None)
-def test_latent_product_matches_csr(n, dim, k1, num_orders, disjoint, normalize, gather, seed):
+def test_latent_product_matches_csr(n, dim, k1, num_orders, gather, seed):
     """Small-integer features tie distances; some rows lose all neighbours."""
     rng = np.random.default_rng(seed)
     feats = rng.integers(-2, 3, (n, dim)).astype(np.float64)
@@ -117,14 +111,14 @@ def test_latent_product_matches_csr(n, dim, k1, num_orders, disjoint, normalize,
     orders = NeighborOrders(levels=[[nbrs[:0] if b else nbrs
                                      for nbrs, b in zip(orders.levels[0], blank)]])
     for _ in range(1, num_orders):
-        orders = expand_order(orders, disjoint_orders=disjoint)
-    weights = gaussian_weights(feats, orders, sigma=0.8, normalize_rows=normalize)
-    alphas = (1.0, 0.5, 0.25, 0.125)
+        orders = expand_order(orders)
+    weights = gaussian_weights(feats, orders, sigma=0.8)
+    decay = (1.0, 0.5, 0.25, 0.125)
     with mock.patch.object(enhance_module, "_GATHER_ELEMS", gather):
-        latent = latent_features(weights, feats, alphas)
+        latent = latent_features(weights, feats)
         products = [w.dot(feats) for w in weights]
     expected = np.zeros_like(feats)
-    for w, alpha, got in zip(weights, alphas, products):
+    for w, alpha, got in zip(weights, decay, products):
         mat = sp.csr_matrix((w.vals, (w.rows, w.cols)), shape=(n, n))
         assert w.nnz == mat.nnz
         assert_array_equal(np.asarray(w), mat.toarray())
