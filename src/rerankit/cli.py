@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .enhance import DmonConfig
-from .io_formats import LabelFormatError, NpyFormatError, write_json
+from .io_formats import write_json
 from .optimize import AroConfig
 from .pipeline import (
     PRESETS,
@@ -294,13 +294,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NpyFormatError, LabelFormatError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except ValueError as exc:  # NpyFormatError and LabelFormatError too
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

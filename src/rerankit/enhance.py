@@ -96,18 +96,6 @@ class NeighborOrders:
 
     levels: list[list[np.ndarray]]
 
-    @property
-    def num_orders(self) -> int:
-        return len(self.levels)
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.levels[0]) if self.levels else 0
-
-    def order(self, h: int) -> list[np.ndarray]:
-        """Neighbor lists of order h (1-based)."""
-        return self.levels[h - 1]
-
 
 def build_first_order(feats: np.ndarray, k1: int) -> NeighborOrders:
     """First-order neighbors: the k1 nearest other samples of each row.
@@ -142,9 +130,7 @@ def expand_order(orders: NeighborOrders) -> NeighborOrders:
     one sort orders by row, then column, for dropping repeats. A member
     of a lower order may appear again at a higher one.
     """
-    if orders.num_orders < 1:
-        raise ValueError("need at least the first order to expand")
-    n = orders.num_samples
+    n = len(orders.levels[0])
     first_rows, first_cols = _pairs(orders.levels[0])
     first_len = np.bincount(first_rows, minlength=n)
     rows, hops = _pairs(orders.levels[-1])
@@ -230,6 +216,7 @@ def gaussian_weights(
     feats: np.ndarray,
     orders: NeighborOrders,
     sigma: float,
+    adaptive: bool = False,
 ) -> list[OrderWeights]:
     """Per-order Gaussian kernel weights on the neighbor supports.
 
@@ -237,25 +224,33 @@ def gaussian_weights(
     exp(-d(x, y)^2 / (2 * sigma_h^2)) with sigma_h = sigma * 1.5**h, and
     zero off the neighbor sets. Each nonempty row is then rescaled to
     sum to 1 (entries stay in (0, 1]), so each order's aggregate is a
-    weighted neighbor average.
+    weighted neighbor average; a ValueError reports a row whose weights
+    all underflow to zero, before any rescaling.
 
     Args:
         feats: (N, d) features; d(x, y) is their Euclidean distance,
             computed on the neighbor supports only.
         orders: neighbor sets defining each order's support.
-        sigma: base bandwidth, > 0.
+        sigma: base bandwidth, > 0, adaptive or fixed as `adaptive` says.
 
     Returns:
         One OrderWeights per order, of an (N, N) matrix.
     """
-    n = orders.num_samples
+    n = len(orders.levels[0])
     weights = []
     for h, level in enumerate(orders.levels, start=1):
         rows, cols = _pairs(level)
         dist = np.sqrt(pair_sq_euclidean(feats, rows, cols))
         sigma_h = sigma * _BANDWIDTH_GROWTH**h
-        vals = np.exp(-np.square(dist) / (2.0 * sigma_h**2))
-        vals = vals / np.bincount(rows, weights=vals, minlength=n)[rows]
+        with np.errstate(all="ignore"):  # a row of vanished weights is reported below
+            vals = np.exp(-np.square(dist) / (2.0 * sigma_h**2))
+        sums = np.bincount(rows, weights=vals, minlength=n)[rows]
+        if not (sums > 0.0).all():
+            raise ValueError(
+                f"order-{h} kernel weights of row {rows[np.argmin(sums > 0.0)]} all underflow at "
+                f"{'adaptive' if adaptive else 'fixed'} sigma {sigma:.3g}; set a larger --sigma"
+            )
+        vals = vals / sums
         # first-order lists are nearest first; the sum in `dot` runs in column order
         order = np.argsort(rows * n + cols, kind="stable")
         weights.append(OrderWeights(rows[order], cols[order], vals[order], n))
@@ -313,7 +308,7 @@ def _enhance_whole(feats: np.ndarray, cfg: DmonConfig) -> np.ndarray:
         sigma = adaptive_sigma(base, orders)
         if sigma <= 0.0:
             sigma = 1.0  # all first-order distances zero: kernel value is 1 anyway
-    weights = gaussian_weights(base, orders, sigma)
+    weights = gaussian_weights(base, orders, sigma, adaptive=cfg.sigma is None)
     latent = latent_features(weights, base)
     fused = cfg.gamma * base + (1.0 - cfg.gamma) * latent
     return l2_normalize_rows(fused)

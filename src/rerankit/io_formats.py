@@ -39,8 +39,6 @@ _DESCR_TO_DTYPE = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 _PRECISION_TO_DESCR = {
     "float32": "<f4",
     "float64": "<f8",
-    "<f4": "<f4",
-    "<f8": "<f8",
 }
 _DATA_ALIGN = 64
 # magic(6) + version(2) + length field(2) + the longest header a v1.0 file can declare
@@ -338,6 +336,4 @@ def write_json(obj) -> str:
 
 
 def read_json(text):
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     return json.loads(text)

@@ -32,7 +32,8 @@ also hold +inf), and k and sigma are as `DmonConfig` and `AroConfig`
 validate them. `as_feature_matrix` makes such a matrix from any
 array-like input. It runs only where features enter the toolkit
 (`pipeline.compute_refined_distances`, `enhance.enhance` and
-`optimize.optimize`); nothing below those checks or converts again.
+`optimize.optimize`); nothing below those checks or converts again,
+re-checks that widths agree, or treats an argument by its identity.
 """
 
 import ctypes
@@ -42,13 +43,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-# Cap on elements touched per internal row chunk of `topk_smallest`. On
-# the full-row path it keeps argpartition's int64 index buffer near
-# 128 MB even for very wide matrices (rows re-sorted for boundary ties
-# take a copy and a stable argsort of theirs); the tile path gathers at
-# most 2k tiles per row on average and needs no full-width index buffer.
-_CHUNK_ELEMS = 16_000_000
 
 # Column tile width of the tile-minimum selection in `topk_smallest` and
 # in the float32 prefilter of `knn_scan`.
@@ -140,34 +134,28 @@ def pairwise_sq_euclidean(a: np.ndarray, b: np.ndarray, b_sq=None) -> np.ndarray
     norm additions while the stripe is still in cache; scratch memory is
     one stripe of `a`. Scaling by -2 is exact, so the values equal those
     of scaling the product. Tiny negative rounding artifacts are clamped
-    to zero. When both arguments are the same object the diagonal is set
-    to exactly zero; an equal copy gets the plain expansion, so equal
-    row sets are treated alike whatever their shape.
+    to zero. No entry is set apart: a row's distance to an equal row,
+    itself included, is whatever the expansion leaves, near zero.
 
     Args:
         a: (N, d) feature matrix.
-        b: (M, d) feature matrix with matching d.
+        b: (M, d) feature matrix of the same width d.
         b_sq: the squared row norms of `b` (einsum "ij,ij->i"), from a
             caller that measures many row sets against one `b`.
 
     Returns:
         np.ndarray: (N, M) float64, non-negative.
     """
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: a has dim {a.shape[1]}, b has dim {b.shape[1]}")
-    same = a is b
     n, m = a.shape[0], b.shape[0]
     a_sq = np.einsum("ij,ij->i", a, a)
     if b_sq is None:
-        b_sq = a_sq if same else np.einsum("ij,ij->i", b, b)
+        b_sq = np.einsum("ij,ij->i", b, b)
 
     out = np.empty((n, m), dtype=np.float64)
     rows = max(1, min(4096, _STRIPE_ELEMS // max(m, 1)))
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
         _sq_dist_stripe(a[i0:i1], b.T, a_sq[i0:i1], b_sq, out[i0:i1])
-    if same:
-        np.fill_diagonal(out, 0.0)
     return out
 
 
@@ -226,10 +214,8 @@ def _pair_sq_dist(feats, sq_norms, rows, cols, out) -> None:
 def gather_ranges(starts, lengths, *arrays) -> list[np.ndarray]:
     """For each array, the concatenation of its slices [s, s + n) over the (s, n) pairs.
 
-    The ranges are gathered through one index array of every position.
+    The int64 ranges are gathered through one index array of every position.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
     ends = np.cumsum(lengths)
     pos = np.repeat(starts - (ends - lengths), lengths)
     pos += np.arange(pos.size, dtype=np.int64)
@@ -241,7 +227,8 @@ def topk_smallest(arr: np.ndarray, k: int) -> TopKResult:
 
     Ties are broken by ascending column index, so repeated calls on the
     same input always produce identical index lists. k is clamped to the
-    number of columns.
+    number of columns. The matrix is searched in one pass: its caller
+    hands it blocks of about _STRIPE_ELEMS / 8 entries.
 
     When 2 * k * _TILE_COLS <= M, selection runs through column tiles
     (see `_topk_tiled`): only the entries no larger than the k-th
@@ -250,22 +237,13 @@ def topk_smallest(arr: np.ndarray, k: int) -> TopKResult:
     whose tiles tie too often, are searched whole.
 
     Args:
-        arr: (N, M) distance matrix.
-        k: number of entries to keep per row.
+        arr: (N, M) distance matrix, M >= 1.
+        k: number of entries to keep per row, >= 1.
 
     Returns:
         TopKResult: indices (N, k_eff) int64 and values (N, k_eff) float64.
     """
-    n, m = arr.shape
-    k_eff = min(k, m)
-    out = TopKResult(np.empty((n, k_eff), dtype=np.int64), np.empty((n, k_eff)))
-    if k_eff == 0:
-        return out
-    chunk = max(1, _CHUNK_ELEMS // m)
-    for r0 in range(0, n, chunk):
-        r1 = r0 + chunk
-        out.indices[r0:r1], out.values[r0:r1] = _topk_block(arr[r0:r1], k_eff)
-    return out
+    return TopKResult(*_topk_block(arr, min(k, arr.shape[1])))
 
 
 def _topk_block(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

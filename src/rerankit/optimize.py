@@ -186,22 +186,17 @@ def asymmetric_similarity(q_rows: FilteredRows, g_rows: FilteredRows) -> np.ndar
     fill constant plus a residual on its kept entries: a dot product is
     a constant, two residual sums and a `residual_product` entry.
     Zero rows contribute zeros. The result is clamped into [0, 1] to
-    absorb rounding excess.
+    absorb rounding excess. Both row sets are Ng wide.
 
     Raises:
-        ValueError: if the rows differ in width, or a kept distance or a
-            row norm is not finite (the squared distances overflowed).
+        ValueError: if a kept distance or a row norm is not finite (the
+            squared distances overflowed).
     """
-    num_cols = q_rows.num_cols
-    if g_rows.num_cols != num_cols:
-        raise ValueError(
-            f"shape mismatch: {num_cols} query columns vs {g_rows.num_cols} gallery columns"
-        )
     return _similarity(q_rows, g_rows)
 
 
 def _similarity(q_rows: FilteredRows, g_rows: FilteredRows) -> np.ndarray:
-    """`asymmetric_similarity` of rows of equal width, unchecked."""
+    """`asymmetric_similarity`, as helper lanes call it (see `_run_lanes`)."""
     q_resid, q_norms = q_rows._stats
     g_resid, g_norms = g_rows._stats
     sim = residual_product(q_rows, g_rows)

@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .enhance import DmonConfig, enhance
 from .io_formats import (
+    LabelFormatError,
     NpyRows,
     NpyRowWriter,
     npy_header,
@@ -28,7 +29,7 @@ from .io_formats import (
     write_labels,
     write_npy,
 )
-from .metrics import MAX_RANK, EvalReport, evaluate
+from .metrics import MAX_RANK, EvalReport, SampleLabels, evaluate
 from .optimize import AroConfig, as_query_gallery, optimize
 from .synthetic import SynthSpec, generate
 
@@ -302,8 +303,8 @@ def eval_files(
     """
     with open(dist_path, "rb") as fh:
         dist = NpyRows(fh)
-        q_labels = read_labels(Path(query_labels_path).read_text(encoding="utf-8"))
-        g_labels = read_labels(Path(gallery_labels_path).read_text(encoding="utf-8"))
+        q_labels = _read_label_file(query_labels_path)
+        g_labels = _read_label_file(gallery_labels_path)
         report = evaluate(dist, q_labels, g_labels, max_rank=max_rank)
     effective = {
         "tool": "rerankit",
@@ -320,6 +321,14 @@ def eval_files(
         Path(report_path).parent.mkdir(parents=True, exist_ok=True)
         Path(report_path).write_text(write_json(doc), encoding="utf-8")
     return doc
+
+
+def _read_label_file(path) -> SampleLabels:
+    """`read_labels` of the bytes of a label file; an error names the file."""
+    try:
+        return read_labels(Path(path).read_bytes())
+    except LabelFormatError as exc:
+        raise LabelFormatError(f"{path}: {exc}") from None
 
 
 def _evaluate_config(fq, q_labels, fg, g_labels, cfg: PipelineConfig) -> EvalReport:
@@ -361,8 +370,8 @@ def run_sweep(
         raise ValueError("empty sweep grid")
     fq = read_npy(Path(query_path).read_bytes())
     fg = read_npy(Path(gallery_path).read_bytes())
-    q_labels = read_labels(Path(query_labels_path).read_text(encoding="utf-8"))
-    g_labels = read_labels(Path(gallery_labels_path).read_text(encoding="utf-8"))
+    q_labels = _read_label_file(query_labels_path)
+    g_labels = _read_label_file(gallery_labels_path)
 
     base_cfg = cells[0].with_stages(False, False)
     base = _evaluate_config(fq, q_labels, fg, g_labels, base_cfg)

@@ -36,7 +36,7 @@ def line_points():
 class TestBuildFirstOrder:
     def test_line_with_tie(self):
         orders = build_first_order(line_points(), k1=1)
-        level = orders.order(1)
+        level = orders.levels[0]
         assert_array_equal(level[0], [1])
         assert_array_equal(level[1], [0])  # tie between 0 and 2 -> lower index
         assert_array_equal(level[2], [1])
@@ -44,13 +44,13 @@ class TestBuildFirstOrder:
     def test_k1_clamped_with_warning(self):
         with pytest.warns(RuntimeWarning, match="clamping"):
             orders = build_first_order(line_points(), k1=5)
-        assert all(len(nbrs) == 2 for nbrs in orders.order(1))
+        assert all(len(nbrs) == 2 for nbrs in orders.levels[0])
 
     def test_no_self_membership(self):
         rng = np.random.default_rng(53)
         pts = rng.standard_normal((12, 3))
         orders = build_first_order(pts, k1=4)
-        for x, nbrs in enumerate(orders.order(1)):
+        for x, nbrs in enumerate(orders.levels[0]):
             assert x not in nbrs
 
     def test_matches_bruteforce(self):
@@ -60,7 +60,7 @@ class TestBuildFirstOrder:
         orders = build_first_order(pts, k1=3)
         expected = naive_neighbor_orders(dist, k1=3, num_orders=1)
         for x in range(30):
-            assert_array_equal(orders.order(1)[x], expected[0][x])
+            assert_array_equal(orders.levels[0][x], expected[0][x])
 
     def test_squared_and_unsquared_agree(self):
         rng = np.random.default_rng(61)
@@ -70,13 +70,13 @@ class TestBuildFirstOrder:
         for dist in (sq, np.sqrt(sq)):
             expected = naive_neighbor_orders(dist, k1=3, num_orders=1)
             for x in range(15):
-                assert_array_equal(orders.order(1)[x], expected[0][x])
+                assert_array_equal(orders.levels[0][x], expected[0][x])
 
 
 class TestExpandOrder:
     def test_line_chain(self):
         orders = expand_order(build_first_order(line_points(), k1=1))
-        assert_array_equal(orders.order(2)[2], [0])  # neighbors-of-neighbor minus self
+        assert_array_equal(orders.levels[1][2], [0])  # neighbors-of-neighbor minus self
 
     def test_empty_source_stays_empty(self):
         from rerankit.enhance import NeighborOrders
@@ -84,7 +84,7 @@ class TestExpandOrder:
         empty = np.empty(0, dtype=np.int64)
         one = NeighborOrders(levels=[[empty, np.array([0])]])
         out = expand_order(one)
-        assert out.order(2)[0].size == 0
+        assert out.levels[1][0].size == 0
 
     def test_matches_set_algebra(self):
         rng = np.random.default_rng(67)
@@ -96,7 +96,7 @@ class TestExpandOrder:
         expected = naive_neighbor_orders(dist, k1=2, num_orders=3)
         for h in (2, 3):
             for x in range(30):
-                assert_array_equal(orders.order(h)[x], expected[h - 1][x])
+                assert_array_equal(orders.levels[h - 1][x], expected[h - 1][x])
 
 
 class TestAdaptiveSigma:
@@ -121,7 +121,7 @@ class TestAdaptiveSigma:
         pts = rng.standard_normal((20, 3))
         dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
         orders = build_first_order(pts, k1=3)
-        flat = [dist[x, y] for x in range(20) for y in orders.order(1)[x]]
+        flat = [dist[x, y] for x in range(20) for y in orders.levels[0][x]]
         assert abs(adaptive_sigma(pts, orders) - np.mean(flat)) <= 1e-12
 
 
@@ -150,7 +150,7 @@ class TestGaussianWeights:
         pts = rng.standard_normal((10, 2))
         orders = build_first_order(pts, k1=2)
         mat = np.asarray(gaussian_weights(pts, orders, sigma=1.0)[0])
-        members = {(x, y) for x in range(10) for y in orders.order(1)[x]}
+        members = {(x, y) for x in range(10) for y in orders.levels[0][x]}
         for x in range(10):
             for y in range(10):
                 if (x, y) not in members:
@@ -183,6 +183,36 @@ class TestGaussianWeights:
         for mat in gaussian_weights(pts, orders, sigma=1.0):
             vals = mat.vals
             assert np.all(vals > 0.0) and np.all(vals <= 1.0)
+
+
+def underflow_gallery():
+    """40 random rows, each repeated 3 times, then one far outlier (row 120).
+    The adaptive sigma, the mean first-order distance, is nearly all zero
+    distances between copies, so every kernel weight of row 120 underflows."""
+    rng = np.random.default_rng(0)
+    return np.vstack([np.repeat(rng.standard_normal((40, 8)), 3, axis=0),
+                      10 * rng.standard_normal((1, 8))])
+
+
+class TestKernelUnderflow:
+    """A row whose kernel weights all underflow is reported by order, row and
+    bandwidth, with no numpy warning, instead of becoming a NaN row."""
+
+    def test_fixed_sigma(self):
+        feats = np.random.default_rng(5).standard_normal((50, 8))
+        message = "^order-1 kernel weights of row 0 all underflow at fixed sigma 0.001; set a larger"
+        with pytest.raises(ValueError, match=message):
+            enhance(feats, DmonConfig(sigma=1e-3))
+
+    def test_adaptive_sigma(self):
+        message = "^order-1 kernel weights of row 120 all underflow at adaptive sigma "
+        with pytest.raises(ValueError, match=message):
+            enhance(underflow_gallery(), DmonConfig())
+
+    def test_bandwidth_whose_square_underflows(self):
+        feats = np.random.default_rng(6).standard_normal((20, 4))
+        with pytest.raises(ValueError, match="all underflow at fixed sigma 1e-200"):
+            enhance(feats, DmonConfig(sigma=1e-200))
 
 
 class TestLatentFeatures:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -31,6 +32,7 @@ from rerankit.pipeline import (
 from rerankit.synthetic import SynthSpec, generate
 
 from naive_impl import naive_evaluate
+from test_enhance import underflow_gallery
 from test_matrix_ops import FakeBlasThreads
 
 
@@ -886,6 +888,66 @@ class TestInputContract:
             joint_cfg = replace(cfg, dmon_joint=joint)
             got = compute_refined_distances(convert(fq), convert(fg), joint_cfg)
             assert got.tobytes() == compute_refined_distances(fq, fg, joint_cfg).tobytes()
+
+
+class TestKernelUnderflow:
+    """A bandwidth under which a row's kernel weights all underflow is a data
+    error naming the bandwidth, not a NaN row blamed on finite input."""
+
+    def test_fixed_sigma(self, data_dir, tmp_path, capsys):
+        code = main(rerank_args(data_dir, tmp_path / "run", "--sigma", "0.001"))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"data error: order-1 kernel weights of row \d+ all underflow at fixed sigma "
+            r"0\.001; set a larger --sigma\n", err), err
+        assert not (tmp_path / "run" / "dist.npy").exists()
+
+    def test_adaptive_sigma(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "q.npy").write_bytes(write_npy(np.random.default_rng(1).standard_normal((10, 8))))
+        (data / "g.npy").write_bytes(write_npy(underflow_gallery()))
+        assert main(rerank_args(data, tmp_path / "run")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "data error: order-1 kernel weights of row 120 all underflow at adaptive sigma "), err
+
+
+def bad_label_run(data_dir, tmp_path, command, side, content: bytes):
+    """Overwrite one label file with `content`, then run eval (of a baseline
+    rerank) or sweep on the split; returns (exit code, the file's path)."""
+    labels = data_dir / f"{side}_labels.csv"
+    labels.write_bytes(content)
+    if command == "eval":
+        assert main(rerank_args(data_dir, tmp_path / "run", "--baseline")) == EXIT_OK
+        args = eval_args(data_dir, tmp_path / "run")
+    else:
+        args = ["sweep", "--query", str(data_dir / "q.npy"), "--gallery", str(data_dir / "g.npy"),
+                "--query-labels", str(data_dir / "q_labels.csv"),
+                "--gallery-labels", str(data_dir / "g_labels.csv"),
+                "--out", str(tmp_path / "sweep.csv")]
+    return main(args), labels
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+@pytest.mark.parametrize("side", ["q", "g"])
+class TestLabelFileErrors:
+    """Label files are decoded by `read_labels`, and an error names the file."""
+
+    def test_malformed_line_names_the_file(self, data_dir, tmp_path, capsys, command, side):
+        code, labels = bad_label_run(data_dir, tmp_path, command, side,
+                                     b"pid,camid\n1,0\n2,1,5\n")
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {labels}: expected 2 fields, got 3 (line 3)\n"
+
+    def test_non_utf8_is_a_typed_label_error(self, data_dir, tmp_path, capsys, command, side):
+        code, labels = bad_label_run(data_dir, tmp_path, command, side,
+                                     b"pid,camid\n\xff1,0\n")
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {labels}: labels are not valid UTF-8: "), err
 
 
 class TestReadOnlyInputs:

@@ -8,7 +8,6 @@ CSR computation it replaced. scipy is a test-only dependency; without it
 this module is skipped.
 """
 
-import importlib
 from unittest import mock
 
 import numpy as np
@@ -17,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+import rerankit.enhance as enhance_module
+import rerankit.optimize as optimize_module
 from rerankit import matrix_ops
 from rerankit.enhance import (
     NeighborOrders,
@@ -34,10 +35,6 @@ from rerankit.optimize import (
 
 sp = pytest.importorskip("scipy.sparse")
 
-# The package re-exports functions under their modules' names.
-enhance_module = importlib.import_module("rerankit.enhance")
-optimize_module = importlib.import_module("rerankit.optimize")
-
 
 def _pairs(level):
     rows = np.repeat(np.arange(len(level)), [len(nbrs) for nbrs in level])
@@ -52,7 +49,7 @@ def _adjacency(level):
 
 def csr_expand(orders):
     """The next order as the support of S_last @ S_1 minus the diagonal."""
-    n = orders.num_samples
+    n = len(orders.levels[0])
     reach = _adjacency(orders.levels[-1]) @ _adjacency(orders.levels[0])
     reach = reach - reach.multiply(sp.identity(n, format="csr") > 0)
     reach.sort_indices()
