@@ -1,0 +1,168 @@
+"""Check that this tree's CLI writes the same bytes as a parent checkout's.
+
+Usage:
+    python scripts/identity_check.py --parent DIR
+
+DIR is a checkout of the parent commit, made with `git worktree add` or
+`git archive`. Each case runs the `rerankit` CLI of both trees, one
+command per fresh process, and compares every file the case wrote in
+one tree with its namesake in the other, byte for byte. Each tree runs
+in its own scratch directory with relative output paths, so manifests
+and reports name the same paths. The cases:
+
+- `synth` at `--ids 800` and `--ids 1600` with the benchmark's
+  `SYNTH_FLAGS` (perfbench/run.py), data seeds 0-9;
+- `rerank` of the seed-1 data of both sizes with the defaults, `--no-dmon`,
+  `--no-aro`, `--baseline`, `--joint --fill 0 --no-pre-normalize` and
+  `--preset msmt17`, each with `OPENBLAS_NUM_THREADS=2` (two kNN lanes)
+  and `OPENBLAS_NUM_THREADS=1`;
+- `rerank --from-manifest` of each of those runs in this tree, against
+  the parent's run;
+- README's canonical `sweep`;
+- `pipeline --ablation`.
+
+Prints one line per case and exits 1 if any case differs or a command
+fails, else 0. Scratch space comes from `tempfile` (set TMPDIR to move
+it); a case's outputs are deleted when it ends, as a rerank at
+`--ids 1600` writes a 328 MB `dist.npy`.
+"""
+
+import argparse
+import filecmp
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import SYNTH_FLAGS  # noqa: E402
+
+SIZES = (800, 1600)
+DATA_SEEDS = range(10)
+RERANK_SEED = 1
+RERANK_FLAGS = (
+    (),
+    ("--no-dmon",),
+    ("--no-aro",),
+    ("--baseline",),
+    ("--joint", "--fill", "0", "--no-pre-normalize"),
+    ("--preset", "msmt17"),
+)
+BLAS_THREADS = ("2", "1")
+SWEEP_GRID = ("--k1", "1,2,3,5,8", "--k2", "2,5,10,20", "--gamma", "0.5,0.75,0.9",
+              "--orders", "3")
+
+
+class Tree:
+    """One checkout's CLI, run from its own scratch directory."""
+
+    def __init__(self, src: Path, work: Path):
+        self.src = src
+        self.work = work
+        work.mkdir()
+
+    def run(self, *args: str, threads: str = "2") -> None:
+        env = {**os.environ, "PYTHONPATH": str(self.src), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-m", "rerankit.cli", *args], cwd=self.work,
+                              env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            last = (done.stderr.strip().splitlines() or ["no output"])[-1]
+            raise RuntimeError(f"{self.src}: {args[0]} exited {done.returncode}: {last}")
+
+
+def differing(a: Path, b: Path) -> list[str]:
+    """Files under `a` or `b` (relative paths) missing from one or unequal."""
+    names = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    names |= {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    return sorted(
+        str(n) for n in names
+        if not ((a / n).is_file() and (b / n).is_file()
+                and filecmp.cmp(a / n, b / n, shallow=False))
+    )
+
+
+class Checker:
+    def __init__(self, parent: Tree, change: Tree):
+        self.parent = parent
+        self.change = change
+        self.cases = 0
+        self.failed = 0
+
+    def case(self, label: str, out: str, *commands: tuple, threads: str = "2",
+             against: str | None = None, keep: bool = False) -> None:
+        """Run `commands` (writing under `out`) in both trees and compare
+        `out`; with `against`, run them in this tree only and compare `out`
+        with the parent's `against`."""
+        self.cases += 1
+        try:
+            for args in commands:
+                if against is None:
+                    self.parent.run(*args, threads=threads)
+                self.change.run(*args, threads=threads)
+            diff = differing(self.parent.work / (against or out), self.change.work / out)
+            line = "same    " + label if not diff else f"DIFFER  {label}: {', '.join(diff)}"
+        except RuntimeError as exc:
+            diff = True
+            line = f"FAILED  {label}: {exc}"
+        self.failed += bool(diff)
+        print(line, flush=True)
+        if not keep:
+            shutil.rmtree(self.change.work / out, ignore_errors=True)
+            if against is None:
+                shutil.rmtree(self.parent.work / out, ignore_errors=True)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path,
+                        help="checkout of the parent commit")
+    args = parser.parse_args()
+    parent_src = args.parent.resolve() / "src"
+    if not (parent_src / "rerankit" / "cli.py").is_file():
+        print(f"error: no rerankit sources under {parent_src}", file=sys.stderr)
+        return 2
+
+    with tempfile.TemporaryDirectory(prefix="identity_check_") as tmp:
+        check = Checker(Tree(parent_src, Path(tmp) / "parent"),
+                        Tree(ROOT / "src", Path(tmp) / "change"))
+        for ids in SIZES:
+            for seed in DATA_SEEDS:
+                out = f"synth-{ids}-{seed}"
+                check.case(f"synth --ids {ids} --seed {seed}", out,
+                           ("synth", "--ids", str(ids), *SYNTH_FLAGS, "--seed", str(seed),
+                            "--out", out), keep=seed == RERANK_SEED)
+
+        for ids in SIZES:
+            data = check.change.work / f"synth-{ids}-{RERANK_SEED}"
+            inputs = ("--query", str(data / "q.npy"), "--gallery", str(data / "g.npy"))
+            for flags in RERANK_FLAGS:
+                for threads in BLAS_THREADS:
+                    label = (f"--ids {ids} {' '.join(flags) or 'defaults'}, "
+                             f"OPENBLAS_NUM_THREADS={threads}")
+                    check.case(f"rerank {label}", "rerank",
+                               ("rerank", *inputs, *flags, "--out", "rerank"),
+                               threads=threads, keep=True)
+                    check.case(f"rerank --from-manifest {label}", "replay",
+                               ("rerank", "--from-manifest", "rerank/manifest.json",
+                                "--out", "replay"), threads=threads, against="rerank")
+                    for tree in (check.parent, check.change):
+                        shutil.rmtree(tree.work / "rerank", ignore_errors=True)
+
+        data = ("--query", "sweep/data/q.npy", "--gallery", "sweep/data/g.npy",
+                "--query-labels", "sweep/data/q_labels.csv",
+                "--gallery-labels", "sweep/data/g_labels.csv")
+        check.case("sweep (README grid)", "sweep",
+                   ("synth", "--intra-noise", "0.2", "--out", "sweep/data"),
+                   ("sweep", *data, *SWEEP_GRID, "--out", "sweep/sweep.csv"))
+        check.case("pipeline --ablation", "ablation",
+                   ("pipeline", "--ablation", "--out", "ablation"))
+
+    print(f"{check.cases - check.failed} of {check.cases} cases byte-identical")
+    return 1 if check.failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -150,11 +150,10 @@ def adaptive_sigma(feats: np.ndarray, orders: NeighborOrders) -> float:
     """Mean unsquared distance over all first-order (sample, neighbor) pairs.
 
     Distances are computed from the (N, d) features on those pairs only.
-    Returns 1.0 when every first-order set is empty.
+    Every first-order set must be nonempty, as `build_first_order` makes
+    them for two or more rows.
     """
     rows, cols = _pairs(orders.levels[0])
-    if rows.size == 0:
-        return 1.0
     return float(np.sqrt(pair_sq_euclidean(feats, rows, cols)).mean())
 
 
@@ -163,7 +162,7 @@ class OrderWeights:
     """One order's kernel weights: an (n, n) matrix held as its stored entries.
 
     `rows`, `cols` and `vals` list the entries sorted by row, then column;
-    every other entry is zero. `np.asarray` gives the dense matrix.
+    every other entry is zero.
     """
 
     rows: np.ndarray
@@ -174,11 +173,6 @@ class OrderWeights:
     @property
     def nnz(self) -> int:
         return self.vals.size
-
-    def __array__(self, dtype=None, copy=None):
-        out = np.zeros((self.n, self.n))
-        out[self.rows, self.cols] = self.vals
-        return out if dtype is None else out.astype(dtype, copy=False)
 
     def dot(self, feats: np.ndarray) -> np.ndarray:
         """W @ feats, each row summed from +0.0 over its entries in column order.

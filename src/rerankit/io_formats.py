@@ -27,7 +27,6 @@ import io
 import json
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,15 +64,8 @@ class LabelFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class NpyHeader:
-    descr: str
-    fortran_order: bool
-    shape: tuple[int, int]
-
-
-def parse_npy_header(data: bytes) -> tuple[NpyHeader, int]:
-    """Parse and validate the NPY preamble; returns (header, data offset)."""
+def parse_npy_header(data: bytes) -> tuple[str, tuple[int, int], int]:
+    """Parse and validate the NPY preamble; returns (descr, shape, data offset)."""
     if len(data) < len(NPY_MAGIC):
         raise NpyFormatError("not an NPY file: too short for magic", offset=len(data))
     if data[: len(NPY_MAGIC)] != NPY_MAGIC:
@@ -123,7 +115,7 @@ def parse_npy_header(data: bytes) -> tuple[NpyHeader, int]:
         raise NpyFormatError(
             f"only rank-2 arrays are supported, got shape {shape!r}", offset=10
         )
-    return NpyHeader(descr=descr, fortran_order=False, shape=shape), header_end
+    return descr, shape, header_end
 
 
 def read_npy(data: bytes) -> np.ndarray:
@@ -237,9 +229,8 @@ class NpyRows:
     def __init__(self, fh):
         self._fh = fh
         prefix = fh.read(_MAX_PREAMBLE)
-        header, self._offset = parse_npy_header(prefix)
-        self._dtype = _DESCR_TO_DTYPE[header.descr]
-        self.shape = header.shape
+        descr, self.shape, self._offset = parse_npy_header(prefix)
+        self._dtype = _DESCR_TO_DTYPE[descr]
         size = fh.seek(0, os.SEEK_END)
         expected = self.shape[0] * self.shape[1] * self._dtype.itemsize
         payload = size - self._offset
@@ -280,7 +271,7 @@ def read_labels(text) -> SampleLabels:
     """Parse a label CSV into SampleLabels.
 
     The header must contain exactly the columns pid and camid (either
-    order); each data row holds two non-negative integers.
+    order); each data row holds two integers in [0, 2**63).
     """
     if isinstance(text, bytes):
         try:
@@ -315,8 +306,10 @@ def read_labels(text) -> SampleLabels:
             raise LabelFormatError(
                 f"non-integer field in row {fields}", line=lineno
             ) from None
-        if pid < 0 or cam < 0:
-            raise LabelFormatError("pid and camid must be non-negative", line=lineno)
+        if not (0 <= pid < 2**63 and 0 <= cam < 2**63):
+            raise LabelFormatError(
+                "pid and camid must be non-negative and below 2**63", line=lineno
+            )
         pids.append(pid)
         camids.append(cam)
     return SampleLabels(

@@ -371,7 +371,8 @@ def knn_scan(arr: np.ndarray, k: int, exclude_self: bool) -> TopKResult:
     column is set to inf with `exclude_self` and to exactly zero without
     it. Results are ordered by (value, column index), exactly as
     `topk_smallest` orders a full matrix. k is clamped to the number of
-    candidates (N - 1 with `exclude_self`, else N).
+    candidates (N - 1 with `exclude_self`, else N), which must be at
+    least 1: callers scan two or more rows, or pass `exclude_self=False`.
 
     When 2 * k * _TILE_COLS <= N, each block is first measured in float32
     and only its candidates are re-scored in float64 (`_prefiltered_block`):
@@ -403,8 +404,6 @@ def knn_scan(arr: np.ndarray, k: int, exclude_self: bool) -> TopKResult:
     """
     n = arr.shape[0]
     k = min(k, n - 1 if exclude_self else n)
-    if k < 1:
-        return TopKResult(np.empty((n, 0), dtype=np.int64), np.empty((n, 0), dtype=np.float64))
     sq_norms = np.einsum("ij,ij->i", arr, arr)
     if not sq_norms.max() <= np.finfo(np.float64).max / 4:
         raise ValueError(

@@ -77,21 +77,15 @@ class FilteredRows:
     """Rows of width `num_cols` equal to `fill` except at their kept entries.
 
     `indices` and `values` are (rows, k) and hold each row's k smallest
-    entries, as `topk_smallest` returns them. `np.asarray` gives back the
-    dense fill-padded matrix. The column grouping `residual_product`
-    needs is computed on first use and kept, so rows used against many
-    query stripes are grouped once.
+    entries, as `topk_smallest` returns them. The column grouping
+    `residual_product` needs is computed on first use and kept, so rows
+    used against many query stripes are grouped once.
     """
 
     indices: np.ndarray
     values: np.ndarray
     fill: float
     num_cols: int
-
-    def __array__(self, dtype=None, copy=None):
-        out = np.full((self.indices.shape[0], self.num_cols), self.fill, dtype=np.float64)
-        np.put_along_axis(out, self.indices, self.values, axis=1)
-        return out if dtype is None else out.astype(dtype, copy=False)
 
     @cached_property
     def _stats(self) -> tuple[np.ndarray, np.ndarray]:

@@ -414,13 +414,11 @@ def run_pipeline(
             paths["gallery_labels"],
             max_rank=cfg.max_rank,
             report_path=run_dir / "report.json",
-            config={"variant": label, "max_rank": cfg.max_rank},
+            config={"variant": label},
         )
         rows.append({"variant": label, "mAP": doc["mAP"], "rank1": doc["cmc"][0]})
     name = "ablation.csv" if ablation else "comparison.csv"
-    lines = ["variant,mAP,rank1"]
-    lines += [f"{r['variant']},{r['mAP']},{r['rank1']}" for r in rows]
-    (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / name).write_text(sweep_rows_to_csv(rows), encoding="utf-8")
     manifest = _manifest(
         "pipeline",
         {"spec": asdict(spec), "config": asdict(cfg), "ablation": ablation},

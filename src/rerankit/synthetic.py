@@ -100,23 +100,15 @@ def generate(spec: SynthSpec):
     cam_offsets = cam_offsets * spec.cam_offset_scale
 
     query_cams, gallery_cams = _camera_plan(spec)
-    nq, ng = query_cams.size, gallery_cams.size
-
-    q_feats, g_feats = [], []
-    q_pids, q_camids, g_pids, g_camids = [], [], [], []
-    for pid in range(spec.num_ids):
-        noise = rng.normal(0.0, spec.intra_noise, size=(spec.imgs_per_id, spec.dim))
-        cams = np.concatenate([query_cams, gallery_cams])
-        samples = centers[pid][None, :] + cam_offsets[cams] + noise
-        q_feats.append(samples[:nq])
-        g_feats.append(samples[nq:])
-        q_pids.extend([pid] * nq)
-        q_camids.extend(query_cams.tolist())
-        g_pids.extend([pid] * ng)
-        g_camids.extend(gallery_cams.tolist())
-
-    query_feats = l2_normalize_rows(np.vstack(q_feats))
-    gallery_feats = l2_normalize_rows(np.vstack(g_feats))
-    query_labels = SampleLabels(np.asarray(q_pids), np.asarray(q_camids))
-    gallery_labels = SampleLabels(np.asarray(g_pids), np.asarray(g_camids))
+    nq = query_cams.size
+    noise = rng.normal(0.0, spec.intra_noise, size=(spec.num_ids, spec.imgs_per_id, spec.dim))
+    cams = np.concatenate([query_cams, gallery_cams])
+    samples = centers[:, None, :] + cam_offsets[cams] + noise
+    query_feats = l2_normalize_rows(samples[:, :nq].reshape(-1, spec.dim))
+    gallery_feats = l2_normalize_rows(samples[:, nq:].reshape(-1, spec.dim))
+    pids = np.arange(spec.num_ids)
+    query_labels = SampleLabels(np.repeat(pids, nq), np.tile(query_cams, spec.num_ids))
+    gallery_labels = SampleLabels(
+        np.repeat(pids, gallery_cams.size), np.tile(gallery_cams, spec.num_ids)
+    )
     return query_feats, query_labels, gallery_feats, gallery_labels

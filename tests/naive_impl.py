@@ -128,6 +128,23 @@ def naive_enhance(
     return naive_normalize_rows(gamma * base + (1.0 - gamma) * latent)
 
 
+def dense_weights(w):
+    """The (n, n) matrix an `enhance.OrderWeights` stores as its entries."""
+    out = np.zeros((w.n, w.n))
+    for r, c, v in zip(w.rows, w.cols, w.vals):
+        out[r, c] = v
+    return out
+
+
+def dense_filtered(rows):
+    """The fill-padded matrix an `optimize.FilteredRows` stores as kept entries."""
+    out = np.full((rows.indices.shape[0], rows.num_cols), rows.fill)
+    for i in range(out.shape[0]):
+        for c, v in zip(rows.indices[i], rows.values[i]):
+            out[i, c] = v
+    return out
+
+
 def naive_filter(d, k2, fill):
     d = np.asarray(d, dtype=np.float64)
     out = np.full_like(d, fill)
@@ -229,3 +246,35 @@ def argsort_evaluate(dist, q_pids, q_camids, g_pids, g_camids, max_rank=50):
         raise ValueError("no valid query")
     cmc = np.cumsum(first_hit_counts) / len(aps)
     return cmc, float(np.mean(aps)), len(aps)
+
+
+def naive_generate(spec, normalize_rows):
+    """`synthetic.generate` drawn one identity at a time, as a loop.
+
+    Centres, camera offsets and then each identity's noise come from one
+    PCG64 stream, in that order. `normalize_rows` is the row normalizer
+    the package applies, passed in so the bits can match. Returns (query
+    rows, query pids, query camids, gallery rows, gallery pids, gallery
+    camids).
+    """
+    rng = np.random.default_rng(spec.seed)
+    centers = normalize_rows(rng.standard_normal((spec.num_ids, spec.dim)))
+    cam_offsets = normalize_rows(rng.standard_normal((spec.num_cams, spec.dim)))
+    cam_offsets = cam_offsets * spec.cam_offset_scale
+    nq = spec.queries_per_id
+    ng = spec.imgs_per_id - nq
+    gallery_cams = [i % spec.num_cams for i in range(ng)]
+    if ng >= 2:
+        query_cams = [i % spec.num_cams for i in range(nq)]
+    else:
+        query_cams = [1 + i % (spec.num_cams - 1) for i in range(nq)]
+    query, gallery = [], []
+    for pid in range(spec.num_ids):
+        noise = rng.normal(0.0, spec.intra_noise, size=(spec.imgs_per_id, spec.dim))
+        for i, cam in enumerate(query_cams + gallery_cams):
+            row = centers[pid] + cam_offsets[cam] + noise[i]
+            (query if i < nq else gallery).append((row, pid, cam))
+    q_rows, q_pids, q_camids = map(np.array, zip(*query))
+    g_rows, g_pids, g_camids = map(np.array, zip(*gallery))
+    return (normalize_rows(q_rows), q_pids, q_camids,
+            normalize_rows(g_rows), g_pids, g_camids)

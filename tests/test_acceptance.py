@@ -39,7 +39,7 @@ from rerankit.optimize import AroConfig, asymmetric_similarity, neighborhood_fil
 from rerankit.pipeline import PipelineConfig, compute_refined_distances, run_pipeline, synth_files
 from rerankit.synthetic import SynthSpec
 
-from naive_impl import naive_enhance, naive_optimize, naive_pairwise_sq
+from naive_impl import dense_filtered, naive_enhance, naive_optimize, naive_pairwise_sq
 
 # ---------------------------------------------------------------------------
 # Pinned regression constants. Computed once with the finished file-based
@@ -154,7 +154,7 @@ def test_criterion_2_degeneration_identities():
     for _ in range(20):
         d = rng.random((int(rng.integers(1, 20)), int(rng.integers(1, 20))))
         k2 = d.shape[1] + int(rng.integers(0, 5))
-        assert_array_equal(neighborhood_filter(d, k2, fill=1.0), d)
+        assert_array_equal(dense_filtered(neighborhood_filter(d, k2, fill=1.0)), d)
 
     for _ in range(20):
         fq, fg = _random_instance(rng)

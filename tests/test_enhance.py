@@ -24,7 +24,7 @@ from rerankit.enhance import (
 from rerankit.matrix_ops import l2_normalize_rows, pairwise_sq_euclidean
 from rerankit.synthetic import SynthSpec, generate
 
-from naive_impl import naive_enhance, naive_neighbor_orders
+from naive_impl import dense_weights, naive_enhance, naive_neighbor_orders
 from strategies import exact_rows
 
 
@@ -109,13 +109,6 @@ class TestAdaptiveSigma:
         orders = build_first_order(pts, k1=2)
         assert adaptive_sigma(pts, orders) == 0.5
 
-    def test_empty_sets_fall_back_to_one(self):
-        from rerankit.enhance import NeighborOrders
-
-        empty = np.empty(0, dtype=np.int64)
-        orders = NeighborOrders(levels=[[empty, empty]])
-        assert adaptive_sigma(np.zeros((2, 3)), orders) == 1.0
-
     def test_matches_flat_average(self):
         rng = np.random.default_rng(73)
         pts = rng.standard_normal((20, 3))
@@ -129,7 +122,7 @@ class TestGaussianWeights:
     def test_zero_distance_weight_is_one(self):
         orders = build_first_order(np.array([[0.0], [1.0]]), k1=1)
         weights = gaussian_weights(np.zeros((2, 1)), orders, sigma=1.0)
-        assert np.asarray(weights[0])[0, 1] == 1.0
+        assert dense_weights(weights[0])[0, 1] == 1.0
 
     def test_bandwidth_scaling_second_order(self):
         # sigma=1, order 2 -> bandwidth 2.25; the row's weights at distances
@@ -140,7 +133,7 @@ class TestGaussianWeights:
         pts = np.array([[0.0], [1.0], [2.0]])
         one = [np.array([1]), np.array([0]), np.array([1])]
         orders = NeighborOrders(levels=[one, [np.array([1, 2]), one[1], one[2]]])
-        weights = np.asarray(gaussian_weights(pts, orders, sigma=1.0)[1])
+        weights = dense_weights(gaussian_weights(pts, orders, sigma=1.0)[1])
         expected = math.exp(-1.0 / (2.0 * 2.25**2)) / math.exp(-4.0 / (2.0 * 2.25**2))
         assert abs(weights[0, 1] / weights[0, 2] - expected) <= 1e-12
         assert abs(expected - 1.34487) <= 1e-5
@@ -149,7 +142,7 @@ class TestGaussianWeights:
         rng = np.random.default_rng(79)
         pts = rng.standard_normal((10, 2))
         orders = build_first_order(pts, k1=2)
-        mat = np.asarray(gaussian_weights(pts, orders, sigma=1.0)[0])
+        mat = dense_weights(gaussian_weights(pts, orders, sigma=1.0)[0])
         members = {(x, y) for x in range(10) for y in orders.levels[0][x]}
         for x in range(10):
             for y in range(10):
@@ -238,7 +231,7 @@ class TestLatentFeatures:
         orders = expand_order(build_first_order(pts, k1=3))
         weights = gaussian_weights(pts, orders, sigma=1.0)
         expected = sum(
-            a * (np.asarray(w) @ pts) for w, a in zip(weights, default_decay(2))
+            a * (dense_weights(w) @ pts) for w, a in zip(weights, default_decay(2))
         )
         assert_allclose(latent_features(weights, pts), expected, atol=1e-6)
 

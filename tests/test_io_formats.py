@@ -159,14 +159,14 @@ class TestWriteNpy:
         assert read_npy(write_npy(m, precision="float32")).flags.writeable
 
     def test_descr_strings(self):
-        header, _ = parse_npy_header(write_npy(np.zeros((1, 1)), precision="float32"))
-        assert header.descr == "<f4"
-        header, _ = parse_npy_header(write_npy(np.zeros((1, 1)), precision="float64"))
-        assert header.descr == "<f8"
+        descr, _, _ = parse_npy_header(write_npy(np.zeros((1, 1)), precision="float32"))
+        assert descr == "<f4"
+        descr, _, _ = parse_npy_header(write_npy(np.zeros((1, 1)), precision="float64"))
+        assert descr == "<f8"
 
     def test_data_start_64_aligned(self):
         for shape in [(1, 1), (3, 17), (10, 1000), (0, 0)]:
-            _, offset = parse_npy_header(write_npy(np.zeros(shape)))
+            _, _, offset = parse_npy_header(write_npy(np.zeros(shape)))
             assert offset % 64 == 0
 
     def test_empty_matrix(self):
@@ -374,6 +374,12 @@ class TestLabels:
     def test_negative_rejected(self):
         with pytest.raises(LabelFormatError, match="non-negative"):
             read_labels("pid,camid\n-1,0\n")
+
+    def test_int64_range(self):
+        top = 2**63 - 1
+        assert read_labels(f"pid,camid\n{top},{top}\n").pids[0] == top
+        with pytest.raises(LabelFormatError, match=r"below 2\*\*63 \(line 2\)"):
+            read_labels(f"pid,camid\n0,{top + 1}\n")
 
     def test_empty_file(self):
         with pytest.raises(LabelFormatError, match="empty"):

@@ -21,7 +21,13 @@ from rerankit.optimize import (
     optimize,
 )
 
-from naive_impl import naive_filter, naive_optimize, naive_pairwise_sq, naive_similarity
+from naive_impl import (
+    dense_filtered,
+    naive_filter,
+    naive_optimize,
+    naive_pairwise_sq,
+    naive_similarity,
+)
 from strategies import exact_rows
 from test_matrix_ops import FakeBlasThreads
 
@@ -38,26 +44,26 @@ class TestNeighborhoodFilter:
         out = neighborhood_filter(np.array([[0.2, 0.5, 0.9]]), k2=2, fill=1.0)
         assert_array_equal(out.indices, [[0, 1]])
         assert (out.fill, out.num_cols) == (1.0, 3)
-        assert_allclose(out, [[0.2, 0.5, 1.0]])
+        assert_allclose(dense_filtered(out), [[0.2, 0.5, 1.0]])
 
     def test_noop_when_k2_covers_row(self):
         d = np.array([[0.3, 0.1, 0.2]])
-        assert_array_equal(neighborhood_filter(d, k2=3, fill=1.0), d)
+        assert_array_equal(dense_filtered(neighborhood_filter(d, k2=3, fill=1.0)), d)
 
     def test_matches_mask_oracle(self):
         rng = np.random.default_rng(149)
         d = rng.random((10, 10))
         assert_allclose(
-            neighborhood_filter(d, k2=4, fill=1.0), naive_filter(d, 4, 1.0), atol=0
+            dense_filtered(neighborhood_filter(d, k2=4, fill=1.0)), naive_filter(d, 4, 1.0), atol=0
         )
         assert_allclose(
-            neighborhood_filter(d, k2=4, fill=0.0), naive_filter(d, 4, 0.0), atol=0
+            dense_filtered(neighborhood_filter(d, k2=4, fill=0.0)), naive_filter(d, 4, 0.0), atol=0
         )
 
     def test_self_column_not_excluded(self):
         d = np.array([[0.0, 5.0, 6.0], [5.0, 0.0, 7.0], [6.0, 7.0, 0.0]])
         out = neighborhood_filter(d, k2=1, fill=1.0)
-        assert_array_equal(np.diag(np.asarray(out)), [0.0, 0.0, 0.0])
+        assert_array_equal(np.diag(dense_filtered(out)), [0.0, 0.0, 0.0])
 
 
 class TestAsymmetricSimilarity:
@@ -97,7 +103,7 @@ class TestAsymmetricSimilarity:
         g_rows = neighborhood_filter(rng.random((11, 11)), 3, fill)
         assert_allclose(
             asymmetric_similarity(q_rows, g_rows),
-            naive_similarity(np.asarray(q_rows), np.asarray(g_rows)),
+            naive_similarity(dense_filtered(q_rows), dense_filtered(g_rows)),
             atol=1e-12,
         )
 
@@ -109,7 +115,7 @@ class TestAsymmetricSimilarity:
         g_rows = neighborhood_filter(np.array([[0.0, 0.5], [0.0, 0.7]]), 1, fill)
         assert_allclose(
             asymmetric_similarity(q_rows, g_rows),
-            naive_similarity(np.asarray(q_rows), np.asarray(g_rows)),
+            naive_similarity(dense_filtered(q_rows), dense_filtered(g_rows)),
             atol=1e-12,
         )
 
@@ -211,8 +217,8 @@ class TestOptimize:
         fg = l2_normalize_rows(rng.standard_normal((900, 16)))
         out = optimize(fq, fg, AroConfig(k2=20))
         qg = pairwise_sq_euclidean(fq, fg)
-        dense_q = np.asarray(neighborhood_filter(qg, 20, 1.0))
-        dense_g = np.asarray(neighborhood_filter(pairwise_sq_euclidean(fg, fg), 20, 1.0))
+        dense_q = dense_filtered(neighborhood_filter(qg, 20, 1.0))
+        dense_g = dense_filtered(neighborhood_filter(pairwise_sq_euclidean(fg, fg), 20, 1.0))
         sim = np.clip(l2_normalize_rows(dense_q) @ l2_normalize_rows(dense_g).T, 0.0, 1.0)
         assert_allclose(out, qg - sim, atol=1e-9)
 

@@ -949,6 +949,14 @@ class TestLabelFileErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {labels}: labels are not valid UTF-8: "), err
 
+    def test_id_beyond_int64_names_the_line(self, data_dir, tmp_path, capsys, command, side):
+        code, labels = bad_label_run(data_dir, tmp_path, command, side,
+                                     b"pid,camid\n1,0\n99999999999999999999999,1\n")
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == (f"data error: {labels}: pid and camid must be non-negative "
+                       "and below 2**63 (line 3)\n")
+
 
 class TestReadOnlyInputs:
     """float64 files load as read-only views; no stage may write into its input."""

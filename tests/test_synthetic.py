@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from rerankit.matrix_ops import pairwise_sq_euclidean
+from rerankit.matrix_ops import l2_normalize_rows, pairwise_sq_euclidean
 from rerankit.metrics import evaluate
 from rerankit.synthetic import SynthSpec, generate
+
+from naive_impl import naive_generate
 
 
 class TestSynthSpec:
@@ -79,3 +81,23 @@ class TestGenerate:
         assert fq.shape[0] + fg.shape[0] == 7 * 5
         # ceil(0.3 * 5) = 2 queries per identity
         assert fq.shape[0] == 7 * 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SynthSpec(),
+        SynthSpec(num_ids=1600, imgs_per_id=10, dim=128, intra_noise=0.14),
+        SynthSpec(imgs_per_id=2, num_cams=3),
+        SynthSpec(dim=1),
+    ],
+    ids=["default", "rerank-12k", "per-id-2", "dim-1"],
+)
+def test_generate_matches_per_identity_loop(spec):
+    """One draw of all the noise gives the loop's features and labels bit for bit."""
+    fq, q_labels, fg, g_labels = generate(spec)
+    want = naive_generate(spec, l2_normalize_rows)
+    got = (fq, q_labels.pids, q_labels.camids, fg, g_labels.pids, g_labels.camids)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert_array_equal(a, b)
