@@ -289,6 +289,20 @@ def enhance(features, cfg: DmonConfig) -> np.ndarray:
     return _enhance_whole(feats, cfg)
 
 
+def short_batch_warning(n: int, cfg: DmonConfig) -> str | None:
+    """A warning when `enhance` of n rows leaves a last batch of at most k1
+    rows, or None. That batch's rows are enhanced from each other alone,
+    with k1 clamped, which `enhance` itself at most warns of on stderr."""
+    size = cfg.batch_size
+    if cfg.gamma == 1.0 or size is None or size >= n:
+        return None
+    last = n - (n - 1) // size * size
+    if last > cfg.k1:
+        return None
+    return (f"DMON batches of {size} of {n} rows leave a last batch of {last}; a batch "
+            f"of at most k1={cfg.k1} rows is enhanced from its own rows alone")
+
+
 def _enhance_whole(feats: np.ndarray, cfg: DmonConfig) -> np.ndarray:
     base = l2_normalize_rows(feats) if cfg.pre_normalize else feats
     if feats.shape[0] < 2:

@@ -8,8 +8,9 @@ Three formats are supported:
   newline termination. Only rank-2, C-order, little-endian float32 or
   float64 payloads are accepted. There is one writer and one reader.
   `NpyRowWriter` pads the header so the data section starts at a
-  64-byte-aligned offset, then appends the payload one row stripe at a
-  time, checking each stripe at the precision it is written in.
+  64-byte-aligned offset, then writes the payload one row stripe at a
+  time, in any order, each at its rows' offset in a seekable file,
+  checking each stripe at the precision it is written in.
   `NpyRows` validates the header and payload size, tolerating any valid
   v1.0 header length, and reads row stripes. So a matrix file never has
   to fit in memory. `write_npy` and `read_npy` are their in-memory forms.
@@ -169,17 +170,18 @@ def npy_header(shape: tuple[int, int], descr: str = "<f8") -> bytes:
 
 
 class NpyRowWriter:
-    """Writes a (rows, cols) NPY file one row stripe at a time.
+    """Writes a (rows, cols) NPY file one row stripe at a time, in any order.
 
     The header goes out on construction. Each call `writer(start, stripe)`
-    converts the stripe to `precision`, checks that it continues the rows
-    written so far, has `cols` columns and is finite after the conversion,
-    then appends it (without a copy when it is C-ordered float64 written
-    as float64). The file holds `write_npy(matrix, precision)`'s bytes
-    once `finish()` has confirmed every row was written.
+    converts the stripe to `precision`, checks that it fits within the
+    rows, overlaps no row written before, has `cols` columns and is
+    finite after the conversion, then writes it at the data offset plus
+    `start` rows (without a copy when it is C-ordered float64 written as
+    float64). The file holds `write_npy(matrix, precision)`'s bytes once
+    `finish()` has confirmed every row was written.
 
     Args:
-        fh: binary file object with a `write` method.
+        fh: seekable binary file object open for writing.
         shape: (rows, cols) of the whole matrix.
         precision: "float64" (default) or "float32".
     """
@@ -191,26 +193,30 @@ class NpyRowWriter:
         self._fh = fh
         self._dtype = _DESCR_TO_DTYPE[descr]
         self.shape = (int(shape[0]), int(shape[1]))
-        self.rows_written = 0
+        self._written = np.zeros(self.shape[0], dtype=bool)
         fh.write(npy_header(self.shape, descr))
+        self._offset = fh.tell()
 
     def __call__(self, start: int, stripe) -> None:
         with np.errstate(over="ignore"):  # an overflowing cast is caught as non-finite below
             arr = np.ascontiguousarray(stripe, dtype=self._dtype)
         end = start + len(arr)
-        if start != self.rows_written or end > self.shape[0] or arr.shape[1:] != self.shape[1:]:
+        if not 0 <= start <= end <= self.shape[0] or arr.shape[1:] != self.shape[1:]:
             raise ValueError(
-                f"a stripe of shape {arr.shape} at row {start} does not continue "
-                f"a {self.shape} matrix after {self.rows_written} rows"
+                f"a stripe of shape {arr.shape} at row {start} does not fit a {self.shape} matrix"
             )
+        if self._written[start:end].any():
+            raise ValueError(f"rows {start} to {end - 1} overlap rows already written")
         if not np.isfinite(arr).all():
             raise ValueError(f"matrix contains non-finite values in rows from {start}")
+        self._fh.seek(self._offset + start * self.shape[1] * self._dtype.itemsize)
         self._fh.write(arr.data)
-        self.rows_written += arr.shape[0]
+        self._written[start:end] = True
 
     def finish(self) -> None:
-        if self.rows_written != self.shape[0]:
-            raise ValueError(f"only {self.rows_written} of {self.shape[0]} rows were written")
+        missing = np.flatnonzero(~self._written)
+        if missing.size:
+            raise ValueError(f"rows never written: {missing.size}, from row {missing[0]}")
 
 
 class NpyRows:

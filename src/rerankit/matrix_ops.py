@@ -1,6 +1,6 @@
 """Dense matrix primitives shared across the toolkit.
 
-Row normalization, row-striped pairwise squared-Euclidean distances,
+Row normalization, pairwise squared-Euclidean distances,
 distances of listed row pairs, gathers of index ranges, deterministic
 smallest-k selection, and the blocked k-nearest-neighbour scan built
 from them. Every distance a function returns is computed in float64,
@@ -126,16 +126,16 @@ def l2_normalize_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def pairwise_sq_euclidean(a: np.ndarray, b: np.ndarray, b_sq=None) -> np.ndarray:
-    """Squared-Euclidean distance matrix between two row sets, by row stripes.
+    """Squared-Euclidean distance matrix between two row sets.
 
-    Uses the expansion |x|^2 + |y|^2 - 2<x,y>. Each full-width stripe of
-    at most 4096 rows (and about _STRIPE_ELEMS entries) is one GEMM of
-    the -2-scaled rows written straight into the output, followed by the
-    norm additions while the stripe is still in cache; scratch memory is
-    one stripe of `a`. Scaling by -2 is exact, so the values equal those
-    of scaling the product. Tiny negative rounding artifacts are clamped
-    to zero. No entry is set apart: a row's distance to an equal row,
-    itself included, is whatever the expansion leaves, near zero.
+    Uses the expansion |x|^2 + |y|^2 - 2<x,y>: one GEMM of the -2-scaled
+    rows written straight into the output, then the norm additions
+    (`_sq_dist_stripe`). Scaling by -2 is exact, so the values equal
+    those of scaling the product. Tiny negative rounding artifacts are
+    clamped to zero. No entry is set apart: a row's distance to an equal
+    row, itself included, is whatever the expansion leaves, near zero.
+    Its one caller in the package hands it half-stripes of about
+    _STRIPE_ELEMS / 2 entries, so the output stays in the last-level cache.
 
     Args:
         a: (N, d) feature matrix.
@@ -146,16 +146,10 @@ def pairwise_sq_euclidean(a: np.ndarray, b: np.ndarray, b_sq=None) -> np.ndarray
     Returns:
         np.ndarray: (N, M) float64, non-negative.
     """
-    n, m = a.shape[0], b.shape[0]
-    a_sq = np.einsum("ij,ij->i", a, a)
     if b_sq is None:
         b_sq = np.einsum("ij,ij->i", b, b)
-
-    out = np.empty((n, m), dtype=np.float64)
-    rows = max(1, min(4096, _STRIPE_ELEMS // max(m, 1)))
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        _sq_dist_stripe(a[i0:i1], b.T, a_sq[i0:i1], b_sq, out[i0:i1])
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+    _sq_dist_stripe(a, b.T, np.einsum("ij,ij->i", a, a), b_sq, out)
     return out
 
 
@@ -557,9 +551,8 @@ def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratc
     return np.take_along_axis(packed_cols, picked, axis=1), values
 
 
-def _run_lanes(task: Callable[[int, np.ndarray], object], count: int, scratch_shape,
-               first_alone: bool = False,
-               emit: Callable[[int, object], None] | None = None) -> None:
+def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shape,
+               first_alone: bool = False) -> None:
     """Call task(j, scratch) for every j in range(count), over L lanes.
 
     L is the BLAS thread count, read now. Lane 0 is the calling thread
@@ -568,14 +561,15 @@ def _run_lanes(task: Callable[[int, np.ndarray], object], count: int, scratch_sh
     thread allocates. Meanwhile BLAS runs each call on one thread; the
     thread count is restored afterwards, and glibc's `malloc_trim` hands
     back the memory the helpers' temporaries left in their malloc arenas.
+    The first exception a task raises stops the other lanes at their
+    next task and is re-raised here.
+
     With `first_alone`, the helpers start only once task 0 has ended, so
-    task 0 can settle what the others do. With `emit`, the lane that ran
-    task j then waits for its turn and calls emit(j, what task j
-    returned): the calls come in order j = 0, 1, ..., never two at once,
-    and the lane's next task starts only after its call, so a result
-    may live in the lane's scratch. The first exception a lane raises,
-    in a task or in `emit`, stops the others at their next task or turn
-    and is re-raised here.
+    task 0 can settle what the others do (`knn_scan`'s block 0 decides
+    whether the float32 prefilter is used). Task 0 still runs on a lane,
+    with BLAS at one thread: run on the caller before the lanes, with
+    BLAS at two threads, a 6.4k-row scan on two cores took 30-50 ms
+    longer (medians of 9: k 2, 130 -> 181 ms; k 20, 220 -> 250 ms).
 
     All tasks run on the calling thread, with BLAS left as it is, when
     the BLAS thread controls are not found, BLAS has one thread, count
@@ -593,41 +587,21 @@ def _run_lanes(task: Callable[[int, np.ndarray], object], count: int, scratch_sh
     if lanes < 2 or not _LANES_BUSY.acquire(blocking=False):
         scratch = np.empty(scratch_shape)
         for j in range(count):
-            result = task(j, scratch)
-            if emit is not None:
-                emit(j, result)
+            task(j, scratch)
         return
     scratch = np.empty((lanes, *scratch_shape))
     stop = threading.Event()
     first_done = threading.Event()
     if not first_alone:
         first_done.set()
-    turn = threading.Condition()
-    emitted = 0
     errors = []
 
-    def halt():
-        stop.set()
-        with turn:
-            turn.notify_all()
-
     def lane(i):
-        nonlocal emitted
         for j in range(i, count, lanes):
             if stop.is_set():
                 return
-            result = task(j, scratch[i])
+            task(j, scratch[i])
             first_done.set()
-            if emit is None:
-                continue
-            with turn:
-                turn.wait_for(lambda: emitted == j or stop.is_set())
-            if stop.is_set():
-                return
-            emit(j, result)
-            with turn:
-                emitted += 1
-                turn.notify_all()
 
     def helper(i):
         try:
@@ -635,7 +609,7 @@ def _run_lanes(task: Callable[[int, np.ndarray], object], count: int, scratch_sh
             lane(i)
         except Exception as exc:  # re-raised on the calling thread
             errors.append(exc)
-            halt()
+            stop.set()
 
     started = []
     try:
@@ -646,7 +620,7 @@ def _run_lanes(task: Callable[[int, np.ndarray], object], count: int, scratch_sh
             started.append(thread)
         lane(0)
     except BaseException:
-        halt()
+        stop.set()
         raise
     finally:
         first_done.set()

@@ -15,8 +15,8 @@ Neither GG nor QG is ever built whole. The gallery's top-k2
 neighbourhoods come from a blocked kNN scan (`matrix_ops.knn_scan`);
 QG is then computed, refined and handed to a sink one half-stripe of
 query rows (about 1M entries) at a time, on the scan's lanes: each lane
-runs its half-stripe's GEMM on one BLAS thread, refines it, and sinks
-it in row order, so one lane's write overlaps the other's compute.
+runs its half-stripe's GEMM on one BLAS thread, refines it and sinks it
+at once, so one lane's write overlaps the other's compute.
 Memory is the features, the gallery neighbourhoods and one half-stripe
 per lane, whatever Nq is. A filtered row is `fill`
 plus a residual on its k2 kept entries, so the similarity product is a
@@ -236,11 +236,11 @@ def optimize(query_feats, gallery_feats, cfg: AroConfig, sink=None) -> np.ndarra
         cfg: AroConfig. With cfg.enabled False the raw squared
             query-gallery distances are produced unchanged.
         sink: called as sink(start, stripe) for each refined (rows, Ng)
-            float64 stripe. The calls come in row order and never
-            overlap, but may come from a helper lane's thread; `stripe`
-            is valid only during the call. An exception the sink raises
-            stops the stage and reaches the caller. Without a sink the
-            stripes fill the returned matrix.
+            float64 stripe, once per row. The calls never overlap but
+            come in any order, and may come from a helper lane's thread;
+            `stripe` is valid only during the call. An exception the
+            sink raises stops the stage and reaches the caller. Without
+            a sink the stripes fill the returned matrix.
 
     Returns:
         np.ndarray: (Nq, Ng) refined distances (entries may be negative),
@@ -278,9 +278,9 @@ def _similarity_streamed(fq, fg, g_rows, sink):
     half-stripe's squared distances; then, unless `g_rows` is None,
     filters each row block of about _STRIPE_ELEMS / 8 entries to its
     top-k2 (k2 as kept by `g_rows`) and subtracts the block's asymmetric
-    similarity to the gallery's filtered rows in place; then waits for
-    its turn and sinks the half-stripe. Heights do not depend on the
-    number of lanes, and neither do the values.
+    similarity to the gallery's filtered rows in place; then sinks the
+    half-stripe under a lock, so no two sink calls overlap. Heights do
+    not depend on the number of lanes, and neither do the values.
 
     The benchmark's tracer keeps one span stack per process, so the
     calling thread goes through the public functions
@@ -294,6 +294,7 @@ def _similarity_streamed(fq, fg, g_rows, sink):
     if g_rows is not None:  # compute the cached groupings before any lane reads them
         g_rows._stats, g_rows._by_column
     caller = threading.current_thread()
+    sinking = threading.Lock()
 
     def half_stripe(j, scratch):
         start = j * rows
@@ -304,18 +305,16 @@ def _similarity_streamed(fq, fg, g_rows, sink):
         else:
             stripe = scratch[: len(part)]
             _sq_dist_stripe(part, fg.T, np.einsum("ij,ij->i", part, part), g_sq, stripe)
-        if g_rows is None:
-            return stripe
-        k2, fill = g_rows.indices.shape[1], g_rows.fill
-        for i0 in range(0, len(part), block_rows):
-            block = stripe[i0 : i0 + block_rows]
-            if on_caller:
-                block -= asymmetric_similarity(neighborhood_filter(block, k2, fill), g_rows)
-            else:
-                q_rows = FilteredRows(*_topk_block(block, k2), fill, num_g)
-                block -= _similarity(q_rows, g_rows)
-        return stripe
+        if g_rows is not None:
+            k2, fill = g_rows.indices.shape[1], g_rows.fill
+            for i0 in range(0, len(part), block_rows):
+                block = stripe[i0 : i0 + block_rows]
+                if on_caller:
+                    block -= asymmetric_similarity(neighborhood_filter(block, k2, fill), g_rows)
+                else:
+                    q_rows = FilteredRows(*_topk_block(block, k2), fill, num_g)
+                    block -= _similarity(q_rows, g_rows)
+        with sinking:
+            sink(start, stripe)
 
-    count = -(-fq.shape[0] // rows)
-    _run_lanes(half_stripe, count, (rows, num_g),
-               emit=lambda j, stripe: sink(j * rows, stripe))
+    _run_lanes(half_stripe, -(-fq.shape[0] // rows), (rows, num_g))

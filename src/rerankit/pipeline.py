@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .enhance import DmonConfig, enhance
+from .enhance import DmonConfig, enhance, short_batch_warning
 from .io_formats import (
     LabelFormatError,
     NpyRows,
@@ -221,10 +221,11 @@ def rerank_files(
     """Load feature files, compute refined distances, write NPY + manifest.
 
     Distances are stored in float64 so downstream evaluation sees exactly
-    the computed values. Each refined row stripe is appended to
-    `dist.npy.partial` as it is computed, and the file is renamed to
-    `dist.npy` once complete; on any error it is deleted, so an earlier
-    `dist.npy` is never clobbered by a partial one.
+    the computed values. Each refined row stripe is written to
+    `dist.npy.partial` at its rows' offset as soon as it is computed, in
+    any order, and the file is renamed to `dist.npy` once every row is
+    written; on any error it is deleted, so an earlier `dist.npy` is
+    never clobbered by a partial one.
 
     Raises:
         InsufficientSpaceError: before any computation, when the output
@@ -262,6 +263,11 @@ def rerank_files(
         {"distances": DIST_FILENAME, "distance_kind": distance_kind},
         seed=seed,
     )
+    if cfg.dmon_on:
+        # DMON batches the gallery, or with `dmon_joint` the queries stacked on it
+        warning = short_batch_warning(shape[1] + shape[0] * cfg.dmon_joint, cfg.dmon)
+        if warning is not None:
+            manifest["warnings"] = [warning]
     (out / MANIFEST_FILENAME).write_text(write_json(manifest), encoding="utf-8")
     return manifest
 

@@ -259,16 +259,48 @@ class TestNpyRowWriter:
         writer.finish()
         assert buf.getvalue() == write_npy(m, precision=precision)
 
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_stripes_in_any_order_give_write_npy_bytes(self, tmp_path, rows, precision):
+        """Each stripe lands at its rows' offset, in a file or in memory,
+        whatever order the stripes come in."""
+        m = np.random.default_rng(43).standard_normal((13, 5))
+        starts = np.random.default_rng(rows).permutation(np.arange(0, 13, rows))
+        buf = io.BytesIO()
+        with open(tmp_path / "m.npy", "wb") as fh:
+            for target in (fh, buf):
+                writer = NpyRowWriter(target, m.shape, precision)
+                for start in starts:
+                    writer(int(start), m[start : start + rows])
+                writer.finish()
+        expected = write_npy(m, precision=precision)
+        assert buf.getvalue() == expected
+        assert (tmp_path / "m.npy").read_bytes() == expected
+
     def test_rejects_gaps_overruns_and_wrong_width(self):
-        writer = NpyRowWriter(io.BytesIO(), (3, 2))
+        """Stripes may come in any order. One that overlaps written rows,
+        runs past the end or has the wrong width is rejected at the call,
+        before anything is written; `finish()` reports rows never written."""
+        buf = io.BytesIO()
+        writer = NpyRowWriter(buf, (5, 2))
+        writer(3, np.ones((1, 2)))
         writer(0, np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="continue"):
-            writer(2, np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="continue"):
-            writer(1, np.zeros((1, 3)))
-        with pytest.raises(ValueError, match="continue"):
-            writer(1, np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="1 of 3 rows"):
+        written = buf.getvalue()
+        for start, stripe, match in [
+            (3, np.zeros((1, 2)), "rows 3 to 3 overlap"),
+            (2, np.zeros((2, 2)), "rows 2 to 3 overlap"),
+            (0, np.zeros((2, 2)), "rows 0 to 1 overlap"),
+            (4, np.zeros((2, 2)), "does not fit"),
+            (-1, np.zeros((1, 2)), "does not fit"),
+            (1, np.zeros((1, 3)), "does not fit"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                writer(start, stripe)
+        assert buf.getvalue() == written
+        with pytest.raises(ValueError, match="rows never written: 3, from row 1"):
+            writer.finish()
+        writer(1, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="rows never written: 1, from row 4"):
             writer.finish()
 
     def test_non_finite_stripe_is_not_written(self):

@@ -124,23 +124,24 @@ class TestPairwiseSqEuclidean:
         b = rng.standard_normal((5, 3))
         assert_allclose(pairwise_sq_euclidean(a, b), naive_pairwise_sq(a, b), atol=1e-6)
 
-    def test_block_size_invariance(self, monkeypatch):
+    def test_block_size_invariance(self):
+        """Row stripes of `a`, as the query-gallery stage cuts them, agree
+        with the whole matrix."""
         rng = np.random.default_rng(7)
         a = rng.standard_normal((23, 6))
         b = rng.standard_normal((75, 6))
         whole = pairwise_sq_euclidean(a, b)
         for block in (1, 64):
-            monkeypatch.setattr(matrix_ops, "_STRIPE_ELEMS", block * 75)  # stripes of `block` rows
-            assert_allclose(pairwise_sq_euclidean(a, b), whole, atol=1e-5)
+            stripes = [pairwise_sq_euclidean(a[i : i + block], b) for i in range(0, 23, block)]
+            assert_allclose(np.vstack(stripes), whole, atol=1e-5)
 
-    def test_fixed_block_bitwise_stable(self, monkeypatch):
+    def test_fixed_block_bitwise_stable(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((18, 5))
         b = rng.standard_normal((31, 5))
-        monkeypatch.setattr(matrix_ops, "_STRIPE_ELEMS", 7 * 31)  # stripes of 7 rows
-        first = pairwise_sq_euclidean(a, b)
-        second = pairwise_sq_euclidean(a, b)
-        assert_array_equal(first, second)
+        first = [pairwise_sq_euclidean(a[i : i + 7], b) for i in range(0, 18, 7)]
+        second = [pairwise_sq_euclidean(a[i : i + 7], b) for i in range(0, 18, 7)]
+        assert_array_equal(np.vstack(first), np.vstack(second))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(13)
@@ -653,11 +654,15 @@ class TestPrefilter:
         """On 2,000 unit rows in clusters of 10 (the benchmark's kind of
         data), DMON's scan (k 2 without own columns) and ARO's (here k 6
         with them) pick the float64 kernel's neighbours, and the values
-        differ only in rounding."""
+        differ only in rounding. Every block uses the prefilter's result,
+        so the fast path is the one measured."""
         fq, _, fg, _ = generate(SynthSpec(num_ids=200, imgs_per_id=10, dim=32, seed=5))
         feats = l2_normalize_rows(np.vstack([fq, fg]))
+        calls = _record_prefilter(monkeypatch)
         for k, exclude_self in ((2, True), (6, False)):
+            calls.clear()
             prefiltered = knn_scan(feats, k, exclude_self=exclude_self)
+            assert calls and all(used for _, used in calls)
             with monkeypatch.context() as mp:
                 mp.setattr(matrix_ops, "_prefiltered_block", lambda *args: None)
                 plain = knn_scan(feats, k, exclude_self=exclude_self)

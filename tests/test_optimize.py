@@ -324,22 +324,26 @@ class TestQueryGalleryLanes:
     @pytest.mark.parametrize("fill", [0.0, 1.0])
     @pytest.mark.parametrize("k2", [1, 4, 40])
     def test_lanes_match_serial_and_oracle(self, monkeypatch, threads, fill, k2):
-        """Every lane sinks half-stripes; the values equal the serial run's
-        bit for bit, and the oracle's (exactly, for raw distances)."""
+        """Every lane sinks half-stripes, in any order, and every row is sunk
+        exactly once; the values equal the serial run's bit for bit, and
+        the oracle's (exactly, for raw distances)."""
         fq, fg = self.tied_rows()
         for enabled in (True, False):
             cfg = AroConfig(k2=k2, fill_value=fill, enabled=enabled, pre_normalize=False)
             serial = self.run(monkeypatch, cfg, None)
             blas = FakeBlasThreads(threads)
             out = np.full_like(serial, np.nan)
+            sunk = np.zeros(len(fq), dtype=int)
             sinks = []
 
             def sink(start, stripe):
                 sinks.append((start, threading.current_thread()))
+                sunk[start : start + len(stripe)] += 1
                 out[start : start + len(stripe)] = stripe
 
             assert self.run(monkeypatch, cfg, blas, sink) is None
-            assert [start for start, _ in sinks] == list(range(0, 45, 8))
+            assert sorted(start for start, _ in sinks) == list(range(0, 45, 8))
+            assert (sunk == 1).all()
             assert len({thread for _, thread in sinks}) == threads
             assert_array_equal(out, serial)
             if enabled:
@@ -348,7 +352,7 @@ class TestQueryGalleryLanes:
             else:
                 assert_array_equal(serial, naive_pairwise_sq(fq, fg))
 
-    def test_sink_calls_are_ordered_and_never_overlap(self, monkeypatch):
+    def test_sink_calls_cover_every_row_and_never_overlap(self, monkeypatch):
         calls, active = [], []
         lock = threading.Lock()
 
@@ -362,17 +366,44 @@ class TestQueryGalleryLanes:
                 active.pop()
 
         self.run(monkeypatch, AroConfig(k2=4), FakeBlasThreads(3), sink)
-        assert [(start, rows) for start, rows, _ in calls] == [
+        assert sorted((start, rows) for start, rows, _ in calls) == [
             (start, min(8, 45 - start)) for start in range(0, 45, 8)]
         assert not any(overlap for _, _, overlap in calls)
 
+    def test_no_lane_waits_for_its_turn(self, monkeypatch):
+        """The caller's first half-stripe takes 0.3 s longer; meanwhile the
+        helper lane sinks its half-stripes 1, 3 and 5 without waiting for
+        half-stripe 0, and the values are still the serial run's."""
+        serial = self.run(monkeypatch, AroConfig(k2=4), None)
+        real = optimize_module.pairwise_sq_euclidean
+        delayed = []
+
+        def slow_first(*args, **kwargs):  # called by the caller's lane only
+            if not delayed:
+                delayed.append(1)
+                time.sleep(0.3)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimize_module, "pairwise_sq_euclidean", slow_first)
+        out = np.full_like(serial, np.nan)
+        starts = []
+
+        def sink(start, stripe):
+            starts.append(start)
+            out[start : start + len(stripe)] = stripe
+
+        self.run(monkeypatch, AroConfig(k2=4), FakeBlasThreads(2), sink)
+        assert starts[:3] == [8, 24, 40]
+        assert sorted(starts) == list(range(0, 45, 8))
+        assert_array_equal(out, serial)
+
     @pytest.mark.parametrize("where", ["helper kernel", "sink on a helper", "sink on the caller"])
     def test_failure_reaches_caller(self, monkeypatch, where):
-        """A failure stops the stage: the other lane, by then waiting for
-        its turn, wakes, no thread is left running, and the lanes are free
+        """A failure stops the stage: the other lane stops at its next
+        half-stripe, no thread is left running, and the lanes are free
         again. Lane 0 runs half-stripes 0, 2, 4 and lane 1 runs 1, 3, 5;
         the failure comes in half-stripe 3 (from a helper) or 2 (from the
-        caller), 0.2 s late, so the other lane is waiting for it."""
+        caller), 0.2 s late."""
         blas = FakeBlasThreads(2)
         real = optimize_module._similarity
         helper_calls = []

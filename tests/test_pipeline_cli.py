@@ -828,6 +828,46 @@ class TestComputeRefinedDistances:
         assert np.all(np.isfinite(out))
 
 
+class TestShortBatchWarning:
+    """A DMON batch of at most k1 rows is enhanced from its own rows alone;
+    the rerank manifest says so in a top-level `warnings` list, which is
+    written only when it is not empty and changes no `dist.npy` byte."""
+
+    @pytest.mark.parametrize("flags, last", [
+        (["--batch-size", "4"], 1),  # 9 gallery rows: batches of 4, 4, 1
+        (["--batch-size", "7"], 2),  # 7, 2
+        (["--batch-size", "2"], 1),  # every batch holds at most k1 rows
+        (["--batch-size", "4", "--joint"], 1),  # 13 stacked rows: 4, 4, 4, 1
+        (["--batch-size", "3"], None),  # 3, 3, 3
+        (["--batch-size", "7", "--k1", "1"], None),  # 7, 2: each row has one other
+        (["--batch-size", "4", "--no-dmon"], None),
+        (["--batch-size", "4", "--gamma", "1"], None),  # the features pass through
+        ([], None),
+    ])
+    @pytest.mark.filterwarnings("ignore:k1=.*clamping:RuntimeWarning")
+    def test_manifest_warns_of_short_batches(self, tmp_path, flags, last):
+        rng = np.random.default_rng(79)
+        labels = ((np.arange(4) % 3, np.zeros(4, int)), (np.arange(9) % 3, np.ones(9, int)))
+        data = write_split(tmp_path / "data", rng.standard_normal((4, 5)),
+                           rng.standard_normal((9, 5)), *labels)
+        run, again = tmp_path / "run", tmp_path / "again"
+        assert main(rerank_args(data, run, *flags)) == EXIT_OK
+        manifest = read_json((run / "manifest.json").read_text())
+        if last is None:
+            assert "warnings" not in manifest
+        else:
+            [warning] = manifest["warnings"]
+            assert f"leave a last batch of {last};" in warning
+            assert "at most k1=2 rows is enhanced from its own rows alone" in warning
+        cfg = config_from_dict(manifest["params"])
+        expected = compute_refined_distances(
+            read_npy((data / "q.npy").read_bytes()), read_npy((data / "g.npy").read_bytes()), cfg)
+        assert (run / "dist.npy").read_bytes() == write_npy(expected, precision="float64")
+        assert replay(run / "manifest.json", again) == EXIT_OK
+        assert (again / "manifest.json").read_bytes() == (run / "manifest.json").read_bytes()
+        assert (again / "dist.npy").read_bytes() == (run / "dist.npy").read_bytes()
+
+
 def npy_bytes(arr) -> bytes:
     """A float64 NPY file of `arr` as given, non-finite values included."""
     return npy_header(arr.shape) + np.ascontiguousarray(arr, dtype="<f8").tobytes()
