@@ -1,7 +1,7 @@
 """Check that this tree's CLI writes the same bytes as a parent checkout's.
 
 Usage:
-    python scripts/identity_check.py --parent DIR
+    python scripts/identity_check.py --parent DIR [--report]
 
 DIR is a checkout of the parent commit, made with `git worktree add` or
 `git archive`. Each case runs the `rerankit` CLI of both trees, one
@@ -22,9 +22,22 @@ and reports name the same paths. The cases:
 - `pipeline --ablation`.
 
 Prints one line per case and exits 1 if any case differs or a command
-fails, else 0. Scratch space comes from `tempfile` (set TMPDIR to move
-it); a case's outputs are deleted when it ends, as a rerank at
-`--ids 1600` writes a 328 MB `dist.npy`.
+fails, else 0.
+
+`--report` is for a change that is meant to move `dist.npy` bits but not
+the rankings. Each `rerank` case, replays included, then also runs
+`eval` on the synth labels inside its output directory, and replays
+compare against this tree's own run instead of the parent's. A case
+prints `same`; `eval-equal` with the largest |delta| of its `dist.npy`
+files, when those are the only files that differ and each has an equal
+`report.json` beside it (the ablation's variants too); or `DIFFER`. A
+replay must still be byte-identical. It exits 1 only when a command
+fails, a replay differs, an eval report differs, or a file other than
+`dist.npy` differs.
+
+Scratch space comes from `tempfile` (set TMPDIR to move it); a case's
+outputs are deleted when it ends, as a rerank at `--ids 1600` writes a
+328 MB `dist.npy`.
 """
 
 import argparse
@@ -35,6 +48,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -64,10 +79,10 @@ class Tree:
         self.work = work
         work.mkdir()
 
-    def run(self, *args: str, threads: str = "2") -> None:
+    def run(self, *args: str, threads: str = "2", cwd: str = ".") -> None:
         env = {**os.environ, "PYTHONPATH": str(self.src), "OPENBLAS_NUM_THREADS": threads}
-        done = subprocess.run([sys.executable, "-m", "rerankit.cli", *args], cwd=self.work,
-                              env=env, capture_output=True, text=True)
+        done = subprocess.run([sys.executable, "-m", "rerankit.cli", *args],
+                              cwd=self.work / cwd, env=env, capture_output=True, text=True)
         if done.returncode != 0:
             last = (done.stderr.strip().splitlines() or ["no output"])[-1]
             raise RuntimeError(f"{self.src}: {args[0]} exited {done.returncode}: {last}")
@@ -84,26 +99,62 @@ def differing(a: Path, b: Path) -> list[str]:
     )
 
 
+def max_delta(a: Path, b: Path) -> float:
+    """The largest |a - b| entry of two NPY matrices of one shape, read in stripes."""
+    x, y = np.load(a, mmap_mode="r"), np.load(b, mmap_mode="r")
+    if x.shape != y.shape:
+        raise RuntimeError(f"{a.name}: shapes {x.shape} and {y.shape} differ")
+    step = max(1, 2**20 // max(x.shape[1], 1))
+    return max(float(np.abs(x[i : i + step] - y[i : i + step]).max(initial=0.0))
+               for i in range(0, len(x), step))
+
+
+def eval_equal(diff: list[str], out: Path) -> bool:
+    """Whether every file in `diff` is a `dist.npy` with a `report.json`
+    beside it under `out` that is not in `diff`."""
+    reports = [str(Path(n).with_name("report.json")) for n in diff]
+    return all(Path(n).name == "dist.npy" and r not in diff and (out / r).is_file()
+               for n, r in zip(diff, reports))
+
+
 class Checker:
-    def __init__(self, parent: Tree, change: Tree):
+    def __init__(self, parent: Tree, change: Tree, report: bool):
         self.parent = parent
         self.change = change
+        self.report = report
         self.cases = 0
+        self.same = 0
         self.failed = 0
 
     def case(self, label: str, out: str, *commands: tuple, threads: str = "2",
-             against: str | None = None, keep: bool = False) -> None:
+             against: str | None = None, keep: bool = False, labels: tuple = ()) -> None:
         """Run `commands` (writing under `out`) in both trees and compare
         `out`; with `against`, run them in this tree only and compare `out`
-        with the parent's `against`."""
+        with the parent's `against`, or with `--report` this tree's, byte
+        for byte. With `--report`, `labels` are the eval flags of a
+        rerank's labels."""
         self.cases += 1
+        base = self.change if self.report and against else self.parent
         try:
             for args in commands:
                 if against is None:
                     self.parent.run(*args, threads=threads)
                 self.change.run(*args, threads=threads)
-            diff = differing(self.parent.work / (against or out), self.change.work / out)
-            line = "same    " + label if not diff else f"DIFFER  {label}: {', '.join(diff)}"
+            if self.report and labels:
+                for tree in (self.change,) if against else (self.parent, self.change):
+                    tree.run("eval", "--dist", "dist.npy", *labels, "--out", "report.json",
+                             threads=threads, cwd=out)
+            a, b = base.work / (against or out), self.change.work / out
+            diff = differing(a, b)
+            if not diff:
+                self.same += 1
+                line = "same    " + label
+            elif self.report and not against and eval_equal(diff, b):
+                delta = max(max_delta(a / n, b / n) for n in diff)
+                line = f"eval-equal  {label}: max |delta dist.npy| {delta:.2g}"
+                diff = []
+            else:
+                line = f"DIFFER  {label}: {', '.join(diff)}"
         except RuntimeError as exc:
             diff = True
             line = f"FAILED  {label}: {exc}"
@@ -119,6 +170,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path,
                         help="checkout of the parent commit")
+    parser.add_argument("--report", action="store_true",
+                        help="evaluate every rerank and accept dist.npy deltas with equal reports")
     args = parser.parse_args()
     parent_src = args.parent.resolve() / "src"
     if not (parent_src / "rerankit" / "cli.py").is_file():
@@ -127,7 +180,7 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="identity_check_") as tmp:
         check = Checker(Tree(parent_src, Path(tmp) / "parent"),
-                        Tree(ROOT / "src", Path(tmp) / "change"))
+                        Tree(ROOT / "src", Path(tmp) / "change"), args.report)
         for ids in SIZES:
             for seed in DATA_SEEDS:
                 out = f"synth-{ids}-{seed}"
@@ -138,16 +191,19 @@ def main() -> int:
         for ids in SIZES:
             data = check.change.work / f"synth-{ids}-{RERANK_SEED}"
             inputs = ("--query", str(data / "q.npy"), "--gallery", str(data / "g.npy"))
+            labels = ("--query-labels", str(data / "q_labels.csv"),
+                      "--gallery-labels", str(data / "g_labels.csv"))
             for flags in RERANK_FLAGS:
                 for threads in BLAS_THREADS:
                     label = (f"--ids {ids} {' '.join(flags) or 'defaults'}, "
                              f"OPENBLAS_NUM_THREADS={threads}")
                     check.case(f"rerank {label}", "rerank",
                                ("rerank", *inputs, *flags, "--out", "rerank"),
-                               threads=threads, keep=True)
+                               threads=threads, keep=True, labels=labels)
                     check.case(f"rerank --from-manifest {label}", "replay",
                                ("rerank", "--from-manifest", "rerank/manifest.json",
-                                "--out", "replay"), threads=threads, against="rerank")
+                                "--out", "replay"), threads=threads, against="rerank",
+                               labels=labels)
                     for tree in (check.parent, check.change):
                         shutil.rmtree(tree.work / "rerank", ignore_errors=True)
 
@@ -160,7 +216,8 @@ def main() -> int:
         check.case("pipeline --ablation", "ablation",
                    ("pipeline", "--ablation", "--out", "ablation"))
 
-    print(f"{check.cases - check.failed} of {check.cases} cases byte-identical")
+    equal = f", {check.cases - check.failed - check.same} eval-equal" if args.report else ""
+    print(f"{check.same} of {check.cases} cases byte-identical{equal}")
     return 1 if check.failed else 0
 
 

@@ -22,10 +22,8 @@ No N x N distance matrix is built: the scan keeps one block of rows in
 memory, and the kernel weights need distances only on the neighbor
 supports, which are computed from the feature pairs directly. Large
 inputs can also be processed in contiguous row chunks, each enhanced
-independently (the "gallery batching" mode).
+independently (the "gallery batching" mode, see `batch_bounds`).
 """
-
-from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
@@ -60,8 +58,8 @@ class DmonConfig:
         gamma: fusion weight of the original features, in [0, 1].
         sigma: fixed kernel base bandwidth, > 0; None selects the adaptive
             bandwidth, the mean first-order distance.
-        batch_size: enhance contiguous row chunks of at most this many
-            rows independently; None processes the whole set at once.
+        batch_size: enhance contiguous row chunks of this many rows
+            independently (see `batch_bounds`); None enhances all at once.
         pre_normalize: L2-normalize input rows before computing distances.
     """
 
@@ -222,8 +220,8 @@ def gaussian_weights(
     all underflow to zero, before any rescaling.
 
     Args:
-        feats: (N, d) features; d(x, y) is their Euclidean distance,
-            computed on the neighbor supports only.
+        feats: (N, d) features; d(x, y)^2 is their squared Euclidean
+            distance, computed on the neighbor supports only.
         orders: neighbor sets defining each order's support.
         sigma: base bandwidth, > 0, adaptive or fixed as `adaptive` says.
 
@@ -234,10 +232,9 @@ def gaussian_weights(
     weights = []
     for h, level in enumerate(orders.levels, start=1):
         rows, cols = _pairs(level)
-        dist = np.sqrt(pair_sq_euclidean(feats, rows, cols))
         sigma_h = sigma * _BANDWIDTH_GROWTH**h
         with np.errstate(all="ignore"):  # a row of vanished weights is reported below
-            vals = np.exp(-np.square(dist) / (2.0 * sigma_h**2))
+            vals = np.exp(pair_sq_euclidean(feats, rows, cols) / (-2.0 * sigma_h**2))
         sums = np.bincount(rows, weights=vals, minlength=n)[rows]
         if not (sums > 0.0).all():
             raise ValueError(
@@ -264,9 +261,8 @@ def enhance(features, cfg: DmonConfig) -> np.ndarray:
     """Run the full multi-order neighbor enhancement pipeline.
 
     With gamma == 1 the latent term vanishes and the result is exactly
-    the row-normalized input. When cfg.batch_size is set and smaller
-    than the row count, contiguous chunks of at most batch_size rows are
-    enhanced independently and concatenated.
+    the row-normalized input. Otherwise the row batches of `batch_bounds`
+    are enhanced independently and concatenated.
 
     Args:
         features: (N, d) embeddings, any array-like; checked and converted
@@ -279,28 +275,17 @@ def enhance(features, cfg: DmonConfig) -> np.ndarray:
     feats = as_feature_matrix(features)
     if cfg.gamma == 1.0:
         return l2_normalize_rows(feats)
-    n = feats.shape[0]
-    if cfg.batch_size is not None and cfg.batch_size < n:
-        parts = [
-            _enhance_whole(feats[start : start + cfg.batch_size], cfg)
-            for start in range(0, n, cfg.batch_size)
-        ]
-        return np.vstack(parts)
-    return _enhance_whole(feats, cfg)
+    parts = [_enhance_whole(feats[a:b], cfg) for a, b in batch_bounds(len(feats), cfg)]
+    return parts[0] if len(parts) == 1 else np.vstack(parts)
 
 
-def short_batch_warning(n: int, cfg: DmonConfig) -> str | None:
-    """A warning when `enhance` of n rows leaves a last batch of at most k1
-    rows, or None. That batch's rows are enhanced from each other alone,
-    with k1 clamped, which `enhance` itself at most warns of on stderr."""
-    size = cfg.batch_size
-    if cfg.gamma == 1.0 or size is None or size >= n:
-        return None
-    last = n - (n - 1) // size * size
-    if last > cfg.k1:
-        return None
-    return (f"DMON batches of {size} of {n} rows leave a last batch of {last}; a batch "
-            f"of at most k1={cfg.k1} rows is enhanced from its own rows alone")
+def batch_bounds(n: int, cfg: DmonConfig) -> list[tuple[int, int]]:
+    """(start, stop) of each batch of cfg.batch_size rows (all n when None) that
+    `enhance` treats alone; a last batch of at most k1 rows joins the one before."""
+    starts = list(range(0, n, cfg.batch_size or n))
+    if len(starts) > 1 and n - starts[-1] <= cfg.k1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def _enhance_whole(feats: np.ndarray, cfg: DmonConfig) -> np.ndarray:
@@ -313,9 +298,8 @@ def _enhance_whole(feats: np.ndarray, cfg: DmonConfig) -> np.ndarray:
         orders = expand_order(orders)
     sigma = cfg.sigma
     if sigma is None:
-        sigma = adaptive_sigma(base, orders)
-        if sigma <= 0.0:
-            sigma = 1.0  # all first-order distances zero: kernel value is 1 anyway
+        # 0 only when every first-order distance is 0; any bandwidth then gives weight 1
+        sigma = adaptive_sigma(base, orders) or 1.0
     weights = gaussian_weights(base, orders, sigma, adaptive=cfg.sigma is None)
     latent = latent_features(weights, base)
     fused = cfg.gamma * base + (1.0 - cfg.gamma) * latent

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .enhance import DmonConfig, enhance, short_batch_warning
+from .enhance import DmonConfig, batch_bounds, enhance
 from .io_formats import (
     LabelFormatError,
     NpyRows,
@@ -161,19 +161,36 @@ def compute_refined_distances(
     """Run the configured stages and return the final query-gallery matrix.
 
     With both stages off this is the plain (pre-normalized) squared
-    distance matrix. With a `sink`, the matrix is handed to it as
-    `optimize` row stripes instead, and None is returned. Both feature
-    sets are checked by `as_query_gallery` before any stage runs.
+    distance matrix; ARO takes DMON's unit-or-zero rows as they are. With
+    a `sink`, the matrix is handed to it as `optimize` row stripes, and
+    None is returned. Both feature sets are checked before any stage runs.
     """
     fq, fg = as_query_gallery(query_feats, gallery_feats)
-    if cfg.dmon_on:
-        if cfg.dmon_joint:
-            stacked = enhance(np.vstack([fq, fg]), cfg.dmon)
-            fq, fg = stacked[: fq.shape[0]], stacked[fq.shape[0] :]
-        else:
-            # batching applies to the gallery side only
-            fq, fg = enhance(fq, replace(cfg.dmon, batch_size=None)), enhance(fg, cfg.dmon)
-    return optimize(fq, fg, cfg.aro, sink=sink)
+    if not cfg.dmon_on:
+        return optimize(fq, fg, cfg.aro, sink=sink)
+    if cfg.dmon_joint:
+        stacked = enhance(np.vstack([fq, fg]), cfg.dmon)
+        fq, fg = stacked[: fq.shape[0]], stacked[fq.shape[0] :]
+    else:
+        # batching applies to the gallery side only
+        fq, fg = enhance(fq, replace(cfg.dmon, batch_size=None)), enhance(fg, cfg.dmon)
+    return optimize(fq, fg, replace(cfg.aro, pre_normalize=False), sink=sink)
+
+
+def clamp_warnings(num_q: int, num_g: int, cfg: PipelineConfig) -> list[str]:
+    """The k clamps of a rerank of num_q queries and num_g gallery rows: k1 to
+    n - 1 in each DMON batch of n <= k1 rows (`batch_bounds`), k2 to num_g."""
+    sets = [("query", num_q, replace(cfg.dmon, batch_size=None)), ("gallery", num_g, cfg.dmon)]
+    if cfg.dmon_joint:
+        sets = [("query+gallery", num_q + num_g, cfg.dmon)]
+    found = []
+    for name, n, dmon in sets if cfg.dmon_on and cfg.dmon.gamma != 1.0 else []:
+        sizes = [b - a for a, b in batch_bounds(n, dmon)]
+        found += [f"DMON k1={dmon.k1} is clamped to {size - 1} in {sizes.count(size)} {name} "
+                  f"batch(es) of {size} rows" for size in sorted(set(sizes)) if size <= dmon.k1]
+    if cfg.aro.enabled and cfg.aro.k2 > num_g:
+        found.append(f"ARO k2={cfg.aro.k2} is clamped to the gallery's {num_g} rows")
+    return found
 
 
 def _manifest(command: str, params: dict, inputs: dict, outputs: dict, seed=None) -> dict:
@@ -263,11 +280,9 @@ def rerank_files(
         {"distances": DIST_FILENAME, "distance_kind": distance_kind},
         seed=seed,
     )
-    if cfg.dmon_on:
-        # DMON batches the gallery, or with `dmon_joint` the queries stacked on it
-        warning = short_batch_warning(shape[1] + shape[0] * cfg.dmon_joint, cfg.dmon)
-        if warning is not None:
-            manifest["warnings"] = [warning]
+    warnings = clamp_warnings(*shape, cfg)
+    if warnings:
+        manifest["warnings"] = warnings
     (out / MANIFEST_FILENAME).write_text(write_json(manifest), encoding="utf-8")
     return manifest
 

@@ -84,9 +84,12 @@ def naive_enhance(
         return naive_normalize_rows(feats)
     n = feats.shape[0]
     if batch_size is not None and batch_size < n:
+        starts = list(range(0, n, batch_size))
+        if n - starts[-1] <= k1:  # a last chunk of at most k1 rows joins the one before
+            starts.pop()
         chunks = [
             naive_enhance(
-                feats[s : s + batch_size],
+                feats[s:e],
                 k1,
                 num_orders,
                 gamma,
@@ -95,7 +98,7 @@ def naive_enhance(
                 None,
                 pre_normalize,
             )
-            for s in range(0, n, batch_size)
+            for s, e in zip(starts, starts[1:] + [n])
         ]
         return np.vstack(chunks)
 

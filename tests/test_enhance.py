@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -263,12 +264,21 @@ class TestEnhance:
         batched = enhance(feats, DmonConfig(batch_size=20))
         assert_array_equal(whole, batched)
 
-    def test_batched_chunks_enhanced_independently(self):
+    @pytest.mark.parametrize("n, batch_size, chunks", [
+        (23, 8, [8, 8, 7]),
+        (9, 4, [4, 5]),  # a last chunk of 1 <= k1 rows joins the one before
+    ])
+    def test_batched_chunks_enhanced_independently(self, n, batch_size, chunks):
         rng = np.random.default_rng(127)
-        feats = rng.standard_normal((23, 4))
-        cfg = DmonConfig(k1=2, orders=2, batch_size=8)
-        expected = naive_enhance(feats, k1=2, num_orders=2, batch_size=8)
-        assert_allclose(enhance(feats, cfg), expected, atol=1e-6)
+        feats = rng.standard_normal((n, 4))
+        cfg = DmonConfig(k1=2, orders=2, batch_size=batch_size)
+        out = enhance(feats, cfg)
+        expected = naive_enhance(feats, k1=2, num_orders=2, batch_size=batch_size)
+        assert_allclose(out, expected, atol=1e-6)
+        bounds = np.cumsum([0, *chunks])
+        whole = replace(cfg, batch_size=None)
+        parts = [enhance(feats[a:b], whole) for a, b in zip(bounds, bounds[1:])]
+        assert_array_equal(out, np.vstack(parts))
 
     def test_fixed_sigma_mode(self):
         rng = np.random.default_rng(131)

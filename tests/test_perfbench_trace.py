@@ -54,10 +54,12 @@ def traced_run(tmp_path_factory):
                    "--out", str(out)]
     rerank = _traced(tmp, "rerank", rerank_args)
     memory = _traced(tmp, "mem", rerank_args, memory=True)
+    no_dmon = _traced(tmp, "no_dmon", [*rerank_args[:-1], str(tmp / "no_dmon"), "--no-dmon"])
     evaluate = _traced(tmp, "eval", ["eval", "--dist", str(out / "dist.npy"),
                                      "--query-labels", str(data / "q_labels.csv"),
                                      "--gallery-labels", str(data / "g_labels.csv")])
-    return {"synth": synth, "rerank": rerank, "mem": memory, "eval": evaluate, "data": data}
+    return {"synth": synth, "rerank": rerank, "mem": memory, "no_dmon": no_dmon,
+            "eval": evaluate, "data": data}
 
 
 def _spans(doc, name):
@@ -78,6 +80,14 @@ def test_features_are_checked_once_per_entry(traced_run):
     below: `compute_refined_distances` checks query and gallery, each of
     the two `enhance` calls checks its set, and `optimize` checks both."""
     assert len(_spans(traced_run["rerank"], "matrix_ops.as_feature_matrix")) == 6
+
+
+def test_rows_are_normalized_once_per_stage(traced_run):
+    """Each `enhance` call normalizes its input and its output; ARO takes
+    the enhanced rows as they are, and normalizes only features DMON did
+    not touch."""
+    assert len(_spans(traced_run["rerank"], "matrix_ops.l2_normalize_rows")) == 4
+    assert len(_spans(traced_run["no_dmon"], "matrix_ops.l2_normalize_rows")) == 2
 
 
 def test_memory_trace_records_peaks(traced_run):

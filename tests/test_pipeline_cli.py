@@ -828,41 +828,46 @@ class TestComputeRefinedDistances:
         assert np.all(np.isfinite(out))
 
 
-class TestShortBatchWarning:
-    """A DMON batch of at most k1 rows is enhanced from its own rows alone;
-    the rerank manifest says so in a top-level `warnings` list, which is
-    written only when it is not empty and changes no `dist.npy` byte."""
+class TestClampWarnings:
+    """The rerank manifest names every k clamp in a top-level `warnings`
+    list: k1 in each DMON batch of at most k1 rows (of the query set, the
+    gallery or the joint stack) and k2 beyond the gallery. The list is
+    written only when it is not empty, and a replay gives the same bytes."""
 
-    @pytest.mark.parametrize("flags, last", [
-        (["--batch-size", "4"], 1),  # 9 gallery rows: batches of 4, 4, 1
-        (["--batch-size", "7"], 2),  # 7, 2
-        (["--batch-size", "2"], 1),  # every batch holds at most k1 rows
-        (["--batch-size", "4", "--joint"], 1),  # 13 stacked rows: 4, 4, 4, 1
-        (["--batch-size", "3"], None),  # 3, 3, 3
-        (["--batch-size", "7", "--k1", "1"], None),  # 7, 2: each row has one other
-        (["--batch-size", "4", "--no-dmon"], None),
-        (["--batch-size", "4", "--gamma", "1"], None),  # the features pass through
-        ([], None),
+    @pytest.mark.parametrize("nq, ng, flags, expected", [
+        (2, 3, ["--k1", "3", "--k2", "5"], [
+            "DMON k1=3 is clamped to 1 in 1 query batch(es) of 2 rows",
+            "DMON k1=3 is clamped to 2 in 1 gallery batch(es) of 3 rows",
+            "ARO k2=5 is clamped to the gallery's 3 rows",
+        ]),
+        # batches of 2, 2, 2, 3
+        (4, 9, ["--batch-size", "2", "--k2", "5"], [
+            "DMON k1=2 is clamped to 1 in 3 gallery batch(es) of 2 rows",
+        ]),
+        # 4 + 9 stacked rows: batches of 2, 2, 2, 2, 2, 3
+        (4, 9, ["--batch-size", "2", "--joint", "--k2", "5"], [
+            "DMON k1=2 is clamped to 1 in 5 query+gallery batch(es) of 2 rows",
+        ]),
+        (4, 9, ["--batch-size", "4", "--k2", "5"], []),  # the last row joins the batch before
+        (4, 9, ["--batch-size", "2", "--no-dmon"],
+         ["ARO k2=20 is clamped to the gallery's 9 rows"]),
+        (4, 9, ["--batch-size", "2", "--gamma", "1", "--no-aro"], []),
+        (6, 24, [], []),
     ])
     @pytest.mark.filterwarnings("ignore:k1=.*clamping:RuntimeWarning")
-    def test_manifest_warns_of_short_batches(self, tmp_path, flags, last):
+    def test_manifest_names_every_clamp(self, tmp_path, nq, ng, flags, expected):
         rng = np.random.default_rng(79)
-        labels = ((np.arange(4) % 3, np.zeros(4, int)), (np.arange(9) % 3, np.ones(9, int)))
-        data = write_split(tmp_path / "data", rng.standard_normal((4, 5)),
-                           rng.standard_normal((9, 5)), *labels)
+        labels = ((np.arange(nq) % 3, np.zeros(nq, int)), (np.arange(ng) % 3, np.ones(ng, int)))
+        data = write_split(tmp_path / "data", rng.standard_normal((nq, 5)),
+                           rng.standard_normal((ng, 5)), *labels)
         run, again = tmp_path / "run", tmp_path / "again"
         assert main(rerank_args(data, run, *flags)) == EXIT_OK
         manifest = read_json((run / "manifest.json").read_text())
-        if last is None:
-            assert "warnings" not in manifest
-        else:
-            [warning] = manifest["warnings"]
-            assert f"leave a last batch of {last};" in warning
-            assert "at most k1=2 rows is enhanced from its own rows alone" in warning
+        assert manifest.get("warnings", "absent") == (expected or "absent")
         cfg = config_from_dict(manifest["params"])
-        expected = compute_refined_distances(
+        expected_dist = compute_refined_distances(
             read_npy((data / "q.npy").read_bytes()), read_npy((data / "g.npy").read_bytes()), cfg)
-        assert (run / "dist.npy").read_bytes() == write_npy(expected, precision="float64")
+        assert (run / "dist.npy").read_bytes() == write_npy(expected_dist, precision="float64")
         assert replay(run / "manifest.json", again) == EXIT_OK
         assert (again / "manifest.json").read_bytes() == (run / "manifest.json").read_bytes()
         assert (again / "dist.npy").read_bytes() == (run / "dist.npy").read_bytes()
