@@ -95,7 +95,7 @@ def _add_config_flags(p: argparse.ArgumentParser, grid: bool = False):
     p.add_argument("--gamma", type=floats, help=f"{each}original-feature fusion weight")
     p.add_argument("--orders", type=ints, help=f"{each}number of neighbor orders")
     p.add_argument("--sigma", type=float, help="fixed kernel bandwidth (default: adaptive)")
-    p.add_argument("--batch-size", type=int, help="gallery chunk size (default: unlimited)")
+    p.add_argument("--batch-size", type=int, help="gallery (or --joint stack) chunk size")
     p.add_argument("--fill", type=float, choices=[0.0, 1.0], help="filter fill value")
     p.add_argument("--max-rank", type=int, help="CMC length")
     p.add_argument("--baseline", action="store_true", help="bypass both stages")
@@ -244,7 +244,9 @@ def _cmd_sweep(args) -> int:
         _config_from_args(argparse.Namespace(**{**vars(args), **dict(zip(keys, values))}))
         for values in itertools.product(*(getattr(args, key) or [None] for key in keys))
     ]
-    rows = run_sweep(args.query, args.gallery, args.query_labels, args.gallery_labels, cells)
+    rows, clamps = run_sweep(
+        args.query, args.gallery, args.query_labels, args.gallery_labels, cells
+    )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
@@ -258,6 +260,7 @@ def _cmd_sweep(args) -> int:
         {"query": args.query, "gallery": args.gallery,
          "query_labels": args.query_labels, "gallery_labels": args.gallery_labels},
         {"table": str(out)},
+        warnings=clamps,
     )
     Path(f"{out}.manifest.json").write_text(write_json(manifest), encoding="utf-8")
     print(str(out))

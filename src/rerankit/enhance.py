@@ -25,7 +25,6 @@ inputs can also be processed in contiguous row chunks, each enhanced
 independently (the "gallery batching" mode, see `batch_bounds`).
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,14 +98,10 @@ def build_first_order(feats: np.ndarray, k1: int) -> NeighborOrders:
     """First-order neighbors: the k1 nearest other samples of each row.
 
     Found by a blocked scan of the (N, d) features, ordered nearest
-    first with ties broken by ascending index. If k1 >= N it is clamped
-    to N-1 with a warning.
+    first with ties broken by ascending index. If k1 >= N, `knn_scan`
+    clamps it to N-1; the command's manifest names the clamp
+    (`pipeline.clamp_warnings`).
     """
-    n = len(feats)
-    if k1 >= n:
-        warnings.warn(
-            f"k1={k1} >= sample count {n}; clamping to {n - 1}", RuntimeWarning, stacklevel=2
-        )
     nearest = knn_scan(feats, k1, exclude_self=True)
     return NeighborOrders(levels=[list(nearest.indices)])
 

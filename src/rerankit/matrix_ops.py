@@ -220,9 +220,9 @@ def topk_smallest(arr: np.ndarray, k: int) -> TopKResult:
     """Per-row smallest-k entries, ordered by (value, column index).
 
     Ties are broken by ascending column index, so repeated calls on the
-    same input always produce identical index lists. k is clamped to the
-    number of columns. The matrix is searched in one pass: its caller
-    hands it blocks of about _STRIPE_ELEMS / 8 entries.
+    same input always produce identical index lists. A k past M keeps
+    whole rows. The matrix is searched in one pass: its caller hands it
+    blocks of about _STRIPE_ELEMS / 8 entries.
 
     When 2 * k * _TILE_COLS <= M, selection runs through column tiles
     (see `_topk_tiled`): only the entries no larger than the k-th
@@ -235,14 +235,14 @@ def topk_smallest(arr: np.ndarray, k: int) -> TopKResult:
         k: number of entries to keep per row, >= 1.
 
     Returns:
-        TopKResult: indices (N, k_eff) int64 and values (N, k_eff) float64.
+        TopKResult: indices (N, min(k, M)) int64 and values alike, float64.
     """
-    return TopKResult(*_topk_block(arr, min(k, arr.shape[1])))
+    return TopKResult(*_topk_block(arr, k))
 
 
 def _topk_block(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-k of each row, 1 <= k <= width: through tiles when each
-    row has at least 2k of them, else over the whole row."""
+    """Smallest-min(k, width) of each row, k >= 1: through tiles when each
+    row has at least 2k of them, else over the whole row (`_topk_rows`)."""
     select = _topk_tiled if 2 * k * _TILE_COLS <= work.shape[1] else _topk_rows
     return select(work, k)
 

@@ -193,7 +193,9 @@ def clamp_warnings(num_q: int, num_g: int, cfg: PipelineConfig) -> list[str]:
     return found
 
 
-def _manifest(command: str, params: dict, inputs: dict, outputs: dict, seed=None) -> dict:
+def _manifest(command: str, params: dict, inputs: dict, outputs: dict, seed=None, warnings=()):
+    """A command's manifest, with a top-level `warnings` list (of k clamps)
+    only when `warnings` is not empty."""
     return {
         "tool": "rerankit",
         "version": __version__,
@@ -202,7 +204,7 @@ def _manifest(command: str, params: dict, inputs: dict, outputs: dict, seed=None
         "inputs": inputs,
         "params": params,
         "outputs": outputs,
-    }
+    } | ({"warnings": warnings} if warnings else {})
 
 
 def synth_files(spec: SynthSpec, out_dir) -> dict:
@@ -279,10 +281,8 @@ def rerank_files(
         {"query": str(query_path), "gallery": str(gallery_path)},
         {"distances": DIST_FILENAME, "distance_kind": distance_kind},
         seed=seed,
+        warnings=clamp_warnings(*shape, cfg),
     )
-    warnings = clamp_warnings(*shape, cfg)
-    if warnings:
-        manifest["warnings"] = warnings
     (out / MANIFEST_FILENAME).write_text(write_json(manifest), encoding="utf-8")
     return manifest
 
@@ -381,11 +381,12 @@ def run_sweep(
     query_labels_path,
     gallery_labels_path,
     cells: list[PipelineConfig],
-) -> list[dict]:
+) -> tuple[list[dict], list[str]]:
     """Hyperparameter sweep; one rerank+eval per grid cell, in the given order.
 
     The first row is the baseline (both stages off, with the first
-    cell's other settings), used for the delta columns.
+    cell's other settings), used for the delta columns. Also returns the
+    cells' k clamps (`clamp_warnings`), each once, in the order first met.
     """
     if not cells:
         raise ValueError("empty sweep grid")
@@ -400,7 +401,8 @@ def run_sweep(
     for cfg in cells:
         report = _evaluate_config(fq, q_labels, fg, g_labels, cfg)
         rows.append(_sweep_row("grid", _grid_values(cfg), cfg, report, base))
-    return rows
+    clamps = dict.fromkeys(line for cfg in cells for line in clamp_warnings(len(fq), len(fg), cfg))
+    return rows, list(clamps)
 
 
 def sweep_rows_to_csv(rows: list[dict]) -> str:

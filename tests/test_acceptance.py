@@ -96,7 +96,6 @@ def _random_instance(rng):
     return rng.standard_normal((n_q, dim)), rng.standard_normal((n_g, dim))
 
 
-@pytest.mark.filterwarnings("ignore:k1=.*clamping:RuntimeWarning")
 def test_criterion_1_oracle_equivalence():
     """Enhancement, optimization, and pairwise distances match naive re-implementations."""
     rng = np.random.default_rng(20240001)

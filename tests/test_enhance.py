@@ -42,9 +42,8 @@ class TestBuildFirstOrder:
         assert_array_equal(level[1], [0])  # tie between 0 and 2 -> lower index
         assert_array_equal(level[2], [1])
 
-    def test_k1_clamped_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            orders = build_first_order(line_points(), k1=5)
+    def test_k1_clamped(self):
+        orders = build_first_order(line_points(), k1=5)
         assert all(len(nbrs) == 2 for nbrs in orders.levels[0])
 
     def test_no_self_membership(self):
@@ -292,7 +291,6 @@ class TestEnhance:
         out = enhance(feats, DmonConfig(k1=2, orders=2))
         assert np.all(np.isfinite(out))
 
-    @pytest.mark.filterwarnings("ignore:k1=.*clamping:RuntimeWarning")
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_naive_oracle(self, data):

@@ -748,6 +748,7 @@ class TestSweepCommand:
         manifest = read_json(Path(f"{out}.manifest.json").read_text())
         assert manifest["command"] == "sweep"
         assert manifest["params"]["k1"] == [1, 2]
+        assert "warnings" not in manifest  # nothing clamps
 
 
 class TestPipelineCommand:
@@ -829,10 +830,11 @@ class TestComputeRefinedDistances:
 
 
 class TestClampWarnings:
-    """The rerank manifest names every k clamp in a top-level `warnings`
-    list: k1 in each DMON batch of at most k1 rows (of the query set, the
-    gallery or the joint stack) and k2 beyond the gallery. The list is
-    written only when it is not empty, and a replay gives the same bytes."""
+    """The rerank and sweep manifests name every k clamp in a top-level
+    `warnings` list: k1 in each DMON batch of at most k1 rows (of the query
+    set, the gallery or the joint stack) and k2 beyond the gallery. The list
+    is written only when it is not empty, and a rerank replay gives the same
+    bytes."""
 
     @pytest.mark.parametrize("nq, ng, flags, expected", [
         (2, 3, ["--k1", "3", "--k2", "5"], [
@@ -854,7 +856,6 @@ class TestClampWarnings:
         (4, 9, ["--batch-size", "2", "--gamma", "1", "--no-aro"], []),
         (6, 24, [], []),
     ])
-    @pytest.mark.filterwarnings("ignore:k1=.*clamping:RuntimeWarning")
     def test_manifest_names_every_clamp(self, tmp_path, nq, ng, flags, expected):
         rng = np.random.default_rng(79)
         labels = ((np.arange(nq) % 3, np.zeros(nq, int)), (np.arange(ng) % 3, np.ones(ng, int)))
@@ -871,6 +872,26 @@ class TestClampWarnings:
         assert replay(run / "manifest.json", again) == EXIT_OK
         assert (again / "manifest.json").read_bytes() == (run / "manifest.json").read_bytes()
         assert (again / "dist.npy").read_bytes() == (run / "dist.npy").read_bytes()
+
+    def test_sweep_manifest_names_each_clamp_once(self, tmp_path, capsys):
+        """2 queries and 4 gallery rows: each cell clamps k2, and the k1 2 and
+        k1 5 cells clamp k1; the manifest lists each clamp once, in the order
+        first met, and nothing is written to stderr."""
+        data, out = tmp_path / "data", tmp_path / "sweep.csv"
+        assert main(synth_args(data, ids=2, per_id=3)) == EXIT_OK
+        assert main([
+            "sweep", "--query", str(data / "q.npy"), "--gallery", str(data / "g.npy"),
+            "--query-labels", str(data / "q_labels.csv"),
+            "--gallery-labels", str(data / "g_labels.csv"),
+            "--k1", "1,2,5", "--out", str(out),
+        ]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert read_json(Path(f"{out}.manifest.json").read_text())["warnings"] == [
+            "ARO k2=20 is clamped to the gallery's 4 rows",
+            "DMON k1=2 is clamped to 1 in 1 query batch(es) of 2 rows",
+            "DMON k1=5 is clamped to 1 in 1 query batch(es) of 2 rows",
+            "DMON k1=5 is clamped to 3 in 1 gallery batch(es) of 4 rows",
+        ]
 
 
 def npy_bytes(arr) -> bytes:
