@@ -98,7 +98,7 @@ def parse_npy_header(data: bytes) -> tuple[str, tuple[int, int], int]:
             "NPY header must be a dict with keys descr/fortran_order/shape", offset=10
         )
     descr = parsed["descr"]
-    if descr not in _DESCR_TO_DTYPE:
+    if not isinstance(descr, str) or descr not in _DESCR_TO_DTYPE:
         raise NpyFormatError(
             f"unsupported dtype descr {descr!r}, expected '<f4' or '<f8'", offset=10
         )
@@ -111,7 +111,7 @@ def parse_npy_header(data: bytes) -> tuple[str, tuple[int, int], int]:
     if (
         not isinstance(shape, tuple)
         or len(shape) != 2
-        or not all(isinstance(s, int) and s >= 0 for s in shape)
+        or not all(type(s) is int and s >= 0 for s in shape)
     ):
         raise NpyFormatError(
             f"only rank-2 arrays are supported, got shape {shape!r}", offset=10

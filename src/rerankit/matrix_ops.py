@@ -329,7 +329,13 @@ def _pack_rows(n: int, rows, cols, values) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _topk_rows(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-k of each row with (value, index) ordering. `work` may hold inf."""
+    """Smallest-k of each row with (value, index) ordering. `work` may hold inf.
+
+    argpartition picks an arbitrary subset when values tie at a row's k-th
+    value T. A row where it passed over a tie at T is selected again in
+    linear time: every entry below T, then the lowest-index entries equal
+    to T up to k in all, ordered by (value, column).
+    """
     n, m = work.shape
     if k >= m:
         idx = np.argsort(work, axis=1, kind="stable").astype(np.int64)
@@ -339,14 +345,18 @@ def _topk_rows(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         order = np.lexsort((idx, vals), axis=1)
         idx = np.take_along_axis(idx, order, axis=1)
         vals = np.take_along_axis(vals, order, axis=1)
-        # argpartition picks an arbitrary subset when values tie at the
-        # selection boundary; re-select the rows where lower-index ties
-        # were passed over by a stable sort.
-        boundary = vals[:, -1]
-        selected_eq = (vals == boundary[:, None]).sum(axis=1)
-        total_eq = (work == boundary[:, None]).sum(axis=1)
+        boundary = vals[:, -1:]
+        selected_eq = (vals == boundary).sum(axis=1)
+        total_eq = (work == boundary).sum(axis=1)
         redo = np.flatnonzero(total_eq > selected_eq)
-        idx[redo] = np.argsort(work[redo], axis=1, kind="stable")[:, :k]
+        if len(redo):
+            rows, bound = work[redo], boundary[redo]
+            below, tied = rows < bound, rows == bound
+            room = k - below.sum(axis=1, keepdims=True)
+            keep = below | (tied & (np.cumsum(tied, axis=1) <= room))
+            cols = np.nonzero(keep)[1].reshape(len(redo), k)
+            kept = np.take_along_axis(rows, cols, axis=1)
+            idx[redo] = np.take_along_axis(cols, np.lexsort((cols, kept), axis=1), axis=1)
     idx = idx[:, :k]
     vals = np.take_along_axis(work, idx, axis=1)
     return idx, vals
@@ -377,11 +387,11 @@ def knn_scan(arr: np.ndarray, k: int, exclude_self: bool) -> TopKResult:
     `_SCAN_BLOCK_ROWS`), 156 rows at N = 12,800, and fill the same
     scratch. A block with more than k + _SCAN_CANDIDATES candidates per
     row on average falls back to the float64 kernel, in sub-blocks of
-    the float64 height. Block 0 runs before any other block starts; if
-    it falls back, every block does, without a float32 pass. Every block
-    of a narrower matrix, or of 2^23 or more columns, is measured in
-    float64 by one GEMM and searched as in `topk_smallest` (through
-    column tiles when 2 * k * _TILE_COLS <= N, see `_topk_tiled`).
+    the float64 height, and returns that kernel's values. A block's route
+    depends on its own rows alone. Every block of a narrower matrix, or
+    of 2^23 or more columns, is measured in float64 by one GEMM and
+    searched as in `topk_smallest` (through column tiles when
+    2 * k * _TILE_COLS <= N, see `_topk_tiled`).
 
     Args:
         arr: (N, d) feature matrix.
@@ -411,14 +421,11 @@ def knn_scan(arr: np.ndarray, k: int, exclude_self: bool) -> TopKResult:
     out = TopKResult(np.empty((n, k), dtype=np.int64), np.empty((n, k)))
 
     def scan_block(j, scratch):
-        nonlocal coarse
         start = j * rows
         stop = min(start + rows, n)
         found = None
         if coarse is not None:
             found = _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratch)
-            if found is None and j == 0:
-                coarse = None  # read by the other blocks only after block 0 ends
         if found is not None:
             out.indices[start:stop], out.values[start:stop] = found
             return
@@ -430,7 +437,7 @@ def knn_scan(arr: np.ndarray, k: int, exclude_self: bool) -> TopKResult:
             block[local, local + s0] = self_value
             out.indices[s0:s1], out.values[s0:s1] = _topk_block(block, k)
 
-    _run_lanes(scan_block, -(-n // rows), (half, n), first_alone=coarse is not None)
+    _run_lanes(scan_block, -(-n // rows), (half, n))
     return out
 
 
@@ -551,8 +558,7 @@ def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratc
     return np.take_along_axis(packed_cols, picked, axis=1), values
 
 
-def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shape,
-               first_alone: bool = False) -> None:
+def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shape) -> None:
     """Call task(j, scratch) for every j in range(count), over L lanes.
 
     L is the BLAS thread count, read now. Lane 0 is the calling thread
@@ -563,13 +569,6 @@ def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shap
     back the memory the helpers' temporaries left in their malloc arenas.
     The first exception a task raises stops the other lanes at their
     next task and is re-raised here.
-
-    With `first_alone`, the helpers start only once task 0 has ended, so
-    task 0 can settle what the others do (`knn_scan`'s block 0 decides
-    whether the float32 prefilter is used). Task 0 still runs on a lane,
-    with BLAS at one thread: run on the caller before the lanes, with
-    BLAS at two threads, a 6.4k-row scan on two cores took 30-50 ms
-    longer (medians of 9: k 2, 130 -> 181 ms; k 20, 220 -> 250 ms).
 
     All tasks run on the calling thread, with BLAS left as it is, when
     the BLAS thread controls are not found, BLAS has one thread, count
@@ -591,9 +590,6 @@ def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shap
         return
     scratch = np.empty((lanes, *scratch_shape))
     stop = threading.Event()
-    first_done = threading.Event()
-    if not first_alone:
-        first_done.set()
     errors = []
 
     def lane(i):
@@ -601,11 +597,9 @@ def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shap
             if stop.is_set():
                 return
             task(j, scratch[i])
-            first_done.set()
 
     def helper(i):
         try:
-            first_done.wait()
             lane(i)
         except Exception as exc:  # re-raised on the calling thread
             errors.append(exc)
@@ -623,7 +617,6 @@ def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shap
         stop.set()
         raise
     finally:
-        first_done.set()
         for thread in started:
             thread.join()
         controls.set(threads)

@@ -75,21 +75,24 @@ class TestReadNpy:
         with pytest.raises(NpyFormatError, match="fortran_order"):
             read_npy(data)
 
-    def test_unsupported_dtype(self):
+    @pytest.mark.parametrize("descr", ["'<i4'", "[('x', '<f4')]"])
+    def test_unsupported_dtype(self, descr):
         data = build_npy_bytes(
-            "{'descr': '<i4', 'fortran_order': False, 'shape': (1, 1), }\n",
+            f"{{'descr': {descr}, 'fortran_order': False, 'shape': (1, 1), }}\n",
             struct.pack("<i", 1),
         )
-        with pytest.raises(NpyFormatError, match="dtype"):
+        with pytest.raises(NpyFormatError, match="dtype") as info:
             read_npy(data)
+        assert info.value.offset == 10
 
-    @pytest.mark.parametrize("shape", ["(3,)", "(1, 2, 3)", "(-1, 2)", "'x'"])
+    @pytest.mark.parametrize("shape", ["(3,)", "(1, 2, 3)", "(-1, 2)", "'x'", "(True, 2)"])
     def test_bad_rank_or_shape(self, shape):
         data = build_npy_bytes(
             f"{{'descr': '<f4', 'fortran_order': False, 'shape': {shape}, }}\n", bytes(96)
         )
-        with pytest.raises(NpyFormatError, match="rank-2"):
+        with pytest.raises(NpyFormatError, match="rank-2") as info:
             read_npy(data)
+        assert info.value.offset == 10
 
     def test_truncated_payload(self):
         data = build_npy_bytes(

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
@@ -195,6 +195,9 @@ class TestTopkSmallest:
         ),
         st.integers(1, 12),
     )
+    # 2,400 columns of integers below 200: each value has about 12 copies,
+    # so ties straddle the k-th value in every row
+    @example(np.random.default_rng(23).integers(0, 200, (6, 2400)).astype(float), 12)
     @settings(max_examples=60, deadline=None)
     def test_against_oracle(self, d, k):
         res = topk_smallest(d, k)
@@ -482,18 +485,13 @@ class TestPrefilter:
     @settings(max_examples=150, deadline=None)
     def test_integer_rows_match_oracle(self, case, exclude_self, block, data):
         """Duplicate integer rows tie across block and tile edges; one block
-        may be sent to the float64 kernel, the others take the prefilter.
-        When block 0 is sent there, so is the whole scan, and no other
-        block runs the float32 pass."""
+        may be sent to the float64 kernel, the others take the prefilter."""
         pts, k, tile = case
         fail_start = data.draw(st.sampled_from([None, *range(0, len(pts), block)]),
                                label="float64 block")
         res, calls = _prefiltered_scan(pts, k, exclude_self, block, tile, fail_start)
-        if fail_start == 0:
-            assert calls == [(0, False)]
-        else:
-            assert len(calls) == -(-len(pts) // block)
-            assert sum(used for _, used in calls) == len(calls) - (fail_start is not None)
+        assert len(calls) == -(-len(pts) // block)
+        assert sum(used for _, used in calls) == len(calls) - (fail_start is not None)
         exp_idx, exp_val = naive_topk(naive_pairwise_sq(pts, pts), k, exclude_self=exclude_self)
         assert_array_equal(res.indices, exp_idx)
         assert_array_equal(res.values, exp_val)
@@ -604,8 +602,7 @@ class TestPrefilter:
     @settings(max_examples=150, deadline=None)
     def test_fallback_block_runs_in_float64_halves(self, pool, picks, half, exclude_self, data):
         """Float32 blocks are twice the float64 height `half`; a block sent
-        to the float64 kernel runs as float64 sub-blocks of `half` rows.
-        Sent there, block 0 takes the whole scan with it."""
+        to the float64 kernel runs as float64 sub-blocks of `half` rows."""
         pts = np.array([pool[i % len(pool)] for i in picks])
         n = len(pts)
         k = data.draw(st.integers(1, n // 2), label="k")
@@ -624,27 +621,27 @@ class TestPrefilter:
             mp.setattr(matrix_ops, "_sq_dist_stripe", spy)
             calls = _record_prefilter(mp, fail_start)
             res = knn_scan(pts, k, exclude_self=exclude_self)
-        stop = n if fail_start == 0 else min(fail_start + 2 * half, n)
+        stop = min(fail_start + 2 * half, n)
         # lanes may run the blocks in any order
         assert sorted(heights) == sorted(min(half, stop - s) for s in range(fail_start, stop, half))
-        assert sorted(start for start, _ in calls) == (
-            [0] if fail_start == 0 else list(range(0, n, 2 * half)))
+        assert sorted(start for start, _ in calls) == list(range(0, n, 2 * half))
         exp_idx, exp_val = naive_topk(naive_pairwise_sq(pts, pts), k, exclude_self=exclude_self)
         assert_array_equal(res.indices, exp_idx)
         assert_array_equal(res.values, exp_val)
 
-    def test_block_zero_fallback_decides_scan(self, monkeypatch):
+    def test_every_block_falls_back_on_its_own(self, monkeypatch):
         """100 distinct rows, 128 copies each, at 12,800 rows: every row has
-        128 columns at distance 0, far over the candidate budget. Block 0
-        falls back, so the whole scan runs the float64 kernel, and no other
-        block runs the float32 pass, on two lanes too."""
+        128 columns at distance 0, far over the candidate budget. Each
+        block tries the float32 pass and falls back to the float64 kernel
+        on its own rows, on two lanes too."""
         grid = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * 4, indexing="ij"), -1).reshape(-1, 4)
         pool = grid[np.random.default_rng(61).choice(len(grid), 100, replace=False)]
         copy_of = np.arange(12_800) % 100
         monkeypatch.setattr(matrix_ops, "_blas_threads", lambda: FakeBlasThreads(2))
         calls = _record_prefilter(monkeypatch)
         res = knn_scan(pool[copy_of], 2, exclude_self=False)
-        assert calls == [(0, False)]
+        # float32 blocks of 156 rows at N = 12,800 (see `knn_scan`)
+        assert sorted(calls) == [(start, False) for start in range(0, 12_800, 156)]
         # copies of one row have equal distance rows, own column included
         exp_idx, exp_val = naive_topk(naive_pairwise_sq(pool, pool)[:, copy_of], 2)
         assert_array_equal(res.indices, exp_idx[copy_of])

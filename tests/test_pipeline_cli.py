@@ -934,6 +934,12 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err == "data error: gallery features contains a non-finite value in row 3\n"
 
+    def test_structured_npy_is_a_data_error(self, data_dir, tmp_path, capsys):
+        np.save(data_dir / "q.npy", np.zeros(3, dtype=[("x", "<f4")]))
+        assert main(rerank_args(data_dir, tmp_path / "run")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "unsupported dtype descr" in err, err
+
     @pytest.mark.parametrize("form", ["fortran", "float32", "int64", "list"])
     @pytest.mark.parametrize("pre_normalize", [True, False])
     def test_any_input_form_gives_the_same_bytes(self, form, pre_normalize):
