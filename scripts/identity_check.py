@@ -18,6 +18,12 @@ and reports name the same paths. The cases:
   and `OPENBLAS_NUM_THREADS=1`;
 - `rerank --from-manifest` of each of those runs in this tree, against
   the parent's run;
+- `rerank` with the defaults of the seed-1 `--ids 800` queries against two
+  degenerate galleries built from its gallery (`pathological_galleries`):
+  one with a tenth of its rows set to zero, and one of 6,400 rows drawn
+  from its first 128, so that each row has about 50 exact copies;
+- `rerank --k1 8 --orders 4` of the seed-1 `--ids 800` data, a large
+  DMON support;
 - README's canonical `sweep`;
 - `pipeline --ablation`.
 
@@ -86,6 +92,23 @@ class Tree:
         if done.returncode != 0:
             last = (done.stderr.strip().splitlines() or ["no output"])[-1]
             raise RuntimeError(f"{self.src}: {args[0]} exited {done.returncode}: {last}")
+
+
+def pathological_galleries(data: Path) -> dict[str, Path]:
+    """The zero-row and many-copies galleries of the split in `data`, each
+    written with its labels into a directory of its own beside `data`."""
+    g = np.load(data / "g.npy")
+    header, *labels = (data / "g_labels.csv").read_text(encoding="utf-8").splitlines()
+    zeroed = g.copy()
+    zeroed[np.random.default_rng(0).choice(len(g), len(g) // 10, replace=False)] = 0.0
+    picks = np.random.default_rng(0).integers(0, 128, len(g))
+    built = {"zero-row": (zeroed, labels), "many-copies": (g[picks], [labels[i] for i in picks])}
+    for name, (rows, rows_labels) in built.items():
+        (data.parent / name).mkdir()
+        np.save(data.parent / name / "g.npy", rows)
+        (data.parent / name / "g_labels.csv").write_text(
+            "\n".join([header, *rows_labels, ""]), encoding="utf-8")
+    return {name: data.parent / name for name in built}
 
 
 def differing(a: Path, b: Path) -> list[str]:
@@ -206,6 +229,17 @@ def main() -> int:
                                labels=labels)
                     for tree in (check.parent, check.change):
                         shutil.rmtree(tree.work / "rerank", ignore_errors=True)
+
+        data = check.change.work / f"synth-800-{RERANK_SEED}"
+        cases = [(f"{name} gallery, defaults", gallery, ())
+                 for name, gallery in pathological_galleries(data).items()]
+        cases.append(("--k1 8 --orders 4", data, ("--k1", "8", "--orders", "4")))
+        for label, gallery, flags in cases:
+            check.case(f"rerank --ids 800 {label}", "rerank",
+                       ("rerank", "--query", str(data / "q.npy"),
+                        "--gallery", str(gallery / "g.npy"), *flags, "--out", "rerank"),
+                       labels=("--query-labels", str(data / "q_labels.csv"),
+                               "--gallery-labels", str(gallery / "g_labels.csv")))
 
         data = ("--query", "sweep/data/q.npy", "--gallery", "sweep/data/g.npy",
                 "--query-labels", "sweep/data/q_labels.csv",

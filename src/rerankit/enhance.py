@@ -19,10 +19,11 @@ aggregate of its 1st..H-th order neighbors' embeddings:
 5. Output: row-normalized gamma * features + (1 - gamma) * latent.
 
 No N x N distance matrix is built: the scan keeps one block of rows in
-memory, and the kernel weights need distances only on the neighbor
-supports, which are computed from the feature pairs directly. Large
-inputs can also be processed in contiguous row chunks, each enhanced
-independently (the "gallery batching" mode, see `batch_bounds`).
+memory, each order's neighbors and kernel weights are one flat row
+table (`SparseRows`), and the kernel weights need distances only on the
+neighbor supports, which are computed from the feature pairs directly.
+Large inputs can also be processed in contiguous row chunks, each
+enhanced independently (the "gallery batching" mode, see `batch_bounds`).
 """
 
 from dataclasses import dataclass
@@ -82,90 +83,33 @@ class DmonConfig:
             raise ValueError(f"batch_size must be >= 1 or None, got {self.batch_size}")
 
 
-@dataclass
-class NeighborOrders:
-    """Per-order, per-sample neighbor index lists.
-
-    levels[h-1][x] is the order-h neighbor index array of sample x:
-    duplicate-free, never containing x itself. First-order lists are in
-    nearest-first order; expanded levels are in ascending index order.
-    """
-
-    levels: list[list[np.ndarray]]
-
-
-def build_first_order(feats: np.ndarray, k1: int) -> NeighborOrders:
-    """First-order neighbors: the k1 nearest other samples of each row.
-
-    Found by a blocked scan of the (N, d) features, ordered nearest
-    first with ties broken by ascending index. If k1 >= N, `knn_scan`
-    clamps it to N-1; the command's manifest names the clamp
-    (`pipeline.clamp_warnings`).
-    """
-    nearest = knn_scan(feats, k1, exclude_self=True)
-    return NeighborOrders(levels=[list(nearest.indices)])
-
-
-def _pairs(level: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index of each (sample, neighbor) pair of one order."""
-    lengths = np.fromiter((nbrs.size for nbrs in level), dtype=np.int64, count=len(level))
-    rows = np.repeat(np.arange(len(level), dtype=np.int64), lengths)
-    cols = np.concatenate(level).astype(np.int64) if rows.size else np.empty(0, np.int64)
-    return rows, cols
-
-
-def expand_order(orders: NeighborOrders) -> NeighborOrders:
-    """Append the next neighbor order by one-hop expansion.
-
-    Order-h neighbors of x are the union of the first-order neighbors of
-    x's order-(h-1) neighbors, minus x itself, duplicates removed. The
-    two-hop pool of every row is listed as `row * N + col` keys, which
-    one sort orders by row, then column, for dropping repeats. A member
-    of a lower order may appear again at a higher one.
-    """
-    n = len(orders.levels[0])
-    first_rows, first_cols = _pairs(orders.levels[0])
-    first_len = np.bincount(first_rows, minlength=n)
-    rows, hops = _pairs(orders.levels[-1])
-    first_start = np.cumsum(first_len) - first_len
-    keys = np.repeat(rows * n, first_len[hops])
-    keys += gather_ranges(first_start[hops], first_len[hops], first_cols)[0]
-    keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    rows, cols = np.divmod(keys, n)
-    keep = rows != cols
-    bounds = [0, *np.cumsum(np.bincount(rows[keep], minlength=n)).tolist()]
-    cols = cols[keep]
-    return NeighborOrders(levels=orders.levels + [[cols[i:j] for i, j in zip(bounds, bounds[1:])]])
-
-
-def adaptive_sigma(feats: np.ndarray, orders: NeighborOrders) -> float:
-    """Mean unsquared distance over all first-order (sample, neighbor) pairs.
-
-    Distances are computed from the (N, d) features on those pairs only.
-    Every first-order set must be nonempty, as `build_first_order` makes
-    them for two or more rows.
-    """
-    rows, cols = _pairs(orders.levels[0])
-    return float(np.sqrt(pair_sq_euclidean(feats, rows, cols)).mean())
-
-
 @dataclass(frozen=True, eq=False)
-class OrderWeights:
-    """One order's kernel weights: an (n, n) matrix held as its stored entries.
+class SparseRows:
+    """The stored entries of an (n, n) sparse matrix, row by row.
 
-    `rows`, `cols` and `vals` list the entries sorted by row, then column;
-    every other entry is zero.
+    Row x keeps the columns cols[offsets[x]:offsets[x+1]], and `vals`
+    their weights alongside; every other entry is zero. `vals` is None
+    for a neighbor table, which lists columns only.
     """
 
-    rows: np.ndarray
+    offsets: np.ndarray
     cols: np.ndarray
-    vals: np.ndarray
-    n: int
+    vals: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, x) -> np.ndarray:
+        return self.cols[self.offsets[x] : self.offsets[x + 1]]
 
     @property
     def nnz(self) -> int:
-        return self.vals.size
+        return self.cols.size
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
 
     def dot(self, feats: np.ndarray) -> np.ndarray:
         """W @ feats, each row summed from +0.0 over its entries in column order.
@@ -180,16 +124,16 @@ class OrderWeights:
         """
         if feats.shape[1] == 1:
             return self.dot(np.hstack([feats, np.zeros_like(feats)]))[:, :1]
-        counts = np.bincount(self.rows, minlength=self.n)
-        starts = np.cumsum(counts) - counts
+        n = len(self)
+        counts = np.diff(self.offsets)
         by_len = np.argsort(-counts, kind="stable")
-        counts, starts = counts[by_len], starts[by_len]
+        counts, starts = counts[by_len], self.offsets[by_len]
         dim = feats.shape[1]
-        out = np.empty((self.n, dim))
+        out = np.empty((n, dim))
         b0 = 0
-        while b0 < self.n and counts[b0] > 0:
+        while b0 < n and counts[b0] > 0:
             width = int(counts[b0])
-            b1 = min(self.n, b0 + max(1, _GATHER_ELEMS // (width * dim)))
+            b1 = min(n, b0 + max(1, _GATHER_ELEMS // (width * dim)))
             real = np.arange(width) < counts[b0:b1, None]
             entry = np.where(real, starts[b0:b1, None] + np.arange(width), 0)
             vals = np.where(real, self.vals[entry], 0.0)
@@ -199,12 +143,71 @@ class OrderWeights:
         return out
 
 
+@dataclass
+class NeighborOrders:
+    """Per-order neighbor tables, one `SparseRows` per order.
+
+    levels[h-1][x] is the order-h neighbor index array of sample x:
+    duplicate-free, never containing x itself. First-order rows are in
+    nearest-first order; expanded levels are in ascending index order.
+    """
+
+    levels: list[SparseRows]
+
+
+def build_first_order(feats: np.ndarray, k1: int) -> NeighborOrders:
+    """First-order neighbors: the k1 nearest other samples of each row.
+
+    Found by a blocked scan of the (N, d) features, ordered nearest
+    first with ties broken by ascending index. If k1 >= N, `knn_scan`
+    clamps it to N-1; the command's manifest names the clamp
+    (`pipeline.clamp_warnings`).
+    """
+    nearest = knn_scan(feats, k1, exclude_self=True).indices
+    n, k = nearest.shape
+    return NeighborOrders(levels=[SparseRows(np.arange(n + 1) * k, nearest.reshape(-1))])
+
+
+def expand_order(orders: NeighborOrders) -> NeighborOrders:
+    """Append the next neighbor order by one-hop expansion.
+
+    Order-h neighbors of x are the union of the first-order neighbors of
+    x's order-(h-1) neighbors, minus x itself, duplicates removed. The
+    two-hop pool of every row is listed as `row * N + col` keys, which
+    one sort orders by row, then column, for dropping repeats. A member
+    of a lower order may appear again at a higher one.
+    """
+    first, last = orders.levels[0], orders.levels[-1]
+    n = len(first)
+    hop_len = np.diff(first.offsets)[last.cols]
+    keys = np.repeat(last.rows * n, hop_len)
+    keys += gather_ranges(first.offsets[last.cols], hop_len, first.cols)[0]
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    rows, cols = np.divmod(keys, n)
+    keep = rows != cols
+    level = SparseRows(np.searchsorted(rows[keep], np.arange(n + 1)), cols[keep])
+    return NeighborOrders(levels=[*orders.levels, level])
+
+
+def adaptive_sigma(feats: np.ndarray, orders: NeighborOrders) -> float:
+    """Mean unsquared distance over all first-order (sample, neighbor) pairs.
+
+    Distances are computed from the (N, d) features on those pairs only.
+    Every first-order set must be nonempty, as `build_first_order` makes
+    them for two or more rows.
+    """
+    first = orders.levels[0]
+    sq_norms = np.einsum("ij,ij->i", feats, feats)
+    return float(np.sqrt(pair_sq_euclidean(feats, sq_norms, first.rows, first.cols)).mean())
+
+
 def gaussian_weights(
     feats: np.ndarray,
     orders: NeighborOrders,
     sigma: float,
     adaptive: bool = False,
-) -> list[OrderWeights]:
+) -> list[SparseRows]:
     """Per-order Gaussian kernel weights on the neighbor supports.
 
     The order-h weight of neighbor y of sample x is
@@ -221,15 +224,16 @@ def gaussian_weights(
         sigma: base bandwidth, > 0, adaptive or fixed as `adaptive` says.
 
     Returns:
-        One OrderWeights per order, of an (N, N) matrix.
+        One SparseRows per order, of an (N, N) matrix, on its order's offsets.
     """
     n = len(orders.levels[0])
+    sq_norms = np.einsum("ij,ij->i", feats, feats)
     weights = []
     for h, level in enumerate(orders.levels, start=1):
-        rows, cols = _pairs(level)
+        rows, cols = level.rows, level.cols
         sigma_h = sigma * _BANDWIDTH_GROWTH**h
         with np.errstate(all="ignore"):  # a row of vanished weights is reported below
-            vals = np.exp(pair_sq_euclidean(feats, rows, cols) / (-2.0 * sigma_h**2))
+            vals = np.exp(pair_sq_euclidean(feats, sq_norms, rows, cols) / (-2.0 * sigma_h**2))
         sums = np.bincount(rows, weights=vals, minlength=n)[rows]
         if not (sums > 0.0).all():
             raise ValueError(
@@ -237,13 +241,13 @@ def gaussian_weights(
                 f"{'adaptive' if adaptive else 'fixed'} sigma {sigma:.3g}; set a larger --sigma"
             )
         vals = vals / sums
-        # first-order lists are nearest first; the sum in `dot` runs in column order
+        # first-order rows are nearest first; the sum in `dot` runs in column order
         order = np.argsort(rows * n + cols, kind="stable")
-        weights.append(OrderWeights(rows[order], cols[order], vals[order], n))
+        weights.append(SparseRows(level.offsets, cols[order], vals[order]))
     return weights
 
 
-def latent_features(weights: list[OrderWeights], feats: np.ndarray) -> np.ndarray:
+def latent_features(weights: list[SparseRows], feats: np.ndarray) -> np.ndarray:
     """Decayed sum of per-order neighbor aggregates: sum_h decay[h] * (W_h @ F),
     with the halving `default_decay`."""
     latent = np.zeros_like(feats)

@@ -125,7 +125,7 @@ def l2_normalize_rows(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_sq_euclidean(a: np.ndarray, b: np.ndarray, b_sq=None) -> np.ndarray:
+def pairwise_sq_euclidean(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
     """Squared-Euclidean distance matrix between two row sets.
 
     Uses the expansion |x|^2 + |y|^2 - 2<x,y>: one GEMM of the -2-scaled
@@ -140,14 +140,12 @@ def pairwise_sq_euclidean(a: np.ndarray, b: np.ndarray, b_sq=None) -> np.ndarray
     Args:
         a: (N, d) feature matrix.
         b: (M, d) feature matrix of the same width d.
-        b_sq: the squared row norms of `b` (einsum "ij,ij->i"), from a
-            caller that measures many row sets against one `b`.
+        b_sq: the squared row norms of `b` (einsum "ij,ij->i"), taken
+            once by a caller that measures many row sets against one `b`.
 
     Returns:
         np.ndarray: (N, M) float64, non-negative.
     """
-    if b_sq is None:
-        b_sq = np.einsum("ij,ij->i", b, b)
     out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
     _sq_dist_stripe(a, b.T, np.einsum("ij,ij->i", a, a), b_sq, out)
     return out
@@ -171,7 +169,7 @@ def _sq_dist_stripe(a, bt, a_sq, b_sq, out) -> None:
     np.maximum(out, 0.0, out=out)
 
 
-def pair_sq_euclidean(feats: np.ndarray, rows, cols) -> np.ndarray:
+def pair_sq_euclidean(feats: np.ndarray, sq_norms, rows, cols) -> np.ndarray:
     """Squared-Euclidean distances of the listed row pairs of one matrix.
 
     Entry t is the distance between rows `rows[t]` and `cols[t]`, by the
@@ -181,19 +179,13 @@ def pair_sq_euclidean(feats: np.ndarray, rows, cols) -> np.ndarray:
 
     Args:
         feats: (N, d) feature matrix.
+        sq_norms: its squared row norms (einsum "ij,ij->i").
         rows, cols: equal-length integer index arrays into the rows.
 
     Returns:
         np.ndarray: float64 distances, non-negative, one per pair.
     """
     out = np.empty(len(rows), dtype=np.float64)
-    _pair_sq_dist(feats, np.einsum("ij,ij->i", feats, feats), rows, cols, out)
-    return out
-
-
-def _pair_sq_dist(feats, sq_norms, rows, cols, out) -> None:
-    """Write the clamped squared distances of the row pairs (rows[t], cols[t])
-    of `feats`, whose squared row norms are `sq_norms`, into `out`."""
     step = max(1, _GATHER_ELEMS // max(feats.shape[1], 1))
     for t0 in range(0, len(rows), step):
         r, c = rows[t0 : t0 + step], cols[t0 : t0 + step]
@@ -203,6 +195,7 @@ def _pair_sq_dist(feats, sq_norms, rows, cols, out) -> None:
         part += sq_norms[r]
         part += sq_norms[c]
         np.maximum(part, 0.0, out=part)
+    return out
 
 
 def gather_ranges(starts, lengths, *arrays) -> list[np.ndarray]:
@@ -494,7 +487,7 @@ def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratc
     tiles, and (4) the candidates, the entries with V <= T + 2 eps_i
     found in the tiles whose minimum is <= T + 2 eps_i, sorted into
     column order per row (both by `_tile_candidates`); (5) the
-    candidates re-scored in float64 by `_pair_sq_dist`, own
+    candidates re-scored in float64 by `pair_sq_euclidean`, own
     columns set to `self_value`; (6) the smallest k of each row's
     candidates by (value, column), through `_topk_block` on the
     candidates packed in column order and padded with inf. Returns
@@ -513,7 +506,7 @@ def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratc
     sum, and the one float32 addition of it to the product add at most
     about 2 u (|a| + |b|)^2. An own column without `exclude_self` holds
     -fl32(|a|^2), within 3 u |x'_i|^2 of -|x'_i|^2. (d) The float64
-    expansion of `_pair_sq_dist`, in scaled units, is off by at most
+    expansion of `pair_sq_euclidean`, in scaled units, is off by at most
     (gamma_d(2^-53) / 2 + 3 * 2^-53) P; with the second-order terms of
     (a)-(c) this stays below the sixth u. (e) Float32 subnormals, flushed
     or not, cost at most (10 d + 4) 2^-126 in (a)-(c), below d 2^-120, and
@@ -550,8 +543,7 @@ def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratc
     if found is None:
         return None
     cand_rows, cand_cols = found
-    scores = np.empty(len(cand_rows))
-    _pair_sq_dist(arr, sq_norms, cand_rows + start, cand_cols, scores)
+    scores = pair_sq_euclidean(arr, sq_norms, cand_rows + start, cand_cols)
     scores[cand_cols == cand_rows + start] = self_value
     packed, packed_cols = _pack_rows(r, cand_rows, cand_cols, scores)
     picked, values = _topk_block(packed, k)

@@ -132,11 +132,29 @@ def naive_enhance(
 
 
 def dense_weights(w):
-    """The (n, n) matrix an `enhance.OrderWeights` stores as its entries."""
-    out = np.zeros((w.n, w.n))
-    for r, c, v in zip(w.rows, w.cols, w.vals):
-        out[r, c] = v
+    """The (n, n) matrix an `enhance.SparseRows` of kernel weights stores as its entries."""
+    n = len(w)
+    out = np.zeros((n, n))
+    for x in range(n):
+        for t in range(w.offsets[x], w.offsets[x + 1]):
+            out[x, w.cols[t]] = w.vals[t]
     return out
+
+
+def sparse_rows(level, vals=None):
+    """An `enhance.SparseRows` holding the per-row column arrays `level`
+    (and, with `vals`, the per-row weight arrays beside them)."""
+    from rerankit.enhance import SparseRows
+
+    offsets = np.cumsum([0, *(len(cols) for cols in level)])
+    cols = np.array([c for row in level for c in row], dtype=np.int64)
+    flat = None if vals is None else np.array([v for row in vals for v in row], dtype=np.float64)
+    return SparseRows(offsets, cols, flat)
+
+
+def sq_norms(m):
+    """Squared row norms, as `matrix_ops` distance functions take them."""
+    return np.einsum("ij,ij->i", m, m)
 
 
 def dense_filtered(rows):

@@ -13,7 +13,7 @@ from rerankit import matrix_ops
 
 from rerankit.enhance import (
     DmonConfig,
-    OrderWeights,
+    NeighborOrders,
     adaptive_sigma,
     build_first_order,
     default_decay,
@@ -25,7 +25,7 @@ from rerankit.enhance import (
 from rerankit.matrix_ops import l2_normalize_rows, pairwise_sq_euclidean
 from rerankit.synthetic import SynthSpec, generate
 
-from naive_impl import dense_weights, naive_enhance, naive_neighbor_orders
+from naive_impl import dense_weights, naive_enhance, naive_neighbor_orders, sparse_rows, sq_norms
 from strategies import exact_rows
 
 
@@ -56,7 +56,7 @@ class TestBuildFirstOrder:
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(59)
         pts = rng.standard_normal((30, 4))
-        dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
+        dist = np.sqrt(pairwise_sq_euclidean(pts, pts, sq_norms(pts)))
         orders = build_first_order(pts, k1=3)
         expected = naive_neighbor_orders(dist, k1=3, num_orders=1)
         for x in range(30):
@@ -65,7 +65,7 @@ class TestBuildFirstOrder:
     def test_squared_and_unsquared_agree(self):
         rng = np.random.default_rng(61)
         pts = rng.standard_normal((15, 3))
-        sq = pairwise_sq_euclidean(pts, pts)
+        sq = pairwise_sq_euclidean(pts, pts, sq_norms(pts))
         orders = build_first_order(pts, k1=3)
         for dist in (sq, np.sqrt(sq)):
             expected = naive_neighbor_orders(dist, k1=3, num_orders=1)
@@ -79,17 +79,14 @@ class TestExpandOrder:
         assert_array_equal(orders.levels[1][2], [0])  # neighbors-of-neighbor minus self
 
     def test_empty_source_stays_empty(self):
-        from rerankit.enhance import NeighborOrders
-
-        empty = np.empty(0, dtype=np.int64)
-        one = NeighborOrders(levels=[[empty, np.array([0])]])
+        one = NeighborOrders(levels=[sparse_rows([[], [0]])])
         out = expand_order(one)
         assert out.levels[1][0].size == 0
 
     def test_matches_set_algebra(self):
         rng = np.random.default_rng(67)
         pts = rng.standard_normal((30, 4))
-        dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
+        dist = np.sqrt(pairwise_sq_euclidean(pts, pts, sq_norms(pts)))
         orders = build_first_order(pts, k1=2)
         for _ in range(2):
             orders = expand_order(orders)
@@ -112,7 +109,7 @@ class TestAdaptiveSigma:
     def test_matches_flat_average(self):
         rng = np.random.default_rng(73)
         pts = rng.standard_normal((20, 3))
-        dist = np.sqrt(pairwise_sq_euclidean(pts, pts))
+        dist = np.sqrt(pairwise_sq_euclidean(pts, pts, sq_norms(pts)))
         orders = build_first_order(pts, k1=3)
         flat = [dist[x, y] for x in range(20) for y in orders.levels[0][x]]
         assert abs(adaptive_sigma(pts, orders) - np.mean(flat)) <= 1e-12
@@ -128,11 +125,9 @@ class TestGaussianWeights:
         # sigma=1, order 2 -> bandwidth 2.25; the row's weights at distances
         # 1 and 2 keep the ratio of their kernel values through the row
         # normalization: exp(-1/10.125) / exp(-4/10.125)
-        from rerankit.enhance import NeighborOrders
-
         pts = np.array([[0.0], [1.0], [2.0]])
-        one = [np.array([1]), np.array([0]), np.array([1])]
-        orders = NeighborOrders(levels=[one, [np.array([1, 2]), one[1], one[2]]])
+        orders = NeighborOrders(levels=[sparse_rows([[1], [0], [1]]),
+                                        sparse_rows([[1, 2], [0], [1]])])
         weights = dense_weights(gaussian_weights(pts, orders, sigma=1.0)[1])
         expected = math.exp(-1.0 / (2.0 * 2.25**2)) / math.exp(-4.0 / (2.0 * 2.25**2))
         assert abs(weights[0, 1] / weights[0, 2] - expected) <= 1e-12
@@ -156,8 +151,8 @@ class TestGaussianWeights:
         pts = rng.standard_normal((12, 3))
         orders = expand_order(build_first_order(pts, k1=2))
         for mat in gaussian_weights(pts, orders, sigma=0.7):
-            sums = np.bincount(mat.rows, weights=mat.vals, minlength=mat.n)
-            nonempty = np.bincount(mat.rows, minlength=mat.n) > 0
+            sums = np.bincount(mat.rows, weights=mat.vals, minlength=len(mat))
+            nonempty = np.bincount(mat.rows, minlength=len(mat)) > 0
             assert_allclose(sums[nonempty], 1.0, atol=1e-12)
 
     def test_no_diagonal_support(self):
@@ -210,16 +205,14 @@ class TestKernelUnderflow:
 
 class TestLatentFeatures:
     def test_zero_weights_give_zero(self):
-        empty = np.empty(0, dtype=np.int64)
-        weights = [OrderWeights(empty, empty, np.empty(0), 3)]
+        weights = [sparse_rows([[], [], []], vals=[[], [], []])]
         feats = np.ones((3, 2))
         assert_array_equal(latent_features(weights, feats), np.zeros((3, 2)))
 
     def test_single_unit_weight_scales_neighbor(self):
         # one unit weight at order 2, whose decay is 0.5
-        empty = np.empty(0, dtype=np.int64)
-        none = OrderWeights(empty, empty, np.empty(0), 2)
-        w = OrderWeights(np.array([0]), np.array([1]), np.array([1.0]), 2)
+        none = sparse_rows([[], []], vals=[[], []])
+        w = sparse_rows([[1], []], vals=[[1.0], []])
         feats = np.array([[5.0, 0.0], [1.0, 2.0]])
         out = latent_features([none, w], feats)
         assert_allclose(out[0], 0.5 * feats[1])
@@ -340,7 +333,7 @@ class TestEnhance:
             total, count = 0.0, 0
             for pid in np.unique(g_labels.pids):
                 rows = feats[g_labels.pids == pid]
-                d = np.sqrt(pairwise_sq_euclidean(rows, rows))
+                d = np.sqrt(pairwise_sq_euclidean(rows, rows, sq_norms(rows)))
                 total += d[np.triu_indices(len(rows), 1)].sum()
                 count += len(rows) * (len(rows) - 1) // 2
             return total / count

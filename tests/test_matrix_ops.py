@@ -25,7 +25,7 @@ from rerankit.matrix_ops import (
 )
 from rerankit.synthetic import SynthSpec, generate
 
-from naive_impl import naive_pairwise_sq, naive_topk
+from naive_impl import naive_pairwise_sq, naive_topk, sq_norms
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -92,12 +92,12 @@ class TestL2NormalizeRows:
 class TestPairwiseSqEuclidean:
     def test_unit_axes(self):
         a, b = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
-        assert_allclose(pairwise_sq_euclidean(a, b), [[2.0]])
+        assert_allclose(pairwise_sq_euclidean(a, b, sq_norms(b)), [[2.0]])
 
     def test_self_distance_symmetric(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((9, 4))
-        d = pairwise_sq_euclidean(a, a)
+        d = pairwise_sq_euclidean(a, a, sq_norms(a))
         assert_allclose(d, d.T, atol=1e-6)
         assert d.min() >= 0.0
 
@@ -105,24 +105,18 @@ class TestPairwiseSqEuclidean:
         """Every call gets the plain expansion, with no entry set apart, so
         a row set passed twice and an equal copy give the same bits."""
         a = l2_normalize_rows(np.random.default_rng(4).standard_normal((40, 7)))
-        sq = np.einsum("ij,ij->i", a, a)
+        sq = sq_norms(a)
         plain = np.maximum((a * -2.0) @ a.T + sq[:, None] + sq[None, :], 0.0)
         assert np.diag(plain).any()  # rounding leaves some diagonal entries non-zero
-        assert_array_equal(pairwise_sq_euclidean(a, a.copy()), plain)
-        assert_array_equal(pairwise_sq_euclidean(a, a), plain)
-
-    def test_given_norms_give_identical_bits(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((9, 5))
-        b = rng.standard_normal((30, 5))
-        sq = np.einsum("ij,ij->i", b, b)
-        assert_array_equal(pairwise_sq_euclidean(a, b, b_sq=sq), pairwise_sq_euclidean(a, b))
+        assert_array_equal(pairwise_sq_euclidean(a, a.copy(), sq), plain)
+        assert_array_equal(pairwise_sq_euclidean(a, a, sq), plain)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((7, 3))
         b = rng.standard_normal((5, 3))
-        assert_allclose(pairwise_sq_euclidean(a, b), naive_pairwise_sq(a, b), atol=1e-6)
+        got = pairwise_sq_euclidean(a, b, sq_norms(b))
+        assert_allclose(got, naive_pairwise_sq(a, b), atol=1e-6)
 
     def test_block_size_invariance(self):
         """Row stripes of `a`, as the query-gallery stage cuts them, agree
@@ -130,17 +124,20 @@ class TestPairwiseSqEuclidean:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((23, 6))
         b = rng.standard_normal((75, 6))
-        whole = pairwise_sq_euclidean(a, b)
+        b_sq = sq_norms(b)
+        whole = pairwise_sq_euclidean(a, b, b_sq)
         for block in (1, 64):
-            stripes = [pairwise_sq_euclidean(a[i : i + block], b) for i in range(0, 23, block)]
+            stripes = [pairwise_sq_euclidean(a[i : i + block], b, b_sq)
+                       for i in range(0, 23, block)]
             assert_allclose(np.vstack(stripes), whole, atol=1e-5)
 
     def test_fixed_block_bitwise_stable(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((18, 5))
         b = rng.standard_normal((31, 5))
-        first = [pairwise_sq_euclidean(a[i : i + 7], b) for i in range(0, 18, 7)]
-        second = [pairwise_sq_euclidean(a[i : i + 7], b) for i in range(0, 18, 7)]
+        b_sq = sq_norms(b)
+        first = [pairwise_sq_euclidean(a[i : i + 7], b, b_sq) for i in range(0, 18, 7)]
+        second = [pairwise_sq_euclidean(a[i : i + 7], b, b_sq) for i in range(0, 18, 7)]
         assert_array_equal(np.vstack(first), np.vstack(second))
 
     def test_permutation_equivariance(self):
@@ -148,8 +145,8 @@ class TestPairwiseSqEuclidean:
         a = rng.standard_normal((6, 4))
         b = rng.standard_normal((10, 4))
         perm = rng.permutation(10)
-        direct = pairwise_sq_euclidean(a, b[perm])
-        assert_allclose(direct, pairwise_sq_euclidean(a, b)[:, perm], atol=1e-9)
+        direct = pairwise_sq_euclidean(a, b[perm], sq_norms(b[perm]))
+        assert_allclose(direct, pairwise_sq_euclidean(a, b, sq_norms(b))[:, perm], atol=1e-9)
 
 
 class TestTopkSmallest:
@@ -400,7 +397,7 @@ def _per_pair_topk(pts, k, exclude_self):
     kernel, own columns set, then (value, column) selection."""
     n = len(pts)
     rows, cols = np.divmod(np.arange(n * n), n)
-    full = pair_sq_euclidean(pts, rows, cols).reshape(n, n)
+    full = pair_sq_euclidean(pts, sq_norms(pts), rows, cols).reshape(n, n)
     np.fill_diagonal(full, np.inf if exclude_self else 0.0)
     return topk_smallest(full, k)
 
@@ -833,12 +830,14 @@ class TestPairSqEuclidean:
         pts = rng.standard_normal((9, 5))
         rows = rng.integers(0, 9, 40)
         cols = rng.integers(0, 9, 40)
-        full = pairwise_sq_euclidean(pts, pts)
-        assert_allclose(pair_sq_euclidean(pts, rows, cols), full[rows, cols], atol=1e-12)
+        full = pairwise_sq_euclidean(pts, pts, sq_norms(pts))
+        assert_allclose(pair_sq_euclidean(pts, sq_norms(pts), rows, cols), full[rows, cols],
+                        atol=1e-12)
 
     def test_chunks_and_empty(self, monkeypatch):
-        monkeypatch.setattr(matrix_ops, "_STRIPE_ELEMS", 6)
+        monkeypatch.setattr(matrix_ops, "_GATHER_ELEMS", 6)  # chunks of 3 pairs
         pts = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])
-        out = pair_sq_euclidean(pts, np.array([0, 1, 2, 1, 0]), np.array([1, 2, 0, 1, 0]))
+        sq = sq_norms(pts)
+        out = pair_sq_euclidean(pts, sq, np.array([0, 1, 2, 1, 0]), np.array([1, 2, 0, 1, 0]))
         assert_array_equal(out, [25.0, 20.0, 1.0, 0.0, 0.0])
-        assert pair_sq_euclidean(pts, np.empty(0, int), np.empty(0, int)).shape == (0,)
+        assert pair_sq_euclidean(pts, sq, np.empty(0, int), np.empty(0, int)).shape == (0,)

@@ -27,6 +27,7 @@ from naive_impl import (
     naive_optimize,
     naive_pairwise_sq,
     naive_similarity,
+    sq_norms,
 )
 from strategies import exact_rows
 from test_matrix_ops import FakeBlasThreads
@@ -126,8 +127,8 @@ class TestAsymmetricSimilarity:
         peak stays within the similarity itself plus two stripes."""
         row = l2_normalize_rows(np.random.default_rng(217).standard_normal((1, 16)))
         fq, fg = np.tile(row, (200, 1)), np.tile(row, (4000, 1))
-        g_rows = neighborhood_filter(pairwise_sq_euclidean(fg, fg), 20, 1.0)
-        q_rows = neighborhood_filter(pairwise_sq_euclidean(fq, fg), 20, 1.0)
+        g_rows = neighborhood_filter(pairwise_sq_euclidean(fg, fg, sq_norms(fg)), 20, 1.0)
+        q_rows = neighborhood_filter(pairwise_sq_euclidean(fq, fg, sq_norms(fg)), 20, 1.0)
         assert np.all(g_rows.indices == g_rows.indices[0])
         stripe_bytes = matrix_ops._STRIPE_ELEMS * 8
         tracemalloc.start()
@@ -147,7 +148,7 @@ class TestOptimize:
         fg = rng.standard_normal((7, 4))
         out = optimize(fq, fg, AroConfig(enabled=False))
         fqn, fgn = l2_normalize_rows(fq), l2_normalize_rows(fg)
-        assert_array_equal(out, pairwise_sq_euclidean(fqn, fgn))
+        assert_array_equal(out, pairwise_sq_euclidean(fqn, fgn, sq_norms(fgn)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -172,8 +173,8 @@ class TestOptimize:
         rng = np.random.default_rng(179)
         fq = l2_normalize_rows(rng.standard_normal((3, 4)))
         fg = l2_normalize_rows(rng.standard_normal((6, 4)))
-        qg = pairwise_sq_euclidean(fq, fg)
-        gg = pairwise_sq_euclidean(fg, fg)
+        qg = pairwise_sq_euclidean(fq, fg, sq_norms(fg))
+        gg = pairwise_sq_euclidean(fg, fg, sq_norms(fg))
         out = optimize(fq, fg, AroConfig(k2=10))
         expected = qg - np.clip(
             l2_normalize_rows(qg) @ l2_normalize_rows(gg).T, 0.0, 1.0
@@ -216,9 +217,10 @@ class TestOptimize:
         fq = l2_normalize_rows(rng.standard_normal((40, 16)))
         fg = l2_normalize_rows(rng.standard_normal((900, 16)))
         out = optimize(fq, fg, AroConfig(k2=20))
-        qg = pairwise_sq_euclidean(fq, fg)
+        qg = pairwise_sq_euclidean(fq, fg, sq_norms(fg))
         dense_q = dense_filtered(neighborhood_filter(qg, 20, 1.0))
-        dense_g = dense_filtered(neighborhood_filter(pairwise_sq_euclidean(fg, fg), 20, 1.0))
+        gg = pairwise_sq_euclidean(fg, fg, sq_norms(fg))
+        dense_g = dense_filtered(neighborhood_filter(gg, 20, 1.0))
         sim = np.clip(l2_normalize_rows(dense_q) @ l2_normalize_rows(dense_g).T, 0.0, 1.0)
         assert_allclose(out, qg - sim, atol=1e-9)
 

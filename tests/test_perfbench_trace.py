@@ -14,7 +14,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from rerankit.enhance import build_first_order
+from rerankit.matrix_ops import as_feature_matrix, l2_normalize_rows
+from rerankit.pipeline import config_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -59,7 +64,7 @@ def traced_run(tmp_path_factory):
                                      "--query-labels", str(data / "q_labels.csv"),
                                      "--gallery-labels", str(data / "g_labels.csv")])
     return {"synth": synth, "rerank": rerank, "mem": memory, "no_dmon": no_dmon,
-            "eval": evaluate, "data": data}
+            "eval": evaluate, "data": data, "out": out}
 
 
 def _spans(doc, name):
@@ -103,3 +108,36 @@ def test_npy_byte_counts_equal_file_sizes(traced_run):
     read = sorted(s["counts"]["bytes"] for s in _spans(traced_run["rerank"], "io_formats.read_npy"))
     assert written == sizes
     assert read == sizes
+
+
+def _dmon_counts(feats, cfg):
+    """The pool and support of each order expansion, and the kernel-weight
+    entries, of one default `enhance` call: counted by set algebra on the
+    first-order neighbours of its pre-normalized rows."""
+    orders = build_first_order(l2_normalize_rows(feats), cfg.k1)
+    first = [set(map(int, row)) for row in orders.levels[0]]
+    levels, expand = [first], []
+    for _ in range(1, cfg.orders):
+        pool = sum(len(first[y]) for row in levels[-1] for y in row)
+        levels.append([set().union(*(first[y] for y in row)) - {x}
+                       for x, row in enumerate(levels[-1])])
+        expand.append({"support_nnz": sum(map(len, levels[-1])), "pool": pool})
+    return expand, [sum(len(row) for level in levels for row in level)]
+
+
+def test_dmon_counters_count_the_neighbour_tables(traced_run):
+    """The benchmark's `enhance.expand_order.{support_nnz,pool}` and
+    `enhance.gaussian_weights.nnz` equal, for the query and then the gallery
+    `enhance` call, the counts taken in-process from `q.npy` and `g.npy`."""
+    doc = traced_run["rerank"]
+    manifest = json.loads((traced_run["out"] / "manifest.json").read_text(encoding="utf-8"))
+    cfg = config_from_dict(manifest["params"]).dmon
+    calls = _spans(doc, "enhance.enhance")
+    assert len(calls) == 2
+    for call, name in zip(calls, ("q.npy", "g.npy")):
+        children = [span for span in doc["spans"] if span["parent"] == call["id"]]
+        expand = [span["counts"] for span in children if span["name"] == "enhance.expand_order"]
+        nnz = [span["counts"]["nnz"] for span in children
+               if span["name"] == "enhance.gaussian_weights"]
+        feats = as_feature_matrix(np.load(traced_run["data"] / name))
+        assert (expand, nnz) == _dmon_counts(feats, cfg), name

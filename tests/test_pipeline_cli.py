@@ -31,7 +31,7 @@ from rerankit.pipeline import (
 )
 from rerankit.synthetic import SynthSpec, generate
 
-from naive_impl import naive_evaluate
+from naive_impl import naive_evaluate, sq_norms
 from test_enhance import underflow_gallery
 from test_matrix_ops import FakeBlasThreads
 
@@ -90,7 +90,7 @@ class TestRerankCommand:
         dist = read_npy((out / "dist.npy").read_bytes())
         fq = l2_normalize_rows(read_npy((data_dir / "q.npy").read_bytes()))
         fg = l2_normalize_rows(read_npy((data_dir / "g.npy").read_bytes()))
-        assert_array_equal(dist, pairwise_sq_euclidean(fq, fg))
+        assert_array_equal(dist, pairwise_sq_euclidean(fq, fg, sq_norms(fg)))
 
     def test_manifest_records_effective_params(self, data_dir, tmp_path):
         out = tmp_path / "run"

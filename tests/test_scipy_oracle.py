@@ -33,20 +33,14 @@ from rerankit.optimize import (
     residual_product,
 )
 
-from naive_impl import dense_weights
+from naive_impl import dense_weights, sparse_rows
 
 sp = pytest.importorskip("scipy.sparse")
 
 
-def _pairs(level):
-    rows = np.repeat(np.arange(len(level)), [len(nbrs) for nbrs in level])
-    cols = np.concatenate(level).astype(np.int64) if rows.size else np.empty(0, np.int64)
-    return rows, cols
-
-
 def _adjacency(level):
-    rows, cols = _pairs(level)
-    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(len(level), len(level)))
+    return sp.csr_matrix((np.ones(level.nnz), (level.rows, level.cols)),
+                         shape=(len(level), len(level)))
 
 
 def csr_expand(orders):
@@ -68,7 +62,7 @@ def csr_residual(rows: FilteredRows):
 
 @st.composite
 def neighbor_lists(draw):
-    """First-order lists of up to 12 samples: any members but the sample
+    """First-order tables of up to 12 samples: any members but the sample
     itself, in any order, some of them empty."""
     n = draw(st.integers(1, 12), label="samples")
     level = []
@@ -76,8 +70,8 @@ def neighbor_lists(draw):
         others = [y for y in range(n) if y != x]
         members = draw(st.lists(st.sampled_from(others), unique=True, max_size=4)
                        if others else st.just([]))
-        level.append(np.array(members, dtype=np.int64))
-    return NeighborOrders(levels=[level])
+        level.append(members)
+    return NeighborOrders(levels=[sparse_rows(level)])
 
 
 @given(orders=neighbor_lists(), hops=st.integers(1, 3))
@@ -107,8 +101,8 @@ def test_latent_product_matches_csr(n, dim, k1, num_orders, gather, seed):
     feats = rng.integers(-2, 3, (n, dim)).astype(np.float64)
     orders = build_first_order(feats, min(k1, n - 1))
     blank = rng.random(n) < 0.2
-    orders = NeighborOrders(levels=[[nbrs[:0] if b else nbrs
-                                     for nbrs, b in zip(orders.levels[0], blank)]])
+    orders = NeighborOrders(levels=[sparse_rows([nbrs[:0] if b else nbrs
+                                                 for nbrs, b in zip(orders.levels[0], blank)])])
     for _ in range(1, num_orders):
         orders = expand_order(orders)
     weights = gaussian_weights(feats, orders, sigma=0.8)

@@ -6,7 +6,7 @@ from rerankit.matrix_ops import l2_normalize_rows, pairwise_sq_euclidean
 from rerankit.metrics import evaluate
 from rerankit.synthetic import SynthSpec, generate
 
-from naive_impl import naive_generate
+from naive_impl import naive_generate, sq_norms
 
 
 class TestSynthSpec:
@@ -37,7 +37,7 @@ class TestGenerate:
         for pid in range(5):
             rows = fg[g_labels.pids == pid]
             assert_allclose(rows - rows[0], 0.0, atol=1e-12)
-        dist = pairwise_sq_euclidean(fq, fg)
+        dist = pairwise_sq_euclidean(fq, fg, sq_norms(fg))
         report = evaluate(dist, q_labels, g_labels, max_rank=10)
         assert report.mean_ap == 1.0
         assert report.cmc[0] == 1.0
