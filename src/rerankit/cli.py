@@ -14,6 +14,7 @@ from pathlib import Path
 from . import __version__
 from .enhance import DmonConfig
 from .io_formats import write_json
+from .metrics import MAX_RANK
 from .optimize import AroConfig
 from .pipeline import (
     PRESETS,
@@ -35,8 +36,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DATA = 4
 
-# Parameter flags that set a value: flag dest -> (PipelineConfig section, field),
-# section None for PipelineConfig's own fields. Presets use the same keys.
+# Parameter flags that set a value, and preset keys: dest -> (config section, field).
 _VALUE_FLAGS = {
     "k1": ("dmon", "k1"),
     "orders": ("dmon", "orders"),
@@ -45,7 +45,6 @@ _VALUE_FLAGS = {
     "batch_size": ("dmon", "batch_size"),
     "k2": ("aro", "k2"),
     "fill": ("aro", "fill_value"),
-    "max_rank": (None, "max_rank"),
 }
 
 
@@ -97,7 +96,6 @@ def _add_config_flags(p: argparse.ArgumentParser, grid: bool = False):
     p.add_argument("--sigma", type=float, help="fixed kernel bandwidth (default: adaptive)")
     p.add_argument("--batch-size", type=int, help="gallery (or --joint stack) chunk size")
     p.add_argument("--fill", type=float, choices=[0.0, 1.0], help="filter fill value")
-    p.add_argument("--max-rank", type=int, help="CMC length")
     p.add_argument("--baseline", action="store_true", help="bypass both stages")
     p.add_argument("--no-dmon", action="store_true", help="skip feature enhancement")
     p.add_argument("--no-aro", action="store_true", help="skip distance optimization")
@@ -133,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True, help="distance NPY")
     p.add_argument("--query-labels", required=True)
     p.add_argument("--gallery-labels", required=True)
-    p.add_argument("--max-rank", type=int, default=PipelineConfig.max_rank)
+    p.add_argument("--max-rank", type=int, default=MAX_RANK, help="CMC length")
     p.add_argument("--out", help="report JSON path (printed to stdout regardless)")
 
     p = sub.add_parser("sweep", help="cartesian hyperparameter sweep")
@@ -148,6 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="synth -> rerank -> eval in one run")
     _add_synth_spec_flags(p)
     _add_config_flags(p)
+    p.add_argument("--max-rank", type=int, default=MAX_RANK, help="CMC length")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
         "--ablation",
@@ -175,19 +174,16 @@ def _config_from_args(args) -> PipelineConfig:
     """The config of the flags given, over the preset, over the dataclass defaults."""
     if args.no_dmon and args.no_aro and not args.baseline:
         raise ConfigError("both stages disabled: plain ranking must be requested with --baseline")
-    pre_normalize = not args.no_pre_normalize
-    parts = {
-        "dmon": {"pre_normalize": pre_normalize},
-        "aro": {"enabled": not (args.baseline or args.no_aro), "pre_normalize": pre_normalize},
-        None: {"dmon_on": not (args.baseline or args.no_dmon), "dmon_joint": args.joint},
-    }
+    parts = {"dmon": {}, "aro": {"enabled": not (args.baseline or args.no_aro)}}
     given = {key: getattr(args, key) for key in _VALUE_FLAGS if getattr(args, key) is not None}
     for key, value in {**PRESETS.get(args.preset, {}), **given}.items():
         section, name = _VALUE_FLAGS[key]
         parts[section][name] = value
     with _config_errors():
         return PipelineConfig(
-            dmon=DmonConfig(**parts["dmon"]), aro=AroConfig(**parts["aro"]), **parts[None]
+            dmon=DmonConfig(**parts["dmon"]), aro=AroConfig(**parts["aro"]),
+            dmon_on=not (args.baseline or args.no_dmon), dmon_joint=args.joint,
+            pre_normalize=not args.no_pre_normalize,
         )
 
 
@@ -224,8 +220,6 @@ def _cmd_rerank(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with _config_errors():
-        PipelineConfig(max_rank=args.max_rank)
     doc = eval_files(
         args.dist,
         args.query_labels,
@@ -270,7 +264,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_pipeline(args) -> int:
     spec = _spec_from_args(args)
     cfg = _config_from_args(args)
-    rows = run_pipeline(spec, cfg, args.out, ablation=args.ablation)
+    rows = run_pipeline(spec, cfg, args.out, ablation=args.ablation, max_rank=args.max_rank)
     width = max(len(r["variant"]) for r in rows)
     print(f"{'variant'.ljust(width)}  {'mAP':>10}  {'rank1':>10}")
     for row in rows:

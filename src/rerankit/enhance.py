@@ -3,8 +3,8 @@
 Each sample's embedding is fused with a decayed, Gaussian-weighted
 aggregate of its 1st..H-th order neighbors' embeddings:
 
-1. First-order neighbors: the k1 nearest other samples of the
-   (optionally row-normalized) input, found by a blocked kNN scan.
+1. First-order neighbors: the k1 nearest other samples of the input
+   rows, taken as given, found by a blocked kNN scan.
 2. Higher orders by expansion: order-h neighbors are the union of the
    first-order neighbors of the order-(h-1) neighbors, minus the sample,
    computed by index arithmetic: each row's two-hop pool of
@@ -60,7 +60,6 @@ class DmonConfig:
             bandwidth, the mean first-order distance.
         batch_size: enhance contiguous row chunks of this many rows
             independently (see `batch_bounds`); None enhances all at once.
-        pre_normalize: L2-normalize input rows before computing distances.
     """
 
     k1: int = 2
@@ -68,7 +67,6 @@ class DmonConfig:
     gamma: float = 0.75
     sigma: float | None = None
     batch_size: int | None = None
-    pre_normalize: bool = True
 
     def __post_init__(self):
         if self.k1 < 1:
@@ -264,8 +262,8 @@ def enhance(features, cfg: DmonConfig) -> np.ndarray:
     are enhanced independently and concatenated.
 
     Args:
-        features: (N, d) embeddings, any array-like; checked and converted
-            by `as_feature_matrix`.
+        features: (N, d) embeddings, any array-like, taken as given;
+            checked and converted by `as_feature_matrix`.
         cfg: DmonConfig.
 
     Returns:
@@ -288,18 +286,17 @@ def batch_bounds(n: int, cfg: DmonConfig) -> list[tuple[int, int]]:
 
 
 def _enhance_whole(feats: np.ndarray, cfg: DmonConfig) -> np.ndarray:
-    base = l2_normalize_rows(feats) if cfg.pre_normalize else feats
     if feats.shape[0] < 2:
         # a single sample has no neighbors; only the gamma term survives
-        return l2_normalize_rows(cfg.gamma * base)
-    orders = build_first_order(base, cfg.k1)
+        return l2_normalize_rows(cfg.gamma * feats)
+    orders = build_first_order(feats, cfg.k1)
     for _ in range(1, cfg.orders):
         orders = expand_order(orders)
     sigma = cfg.sigma
     if sigma is None:
         # 0 only when every first-order distance is 0; any bandwidth then gives weight 1
-        sigma = adaptive_sigma(base, orders) or 1.0
-    weights = gaussian_weights(base, orders, sigma, adaptive=cfg.sigma is None)
-    latent = latent_features(weights, base)
-    fused = cfg.gamma * base + (1.0 - cfg.gamma) * latent
+        sigma = adaptive_sigma(feats, orders) or 1.0
+    weights = gaussian_weights(feats, orders, sigma, adaptive=cfg.sigma is None)
+    latent = latent_features(weights, feats)
+    fused = cfg.gamma * feats + (1.0 - cfg.gamma) * latent
     return l2_normalize_rows(fused)

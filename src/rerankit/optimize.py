@@ -3,7 +3,8 @@
 The query-to-gallery distance matrix is refined using gallery-internal
 structure, without ever using query-query relations:
 
-1. Squared-Euclidean distances: query-gallery (QG) and gallery-gallery (GG).
+1. Squared-Euclidean distances of the rows as given (no normalization):
+   query-gallery (QG) and gallery-gallery (GG).
 2. Both are filtered per row to their k2 smallest entries; everything
    else reads as a fill value (1 by default, 0 as a variant).
 3. An asymmetric similarity matrix is formed as the product of the
@@ -41,7 +42,6 @@ from .matrix_ops import (
     as_feature_matrix,
     gather_ranges,
     knn_scan,
-    l2_normalize_rows,
     pairwise_sq_euclidean,
     topk_smallest,
 )
@@ -57,13 +57,11 @@ class AroConfig:
             two supported readings are 1.0 (default) and 0.0.
         enabled: when False, optimization is bypassed and the raw
             query-gallery distances are returned unchanged.
-        pre_normalize: L2-normalize input rows before computing distances.
     """
 
     k2: int = 20
     fill_value: float = 1.0
     enabled: bool = True
-    pre_normalize: bool = True
 
     def __post_init__(self):
         if self.k2 < 1:
@@ -230,7 +228,7 @@ def optimize(query_feats, gallery_feats, cfg: AroConfig, sink=None) -> np.ndarra
     unless the caller collects one.
 
     Args:
-        query_feats: (Nq, d) embeddings, any array-like.
+        query_feats: (Nq, d) embeddings, any array-like, taken as given.
         gallery_feats: (Ng, d) embeddings, any array-like; both are
             checked and converted by `as_query_gallery`.
         cfg: AroConfig. With cfg.enabled False the raw squared
@@ -251,9 +249,6 @@ def optimize(query_feats, gallery_feats, cfg: AroConfig, sink=None) -> np.ndarra
             the squared distances overflow float64.
     """
     fq, fg = as_query_gallery(query_feats, gallery_feats)
-    if cfg.pre_normalize:
-        fq = l2_normalize_rows(fq)
-        fg = l2_normalize_rows(fg)
     out = None
     if sink is None:
         out = np.empty((fq.shape[0], fg.shape[0]), dtype=np.float64)

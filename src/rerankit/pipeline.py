@@ -29,6 +29,7 @@ from .io_formats import (
     write_labels,
     write_npy,
 )
+from .matrix_ops import l2_normalize_rows
 from .metrics import MAX_RANK, EvalReport, SampleLabels, evaluate
 from .optimize import AroConfig, as_query_gallery, optimize
 from .synthetic import SynthSpec, generate
@@ -63,6 +64,7 @@ class ConfigError(ValueError):
 class PipelineConfig:
     """Which stages run and with what hyperparameters.
 
+    `pre_normalize` L2-normalizes both feature sets where they enter.
     DMON runs when `dmon_on`, ARO when `aro.enabled`; ARO measures the
     enhanced features whenever DMON ran. `dmon_joint` enhances the
     concatenation of query and gallery instead of each set separately.
@@ -72,11 +74,7 @@ class PipelineConfig:
     aro: AroConfig = AroConfig()
     dmon_on: bool = True
     dmon_joint: bool = False
-    max_rank: int = MAX_RANK
-
-    def __post_init__(self):
-        if self.max_rank < 1:
-            raise ValueError(f"max_rank must be >= 1, got {self.max_rank}")
+    pre_normalize: bool = True
 
     def with_stages(self, dmon_on: bool, aro_on: bool) -> "PipelineConfig":
         """This config with DMON and ARO each switched on or off."""
@@ -96,32 +94,40 @@ def config_from_dict(params) -> PipelineConfig:
       now (null, true and false: halving decay, row-normalized kernel
       weights, overlapping orders);
     - `aro_uses_enhanced` is dropped; false with ARO on, which measured
-      the raw features, maps to `dmon_on` false.
+      the raw features, maps to `dmon_on` false;
+    - `dmon.pre_normalize` and `aro.pre_normalize` map to a top-level
+      `pre_normalize`: the first when `dmon_on`, else the second (the one
+      the first stage run read); `max_rank`, which no rerank read, is dropped.
 
     Raises:
         ConfigError: naming the first field that is missing, unknown,
             ill-typed or out of range.
     """
-    uses_enhanced = True
     if isinstance(params, dict):
         params = {key: dict(v) if isinstance(v, dict) else v for key, v in params.items()}
         dmon = params["dmon"] if isinstance(params.get("dmon"), dict) else {}
+        aro = params["aro"] if isinstance(params.get("aro"), dict) else {}
         mode = dmon.pop("sigma_mode", "fixed")
         if mode not in ("adaptive", "fixed"):
             raise ConfigError(f"dmon.sigma_mode must be 'adaptive' or 'fixed', got {mode!r}")
         if mode == "adaptive":
             dmon["sigma"] = None
-        if "aro_on" in params and isinstance(params.get("aro"), dict):
-            params["aro"]["enabled"] = params.pop("aro_on")
+        if "aro_on" in params:
+            aro["enabled"] = params.pop("aro_on")
         retired = {"alphas": None, "normalize_weight_rows": True, "disjoint_orders": False}
         for name, value in retired.items():
             got = dmon.pop(name, value)
             if got is not value:
                 raise ConfigError(f"dmon.{name} can only be {json.dumps(value)}, got {got!r}")
+        # ARO on the raw features is ARO without DMON
         uses_enhanced = _typed(params.pop("aro_uses_enhanced", True), bool, "aro_uses_enhanced")
-    cfg = _build(PipelineConfig, params, "")
-    # ARO on the raw features is ARO without DMON
-    return cfg if uses_enhanced or not cfg.aro.enabled else replace(cfg, dmon_on=False)
+        if not uses_enhanced and aro.get("enabled") is True and params.get("dmon_on") is True:
+            params["dmon_on"] = False
+        if "pre_normalize" not in params:
+            dmon_pre, aro_pre = dmon.pop("pre_normalize", None), aro.pop("pre_normalize", None)
+            params["pre_normalize"] = dmon_pre if params.get("dmon_on") is True else aro_pre
+            params.pop("max_rank", None)
+    return _build(PipelineConfig, params, "")
 
 
 def _build(cls, data, where: str):
@@ -160,21 +166,22 @@ def compute_refined_distances(
 ) -> np.ndarray | None:
     """Run the configured stages and return the final query-gallery matrix.
 
-    With both stages off this is the plain (pre-normalized) squared
-    distance matrix; ARO takes DMON's unit-or-zero rows as they are. With
-    a `sink`, the matrix is handed to it as `optimize` row stripes, and
-    None is returned. Both feature sets are checked before any stage runs.
+    Both feature sets are checked, and L2-normalized when
+    `cfg.pre_normalize`, before any stage runs; the stages take their
+    rows as given. With both stages off this is the plain squared
+    distance matrix. With a `sink`, the matrix is handed to it as
+    `optimize` row stripes, and None is returned.
     """
     fq, fg = as_query_gallery(query_feats, gallery_feats)
-    if not cfg.dmon_on:
-        return optimize(fq, fg, cfg.aro, sink=sink)
-    if cfg.dmon_joint:
+    if cfg.pre_normalize:
+        fq, fg = l2_normalize_rows(fq), l2_normalize_rows(fg)
+    if cfg.dmon_on and cfg.dmon_joint:
         stacked = enhance(np.vstack([fq, fg]), cfg.dmon)
         fq, fg = stacked[: fq.shape[0]], stacked[fq.shape[0] :]
-    else:
+    elif cfg.dmon_on:
         # batching applies to the gallery side only
         fq, fg = enhance(fq, replace(cfg.dmon, batch_size=None)), enhance(fg, cfg.dmon)
-    return optimize(fq, fg, replace(cfg.aro, pre_normalize=False), sink=sink)
+    return optimize(fq, fg, cfg.aro, sink=sink)
 
 
 def clamp_warnings(num_q: int, num_g: int, cfg: PipelineConfig) -> list[str]:
@@ -320,8 +327,11 @@ def eval_files(
 ) -> dict:
     """Evaluate a distance file against labels, optionally write the report.
 
-    The distance file is read in row stripes (`NpyRows`), never whole.
+    The distance file is read in row stripes (`NpyRows`), never whole. A
+    `max_rank` below 1 is a ConfigError, raised before any file is read.
     """
+    if max_rank < 1:
+        raise ConfigError(f"max_rank must be >= 1, got {max_rank}")
     with open(dist_path, "rb") as fh:
         dist = NpyRows(fh)
         q_labels = _read_label_file(query_labels_path)
@@ -353,8 +363,7 @@ def _read_label_file(path) -> SampleLabels:
 
 
 def _evaluate_config(fq, q_labels, fg, g_labels, cfg: PipelineConfig) -> EvalReport:
-    dist = compute_refined_distances(fq, fg, cfg)
-    return evaluate(dist, q_labels, g_labels, max_rank=cfg.max_rank)
+    return evaluate(compute_refined_distances(fq, fg, cfg), q_labels, g_labels)
 
 
 def _grid_values(cfg: PipelineConfig) -> dict:
@@ -415,13 +424,17 @@ def run_pipeline(
     cfg: PipelineConfig,
     out_dir,
     ablation: bool = False,
+    max_rank: int = MAX_RANK,
 ) -> list[dict]:
-    """synth -> rerank -> eval in one pass.
+    """synth -> rerank -> eval in one pass, each eval with a CMC of `max_rank`.
 
     Default mode compares the baseline against the configured stages;
     `ablation` runs the four-variant grid (baseline, +ARO, +DMON,
-    +DMON+ARO) and writes ablation.csv.
+    +DMON+ARO) and writes ablation.csv. A `max_rank` below 1 is a
+    ConfigError, raised before anything is written.
     """
+    if max_rank < 1:
+        raise ConfigError(f"max_rank must be >= 1, got {max_rank}")
     out = Path(out_dir)
     paths = synth_files(spec, out / "data")
     configured = ("configured", "configured", cfg.dmon_on, cfg.aro.enabled)
@@ -435,7 +448,7 @@ def run_pipeline(
             run_dir / DIST_FILENAME,
             paths["query_labels"],
             paths["gallery_labels"],
-            max_rank=cfg.max_rank,
+            max_rank=max_rank,
             report_path=run_dir / "report.json",
             config={"variant": label},
         )
@@ -444,7 +457,7 @@ def run_pipeline(
     (out / name).write_text(sweep_rows_to_csv(rows), encoding="utf-8")
     manifest = _manifest(
         "pipeline",
-        {"spec": asdict(spec), "config": asdict(cfg), "ablation": ablation},
+        {"spec": asdict(spec), "config": asdict(cfg), "ablation": ablation, "max_rank": max_rank},
         {},
         {"table": name, "variants": [subdir for _, subdir, _, _ in variants]},
         seed=spec.seed,

@@ -115,11 +115,13 @@ def test_criterion_1_oracle_equivalence():
         batch = int(rng.integers(3, n_g + 1)) if rng.integers(0, 3) == 0 else None
         pre_norm = bool(rng.integers(0, 2))
 
+        # the stages take their rows as given; the oracles normalize their own
+        gq, gg = (l2_normalize_rows(fq), l2_normalize_rows(fg)) if pre_norm else (fq, fg)
         cfg = DmonConfig(
             k1=k1, orders=orders, gamma=gamma, sigma=sigma if sigma_mode == "fixed" else None,
-            batch_size=batch, pre_normalize=pre_norm,
+            batch_size=batch,
         )
-        got = enhance(fg, cfg)
+        got = enhance(gg, cfg)
         expected = naive_enhance(
             fg, k1=k1, num_orders=orders, gamma=gamma, sigma_mode=sigma_mode,
             sigma=sigma, batch_size=batch, pre_normalize=pre_norm,
@@ -128,8 +130,7 @@ def test_criterion_1_oracle_equivalence():
 
         k2 = int(rng.integers(1, 26))
         fill = float(rng.choice([0.0, 1.0]))
-        aro_cfg = AroConfig(k2=k2, fill_value=fill, pre_normalize=pre_norm)
-        got = optimize(fq, fg, aro_cfg)
+        got = optimize(gq, gg, AroConfig(k2=k2, fill_value=fill))
         expected = naive_optimize(fq, fg, k2=k2, fill=fill, pre_normalize=pre_norm)
         assert_allclose(got, expected, atol=1e-6, err_msg=f"optimize trial {trial}")
 

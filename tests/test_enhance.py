@@ -241,7 +241,7 @@ class TestEnhance:
         feats = rng.standard_normal((40, 8))
         cfg = DmonConfig(k1=2, orders=3, gamma=0.75)
         expected = naive_enhance(feats, k1=2, num_orders=3, gamma=0.75)
-        assert_allclose(enhance(feats, cfg), expected, atol=1e-6)
+        assert_allclose(enhance(l2_normalize_rows(feats), cfg), expected, atol=1e-6)
 
     def test_output_rows_unit_norm(self):
         rng = np.random.default_rng(109)
@@ -263,13 +263,14 @@ class TestEnhance:
     def test_batched_chunks_enhanced_independently(self, n, batch_size, chunks):
         rng = np.random.default_rng(127)
         feats = rng.standard_normal((n, 4))
+        unit = l2_normalize_rows(feats)
         cfg = DmonConfig(k1=2, orders=2, batch_size=batch_size)
-        out = enhance(feats, cfg)
+        out = enhance(unit, cfg)
         expected = naive_enhance(feats, k1=2, num_orders=2, batch_size=batch_size)
         assert_allclose(out, expected, atol=1e-6)
         bounds = np.cumsum([0, *chunks])
         whole = replace(cfg, batch_size=None)
-        parts = [enhance(feats[a:b], whole) for a, b in zip(bounds, bounds[1:])]
+        parts = [enhance(unit[a:b], whole) for a, b in zip(bounds, bounds[1:])]
         assert_array_equal(out, np.vstack(parts))
 
     def test_fixed_sigma_mode(self):
@@ -277,7 +278,7 @@ class TestEnhance:
         feats = rng.standard_normal((16, 4))
         cfg = DmonConfig(sigma=0.4, orders=2)
         expected = naive_enhance(feats, num_orders=2, sigma_mode="fixed", sigma=0.4)
-        assert_allclose(enhance(feats, cfg), expected, atol=1e-6)
+        assert_allclose(enhance(l2_normalize_rows(feats), cfg), expected, atol=1e-6)
 
     def test_duplicate_rows_do_not_crash(self):
         feats = np.ones((6, 3))
@@ -300,13 +301,11 @@ class TestEnhance:
         sigma = data.draw(st.sampled_from([0.3, 1.0, 2.5]), label="sigma")
         block = data.draw(st.integers(1, 3), label="block rows")
         tile = data.draw(st.integers(1, 4), label="tile columns")
-        cfg = DmonConfig(
-            k1=k1, orders=orders,
-            sigma=sigma if sigma_mode == "fixed" else None, pre_normalize=pre_normalize,
-        )
+        cfg = DmonConfig(k1=k1, orders=orders, sigma=sigma if sigma_mode == "fixed" else None)
+        given = l2_normalize_rows(feats) if pre_normalize else feats
         with mock.patch.object(matrix_ops, "_SCAN_BLOCK_ROWS", block), \
                 mock.patch.object(matrix_ops, "_TILE_COLS", tile):
-            out = enhance(feats, cfg)
+            out = enhance(given, cfg)
         expected = naive_enhance(
             feats, k1=k1, num_orders=orders,
             sigma_mode=sigma_mode, sigma=sigma, pre_normalize=pre_normalize,

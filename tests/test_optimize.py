@@ -147,8 +147,7 @@ class TestOptimize:
         fq = rng.standard_normal((3, 4))
         fg = rng.standard_normal((7, 4))
         out = optimize(fq, fg, AroConfig(enabled=False))
-        fqn, fgn = l2_normalize_rows(fq), l2_normalize_rows(fg)
-        assert_array_equal(out, pairwise_sq_euclidean(fqn, fgn, sq_norms(fgn)))
+        assert_array_equal(out, pairwise_sq_euclidean(fq, fg, sq_norms(fg)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -158,7 +157,7 @@ class TestOptimize:
         rng = np.random.default_rng(167)
         fq = rng.standard_normal((5, 6))
         fg = rng.standard_normal((12, 6))
-        out = optimize(fq, fg, AroConfig(k2=4))
+        out = optimize(l2_normalize_rows(fq), l2_normalize_rows(fg), AroConfig(k2=4))
         expected = naive_optimize(fq, fg, k2=4, fill=1.0)
         assert_allclose(out, expected, atol=1e-6)
 
@@ -166,7 +165,8 @@ class TestOptimize:
         rng = np.random.default_rng(173)
         fq = rng.standard_normal((4, 5))
         fg = rng.standard_normal((9, 5))
-        out = optimize(fq, fg, AroConfig(k2=3, fill_value=0.0))
+        cfg = AroConfig(k2=3, fill_value=0.0)
+        out = optimize(l2_normalize_rows(fq), l2_normalize_rows(fg), cfg)
         assert_allclose(out, naive_optimize(fq, fg, k2=3, fill=0.0), atol=1e-6)
 
     def test_k2_covering_gallery_degenerates(self):
@@ -206,7 +206,8 @@ class TestOptimize:
         rng = np.random.default_rng(193)
         fq = rng.standard_normal((7, 6))
         fg = rng.standard_normal((21, 6))
-        out = optimize(fq, fg, AroConfig(k2=k2, fill_value=fill))
+        cfg = AroConfig(k2=k2, fill_value=fill)
+        out = optimize(l2_normalize_rows(fq), l2_normalize_rows(fg), cfg)
         assert_allclose(out, naive_optimize(fq, fg, k2=k2, fill=fill), atol=1e-9)
 
     def test_streamed_route_medium_scale(self, monkeypatch):
@@ -240,11 +241,11 @@ class TestOptimize:
         block = data.draw(st.integers(1, 3), label="block rows")
         stripe = data.draw(st.integers(1, 2), label="stripe rows") * fg.shape[0]
         tile = data.draw(st.integers(1, 4), label="tile columns")
-        cfg = AroConfig(k2=k2, fill_value=fill, pre_normalize=pre_normalize)
+        given = (l2_normalize_rows(fq), l2_normalize_rows(fg)) if pre_normalize else (fq, fg)
         with mock.patch.object(matrix_ops, "_SCAN_BLOCK_ROWS", block), \
                 mock.patch.object(optimize_module, "_STRIPE_ELEMS", stripe), \
                 mock.patch.object(matrix_ops, "_TILE_COLS", tile):
-            out = optimize(fq, fg, cfg)
+            out = optimize(*given, AroConfig(k2=k2, fill_value=fill))
         expected = naive_optimize(fq, fg, k2=k2, fill=fill, pre_normalize=pre_normalize)
         assert_allclose(out, expected, rtol=0, atol=1e-9)
 
@@ -257,7 +258,7 @@ class TestOptimize:
         fq = rng.standard_normal((3, 4)) * scale
         fg = rng.standard_normal((num_g, 4)) * scale
         with pytest.raises(ValueError, match="overflow"):
-            optimize(fq, fg, AroConfig(k2=3, pre_normalize=False))
+            optimize(fq, fg, AroConfig(k2=3))
 
     def test_peak_memory_below_gallery_square(self):
         """The Ng x Ng gallery matrix is never built."""
@@ -331,7 +332,7 @@ class TestQueryGalleryLanes:
         the oracle's (exactly, for raw distances)."""
         fq, fg = self.tied_rows()
         for enabled in (True, False):
-            cfg = AroConfig(k2=k2, fill_value=fill, enabled=enabled, pre_normalize=False)
+            cfg = AroConfig(k2=k2, fill_value=fill, enabled=enabled)
             serial = self.run(monkeypatch, cfg, None)
             blas = FakeBlasThreads(threads)
             out = np.full_like(serial, np.nan)

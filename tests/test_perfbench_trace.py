@@ -88,11 +88,16 @@ def test_features_are_checked_once_per_entry(traced_run):
 
 
 def test_rows_are_normalized_once_per_stage(traced_run):
-    """Each `enhance` call normalizes its input and its output; ARO takes
-    the enhanced rows as they are, and normalizes only features DMON did
-    not touch."""
-    assert len(_spans(traced_run["rerank"], "matrix_ops.l2_normalize_rows")) == 4
+    """`compute_refined_distances` normalizes the query and gallery features
+    where they enter; each `enhance` call then normalizes only its output,
+    and ARO takes its rows as they are."""
+    doc = traced_run["rerank"]
+    spans = _spans(doc, "matrix_ops.l2_normalize_rows")
+    assert len(spans) == 4
     assert len(_spans(traced_run["no_dmon"], "matrix_ops.l2_normalize_rows")) == 2
+    names = {span["id"]: span["name"] for span in doc["spans"]}
+    parents = [names[span["parent"]] for span in spans]
+    assert parents == ["pipeline.compute_refined_distances"] * 2 + ["enhance.enhance"] * 2
 
 
 def test_memory_trace_records_peaks(traced_run):

@@ -153,8 +153,7 @@ class TestRerankCommand:
         assert code == EXIT_OK
         params = read_json((out / "manifest.json").read_text())["params"]
         assert params["dmon_joint"] is True
-        assert params["dmon"]["pre_normalize"] is False
-        assert params["aro"]["pre_normalize"] is False
+        assert params["pre_normalize"] is False
 
     def test_rerun_from_manifest_reproduces_bytes(self, data_dir, tmp_path):
         first = tmp_path / "first"
@@ -230,7 +229,6 @@ NON_DEFAULT_FLAGS = {
     "--sigma": ["0.4"],
     "--batch-size": ["7"],
     "--fill": ["0"],
-    "--max-rank": ["10"],
     "--baseline": [],
     "--no-dmon": [],
     "--no-aro": [],
@@ -239,8 +237,9 @@ NON_DEFAULT_FLAGS = {
 }
 
 # A rerank manifest as earlier versions wrote it: the bandwidth as
-# `sigma_mode` plus `sigma`, the ARO switch as top-level `aro_on`, and
-# DMON and ARO settings that are fixed now (`dmon.alphas`,
+# `sigma_mode` plus `sigma`, the ARO switch as top-level `aro_on`, a
+# `pre_normalize` switch in each of `dmon` and `aro`, a `max_rank` that no
+# rerank read, and DMON and ARO settings that are fixed now (`dmon.alphas`,
 # `dmon.normalize_weight_rows`, `dmon.disjoint_orders`, `aro_uses_enhanced`).
 OLD_MANIFEST = """{{
   "command": "rerank",
@@ -322,6 +321,25 @@ class TestParameterSurface:
         assert replay(run / "manifest.json", again) == EXIT_OK
         assert (again / "dist.npy").read_bytes() == (run / "dist.npy").read_bytes()
 
+    @pytest.mark.parametrize("flag", sorted(NON_DEFAULT_FLAGS))
+    def test_flag_changes_distances(self, data_dir, tmp_path, flag):
+        default, run = tmp_path / "default", tmp_path / "run"
+        assert main(rerank_args(data_dir, default)) == EXIT_OK
+        assert main(rerank_args(data_dir, run, flag, *NON_DEFAULT_FLAGS[flag])) == EXIT_OK
+        assert (run / "dist.npy").read_bytes() != (default / "dist.npy").read_bytes()
+
+    def test_only_the_commands_that_rank_take_max_rank(self, data_dir, tmp_path, capsys):
+        """rerank writes no CMC and sweep rows hold only mAP and rank-1, so
+        neither takes --max-rank (eval and pipeline do: `test_max_rank_zero`)."""
+        sweep = ["sweep", "--query", str(data_dir / "q.npy"), "--gallery",
+                 str(data_dir / "g.npy"), "--query-labels", str(data_dir / "q_labels.csv"),
+                 "--gallery-labels", str(data_dir / "g_labels.csv"),
+                 "--out", str(tmp_path / "s.csv")]
+        for args in (rerank_args(data_dir, tmp_path / "run"), sweep):
+            assert main([*args, "--max-rank", "10"]) == EXIT_CONFIG
+            assert "unrecognized arguments: --max-rank 10" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("sigma_mode, sigma, aro_on, edit, expect", [
         ("fixed", 0.4, "false", {}, ["--sigma", "0.4", "--no-aro"]),
         ("adaptive", 1.0, "true", {}, []),
@@ -333,6 +351,10 @@ class TestParameterSurface:
         ("adaptive", 1.0, "true", {"dmon": {"normalize_weight_rows": False}},
          "dmon.normalize_weight_rows"),
         ("adaptive", 1.0, "true", {"dmon": {"disjoint_orders": True}}, "dmon.disjoint_orders"),
+        # the pre-normalization a replay keeps is the one the first stage run read
+        ("adaptive", 1.0, "true", {"dmon": {"pre_normalize": False}}, ["--no-pre-normalize"]),
+        ("adaptive", 1.0, "true", {"dmon": {"pre_normalize": False}, "dmon_on": False},
+         ["--no-dmon"]),
     ])
     def test_old_manifest_replays_like_the_new_flags(
         self, data_dir, tmp_path, capsys, sigma_mode, sigma, aro_on, edit, expect
@@ -425,6 +447,10 @@ class TestManifestErrors:
         ({"dmon": {"sigma": None, "sigma_mode": "other"}}, "dmon.sigma_mode"),
         ({"aro": {"fill_value": True}}, "aro.fill_value"),
         ({"dmon": {"alphas": [1, "x", 0.25]}}, "dmon.alphas"),
+        # a manifest with the top-level switch is new, and has no stage switches
+        ({"aro": {"pre_normalize": True}}, "aro.pre_normalize"),
+        ({"dmon": {"pre_normalize": False}}, "dmon.pre_normalize"),
+        ({"max_rank": 50}, "max_rank"),
     ])
     def test_config_from_dict_names_the_field(self, params, field):
         good = asdict(PipelineConfig())
@@ -436,7 +462,7 @@ class TestManifestErrors:
     def test_config_from_dict_inverts_asdict(self):
         cfg = PipelineConfig(
             dmon=DmonConfig(sigma=0.3, batch_size=9),
-            aro=AroConfig(fill_value=0.0, enabled=False), dmon_joint=True, max_rank=7,
+            aro=AroConfig(fill_value=0.0, enabled=False), dmon_joint=True, pre_normalize=False,
         )
         assert config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
@@ -454,12 +480,13 @@ class TestConfigErrorsBeforeData:
                      "--gallery-labels", absent, "--out", str(tmp_path / "s.csv"), *flags])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("command", ["rerank", "eval"])
-    def test_max_rank_zero(self, tmp_path, command):
-        absent = tmp_path / "absent"
-        args = (rerank_args(absent, tmp_path / "run") if command == "rerank"
-                else eval_args(absent, tmp_path / "run"))
+    @pytest.mark.parametrize("command", ["pipeline", "eval"])
+    def test_max_rank_zero(self, tmp_path, capsys, command):
+        args = (["pipeline", "--out", str(tmp_path / "run")] if command == "pipeline"
+                else eval_args(tmp_path / "absent", tmp_path / "run"))
         assert main([*args, "--max-rank", "0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: max_rank must be >= 1, got 0\n"
+        assert not (tmp_path / "run").exists()
 
 
 @contextmanager
@@ -951,9 +978,8 @@ class TestInputContract:
         fg = rng.integers(-6, 7, size=(45, 5)).astype(np.float64)
         convert = {"fortran": np.asfortranarray, "float32": lambda x: x.astype(np.float32),
                    "int64": lambda x: x.astype(np.int64), "list": lambda x: x.tolist()}[form]
-        dmon = DmonConfig(pre_normalize=pre_normalize)
-        aro = AroConfig(k2=5, pre_normalize=pre_normalize)
-        cfg = PipelineConfig(dmon=dmon, aro=aro)
+        dmon, aro = DmonConfig(), AroConfig(k2=5)
+        cfg = PipelineConfig(dmon=dmon, aro=aro, pre_normalize=pre_normalize)
         assert enhance(convert(fg), dmon).tobytes() == enhance(fg, dmon).tobytes()
         assert optimize(convert(fq), convert(fg), aro).tobytes() == optimize(fq, fg, aro).tobytes()
         for joint in (False, True):
