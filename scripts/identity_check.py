@@ -13,9 +13,10 @@ and reports name the same paths. The cases:
 - `synth` at `--ids 800` and `--ids 1600` with the benchmark's
   `SYNTH_FLAGS` (perfbench/run.py), data seeds 0-9;
 - `rerank` of the seed-1 data of both sizes with the defaults, `--no-dmon`,
-  `--no-aro`, `--baseline`, `--joint --fill 0 --no-pre-normalize` and
-  `--preset msmt17`, each with `OPENBLAS_NUM_THREADS=2` (two kNN lanes)
-  and `OPENBLAS_NUM_THREADS=1`;
+  `--no-aro`, `--baseline`, `--joint --fill 0 --no-pre-normalize`,
+  `--preset msmt17` (gallery batches of 10,000 rows), `--joint
+  --batch-size 1000` and `--gamma 1 --batch-size 1000`, each with
+  `OPENBLAS_NUM_THREADS=2` (two kNN lanes) and `OPENBLAS_NUM_THREADS=1`;
 - `rerank --from-manifest` of each of those runs in this tree, against
   the parent's run;
 - `rerank --from-manifest` in this tree of the parent's manifest of each
@@ -31,7 +32,9 @@ and reports name the same paths. The cases:
 - `pipeline --ablation`.
 
 Prints one line per case and exits 1 if any case differs or a command
-fails, else 0.
+fails, else 0. A differing file that is JSON in both trees is followed by
+the dotted key paths whose values differ, e.g.
+`manifest.json [params.dmon.batch_size, params.dmon_batch_size]`.
 
 `--report` is for a change that is meant to move `dist.npy` bits but not
 the rankings. Each `rerank` case, replays included, then also runs
@@ -51,6 +54,7 @@ outputs are deleted when it ends, as a rerank at `--ids 1600` writes a
 
 import argparse
 import filecmp
+import json
 import os
 import shutil
 import subprocess
@@ -74,6 +78,8 @@ RERANK_FLAGS = (
     ("--baseline",),
     ("--joint", "--fill", "0", "--no-pre-normalize"),
     ("--preset", "msmt17"),
+    ("--joint", "--batch-size", "1000"),
+    ("--gamma", "1", "--batch-size", "1000"),
 )
 BLAS_THREADS = ("2", "1")
 SWEEP_GRID = ("--k1", "1,2,3,5,8", "--k2", "2,5,10,20", "--gamma", "0.5,0.75,0.9",
@@ -123,6 +129,29 @@ def differing(a: Path, b: Path) -> list[str]:
         if not ((a / n).is_file() and (b / n).is_file()
                 and filecmp.cmp(a / n, b / n, shallow=False))
     )
+
+
+def key_paths(x, y, path: str = "") -> list[str]:
+    """The dotted key paths at which two JSON values differ: a key that only
+    one object holds, or a pair of unequal values that are not both objects."""
+    if not (isinstance(x, dict) and isinstance(y, dict)):
+        return [] if json.dumps(x) == json.dumps(y) else [path or "(root)"]
+    found = []
+    for key in sorted(x.keys() | y.keys()):
+        sub = f"{path}.{key}" if path else key
+        found += key_paths(x[key], y[key], sub) if key in x and key in y else [sub]
+    return found
+
+
+def describe(a: Path, b: Path, name: str) -> str:
+    """`name`, followed by the key paths that differ when it is JSON in both trees."""
+    if not name.endswith(".json"):
+        return name
+    try:
+        x, y = (json.loads((tree / name).read_text(encoding="utf-8")) for tree in (a, b))
+    except (OSError, ValueError):
+        return name
+    return f"{name} [{', '.join(key_paths(x, y))}]"
 
 
 def max_delta(a: Path, b: Path) -> float:
@@ -181,7 +210,7 @@ class Checker:
                 line = f"eval-equal  {label}: max |delta dist.npy| {delta:.2g}"
                 diff = []
             else:
-                line = f"DIFFER  {label}: {', '.join(diff)}"
+                line = f"DIFFER  {label}: {', '.join(describe(a, b, n) for n in diff)}"
         except RuntimeError as exc:
             diff = True
             line = f"FAILED  {label}: {exc}"

@@ -8,7 +8,7 @@ import argparse
 import itertools
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -20,13 +20,11 @@ from .pipeline import (
     PRESETS,
     ConfigError,
     PipelineConfig,
-    _manifest,
     eval_files,
     rerank_files,
     rerank_from_manifest,
     run_pipeline,
-    run_sweep,
-    sweep_rows_to_csv,
+    sweep_files,
     synth_files,
 )
 from .synthetic import SynthSpec
@@ -36,13 +34,13 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DATA = 4
 
-# Parameter flags that set a value, and preset keys: dest -> (config section, field).
+# Parameter flags that set a value, and preset keys: dest -> (config section or None, field).
 _VALUE_FLAGS = {
     "k1": ("dmon", "k1"),
     "orders": ("dmon", "orders"),
     "gamma": ("dmon", "gamma"),
     "sigma": ("dmon", "sigma"),
-    "batch_size": ("dmon", "batch_size"),
+    "batch_size": (None, "dmon_batch_size"),
     "k2": ("aro", "k2"),
     "fill": ("aro", "fill_value"),
 }
@@ -58,14 +56,15 @@ def _config_errors():
 
 
 def _add_synth_spec_flags(p: argparse.ArgumentParser):
-    p.add_argument("--ids", type=int, default=50, help="number of identities")
-    p.add_argument("--per-id", type=int, default=10, help="samples per identity")
-    p.add_argument("--dim", type=int, default=64, help="embedding dimension")
-    p.add_argument("--cams", type=int, default=4, help="number of cameras")
-    p.add_argument("--intra-noise", type=float, default=0.35)
-    p.add_argument("--cam-offset", type=float, default=0.25)
-    p.add_argument("--query-fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=7)
+    """SynthSpec's flags, each stored under its field's name and defaulting to None."""
+    p.add_argument("--ids", dest="num_ids", type=int, help="number of identities")
+    p.add_argument("--per-id", dest="imgs_per_id", type=int, help="samples per identity")
+    p.add_argument("--dim", type=int, help="embedding dimension")
+    p.add_argument("--cams", dest="num_cams", type=int, help="number of cameras")
+    p.add_argument("--intra-noise", type=float)
+    p.add_argument("--cam-offset", dest="cam_offset_scale", type=float)
+    p.add_argument("--query-fraction", type=float)
+    p.add_argument("--seed", type=int)
 
 
 def _grid(cast):
@@ -157,33 +156,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> SynthSpec:
+    given = {f.name: getattr(args, f.name) for f in fields(SynthSpec)}
     with _config_errors():
-        return SynthSpec(
-            num_ids=args.ids,
-            imgs_per_id=args.per_id,
-            dim=args.dim,
-            num_cams=args.cams,
-            intra_noise=args.intra_noise,
-            cam_offset_scale=args.cam_offset,
-            query_fraction=args.query_fraction,
-            seed=args.seed,
-        )
+        return SynthSpec(**{name: value for name, value in given.items() if value is not None})
 
 
 def _config_from_args(args) -> PipelineConfig:
     """The config of the flags given, over the preset, over the dataclass defaults."""
     if args.no_dmon and args.no_aro and not args.baseline:
         raise ConfigError("both stages disabled: plain ranking must be requested with --baseline")
-    parts = {"dmon": {}, "aro": {"enabled": not (args.baseline or args.no_aro)}}
+    parts = {"dmon": {}, "aro": {"enabled": not (args.baseline or args.no_aro)},
+             None: {"dmon_on": not (args.baseline or args.no_dmon), "dmon_joint": args.joint,
+                    "pre_normalize": not args.no_pre_normalize}}
     given = {key: getattr(args, key) for key in _VALUE_FLAGS if getattr(args, key) is not None}
     for key, value in {**PRESETS.get(args.preset, {}), **given}.items():
         section, name = _VALUE_FLAGS[key]
         parts[section][name] = value
     with _config_errors():
         return PipelineConfig(
-            dmon=DmonConfig(**parts["dmon"]), aro=AroConfig(**parts["aro"]),
-            dmon_on=not (args.baseline or args.no_dmon), dmon_joint=args.joint,
-            pre_normalize=not args.no_pre_normalize,
+            dmon=DmonConfig(**parts["dmon"]), aro=AroConfig(**parts["aro"]), **parts[None]
         )
 
 
@@ -238,26 +229,9 @@ def _cmd_sweep(args) -> int:
         _config_from_args(argparse.Namespace(**{**vars(args), **dict(zip(keys, values))}))
         for values in itertools.product(*(getattr(args, key) or [None] for key in keys))
     ]
-    rows, clamps = run_sweep(
-        args.query, args.gallery, args.query_labels, args.gallery_labels, cells
-    )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        out.write_text(write_json(rows), encoding="utf-8")
-    else:
-        out.write_text(sweep_rows_to_csv(rows), encoding="utf-8")
-    grid = {key: getattr(args, key) or [rows[1][key]] for key in keys}
-    manifest = _manifest(
-        "sweep",
-        {**grid, "base": asdict(cells[0]), "format": args.format},
-        {"query": args.query, "gallery": args.gallery,
-         "query_labels": args.query_labels, "gallery_labels": args.gallery_labels},
-        {"table": str(out)},
-        warnings=clamps,
-    )
-    Path(f"{out}.manifest.json").write_text(write_json(manifest), encoding="utf-8")
-    print(str(out))
+    manifest = sweep_files(args.query, args.gallery, args.query_labels, args.gallery_labels,
+                           cells, {key: getattr(args, key) for key in keys}, args.out, args.format)
+    print(manifest["outputs"]["table"])
     return EXIT_OK
 
 

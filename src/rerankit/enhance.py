@@ -22,8 +22,9 @@ No N x N distance matrix is built: the scan keeps one block of rows in
 memory, each order's neighbors and kernel weights are one flat row
 table (`SparseRows`), and the kernel weights need distances only on the
 neighbor supports, which are computed from the feature pairs directly.
-Large inputs can also be processed in contiguous row chunks, each
-enhanced independently (the "gallery batching" mode, see `batch_bounds`).
+`enhance` treats the rows it is given as one set; which rows share a
+graph (the gallery batching of `pipeline.batch_bounds`) is the caller's
+decision.
 """
 
 from dataclasses import dataclass
@@ -50,7 +51,8 @@ def default_decay(num_orders: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class DmonConfig:
-    """Hyperparameters for multi-order neighbor enhancement.
+    """Hyperparameters for multi-order neighbor enhancement of one set of
+    rows; which rows form a set is `PipelineConfig.dmon_batch_size`'s job.
 
     Attributes:
         k1: first-order neighborhood size.
@@ -58,15 +60,12 @@ class DmonConfig:
         gamma: fusion weight of the original features, in [0, 1].
         sigma: fixed kernel base bandwidth, > 0; None selects the adaptive
             bandwidth, the mean first-order distance.
-        batch_size: enhance contiguous row chunks of this many rows
-            independently (see `batch_bounds`); None enhances all at once.
     """
 
     k1: int = 2
     orders: int = 3
     gamma: float = 0.75
     sigma: float | None = None
-    batch_size: int | None = None
 
     def __post_init__(self):
         if self.k1 < 1:
@@ -77,8 +76,6 @@ class DmonConfig:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.sigma is not None and not self.sigma > 0.0:
             raise ValueError(f"sigma must be > 0 or None, got {self.sigma}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1 or None, got {self.batch_size}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,11 +252,11 @@ def latent_features(weights: list[SparseRows], feats: np.ndarray) -> np.ndarray:
 
 
 def enhance(features, cfg: DmonConfig) -> np.ndarray:
-    """Run the full multi-order neighbor enhancement pipeline.
+    """Run the full multi-order neighbor enhancement on one set of rows.
 
-    With gamma == 1 the latent term vanishes and the result is exactly
-    the row-normalized input. Otherwise the row batches of `batch_bounds`
-    are enhanced independently and concatenated.
+    Every row is a neighbor candidate of every other. With gamma == 1 the
+    latent term vanishes and the result is exactly the row-normalized
+    input; a single row has no neighbors, so only its gamma term survives.
 
     Args:
         features: (N, d) embeddings, any array-like, taken as given;
@@ -272,22 +269,7 @@ def enhance(features, cfg: DmonConfig) -> np.ndarray:
     feats = as_feature_matrix(features)
     if cfg.gamma == 1.0:
         return l2_normalize_rows(feats)
-    parts = [_enhance_whole(feats[a:b], cfg) for a, b in batch_bounds(len(feats), cfg)]
-    return parts[0] if len(parts) == 1 else np.vstack(parts)
-
-
-def batch_bounds(n: int, cfg: DmonConfig) -> list[tuple[int, int]]:
-    """(start, stop) of each batch of cfg.batch_size rows (all n when None) that
-    `enhance` treats alone; a last batch of at most k1 rows joins the one before."""
-    starts = list(range(0, n, cfg.batch_size or n))
-    if len(starts) > 1 and n - starts[-1] <= cfg.k1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
-
-
-def _enhance_whole(feats: np.ndarray, cfg: DmonConfig) -> np.ndarray:
     if feats.shape[0] < 2:
-        # a single sample has no neighbors; only the gamma term survives
         return l2_normalize_rows(cfg.gamma * feats)
     orders = build_first_order(feats, cfg.k1)
     for _ in range(1, cfg.orders):

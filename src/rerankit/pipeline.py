@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .enhance import DmonConfig, batch_bounds, enhance
+from .enhance import DmonConfig, enhance
 from .io_formats import (
     LabelFormatError,
     NpyRows,
@@ -68,13 +68,21 @@ class PipelineConfig:
     DMON runs when `dmon_on`, ARO when `aro.enabled`; ARO measures the
     enhanced features whenever DMON ran. `dmon_joint` enhances the
     concatenation of query and gallery instead of each set separately.
+    `dmon_batch_size` splits the gallery (or the joint stack) into the
+    chunks of `batch_bounds`, each enhanced as a set of its own; the
+    query set is always enhanced whole.
     """
 
     dmon: DmonConfig = DmonConfig()
     aro: AroConfig = AroConfig()
     dmon_on: bool = True
     dmon_joint: bool = False
+    dmon_batch_size: int | None = None
     pre_normalize: bool = True
+
+    def __post_init__(self):
+        if self.dmon_batch_size is not None and self.dmon_batch_size < 1:
+            raise ValueError(f"dmon_batch_size must be >= 1 or None, got {self.dmon_batch_size}")
 
     def with_stages(self, dmon_on: bool, aro_on: bool) -> "PipelineConfig":
         """This config with DMON and ARO each switched on or off."""
@@ -97,7 +105,9 @@ def config_from_dict(params) -> PipelineConfig:
       the raw features, maps to `dmon_on` false;
     - `dmon.pre_normalize` and `aro.pre_normalize` map to a top-level
       `pre_normalize`: the first when `dmon_on`, else the second (the one
-      the first stage run read); `max_rank`, which no rerank read, is dropped.
+      the first stage run read); `max_rank`, which no rerank read, is dropped;
+    - `dmon.batch_size` maps to a top-level `dmon_batch_size`, in a
+      manifest that has no `dmon_batch_size` of its own.
 
     Raises:
         ConfigError: naming the first field that is missing, unknown,
@@ -127,6 +137,8 @@ def config_from_dict(params) -> PipelineConfig:
             dmon_pre, aro_pre = dmon.pop("pre_normalize", None), aro.pop("pre_normalize", None)
             params["pre_normalize"] = dmon_pre if params.get("dmon_on") is True else aro_pre
             params.pop("max_rank", None)
+        if "dmon_batch_size" not in params and "batch_size" in dmon:
+            params["dmon_batch_size"] = dmon.pop("batch_size")
     return _build(PipelineConfig, params, "")
 
 
@@ -169,32 +181,49 @@ def compute_refined_distances(
     Both feature sets are checked, and L2-normalized when
     `cfg.pre_normalize`, before any stage runs; the stages take their
     rows as given. With both stages off this is the plain squared
-    distance matrix. With a `sink`, the matrix is handed to it as
+    distance matrix. DMON enhances the query set whole and the gallery
+    (or, with `dmon_joint`, the query-gallery stack) in the chunks of
+    `batch_bounds`. With a `sink`, the matrix is handed to it as
     `optimize` row stripes, and None is returned.
     """
     fq, fg = as_query_gallery(query_feats, gallery_feats)
     if cfg.pre_normalize:
         fq, fg = l2_normalize_rows(fq), l2_normalize_rows(fg)
     if cfg.dmon_on and cfg.dmon_joint:
-        stacked = enhance(np.vstack([fq, fg]), cfg.dmon)
+        stacked = _enhance_chunks(np.vstack([fq, fg]), cfg)
         fq, fg = stacked[: fq.shape[0]], stacked[fq.shape[0] :]
     elif cfg.dmon_on:
-        # batching applies to the gallery side only
-        fq, fg = enhance(fq, replace(cfg.dmon, batch_size=None)), enhance(fg, cfg.dmon)
+        fq, fg = enhance(fq, cfg.dmon), _enhance_chunks(fg, cfg)
     return optimize(fq, fg, cfg.aro, sink=sink)
 
 
+def batch_bounds(n: int, cfg: PipelineConfig) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk of cfg.dmon_batch_size rows (all n when None)
+    that DMON enhances alone; a last chunk of at most k1 rows joins the one before."""
+    starts = list(range(0, n, cfg.dmon_batch_size or n))
+    if len(starts) > 1 and n - starts[-1] <= cfg.dmon.k1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _enhance_chunks(feats: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    """`enhance` of each `batch_bounds` chunk of `feats`, stacked."""
+    parts = [enhance(feats[a:b], cfg.dmon) for a, b in batch_bounds(len(feats), cfg)]
+    return parts[0] if len(parts) == 1 else np.vstack(parts)
+
+
 def clamp_warnings(num_q: int, num_g: int, cfg: PipelineConfig) -> list[str]:
-    """The k clamps of a rerank of num_q queries and num_g gallery rows: k1 to
-    n - 1 in each DMON batch of n <= k1 rows (`batch_bounds`), k2 to num_g."""
-    sets = [("query", num_q, replace(cfg.dmon, batch_size=None)), ("gallery", num_g, cfg.dmon)]
+    """The k clamps of a rerank of num_q queries and num_g gallery rows: k2 to
+    num_g, and k1 to n - 1 in each set of n <= k1 rows that DMON enhances (the
+    query set whole, the gallery or joint stack in `batch_bounds` chunks)."""
+    sets = [("query", [(0, num_q)]), ("gallery", batch_bounds(num_g, cfg))]
     if cfg.dmon_joint:
-        sets = [("query+gallery", num_q + num_g, cfg.dmon)]
-    found = []
-    for name, n, dmon in sets if cfg.dmon_on and cfg.dmon.gamma != 1.0 else []:
-        sizes = [b - a for a, b in batch_bounds(n, dmon)]
-        found += [f"DMON k1={dmon.k1} is clamped to {size - 1} in {sizes.count(size)} {name} "
-                  f"batch(es) of {size} rows" for size in sorted(set(sizes)) if size <= dmon.k1]
+        sets = [("query+gallery", batch_bounds(num_q + num_g, cfg))]
+    k1, found = cfg.dmon.k1, []
+    for name, bounds in sets if cfg.dmon_on and cfg.dmon.gamma != 1.0 else []:
+        sizes = [b - a for a, b in bounds]
+        found += [f"DMON k1={k1} is clamped to {size - 1} in {sizes.count(size)} {name} "
+                  f"batch(es) of {size} rows" for size in sorted(set(sizes)) if size <= k1]
     if cfg.aro.enabled and cfg.aro.k2 > num_g:
         found.append(f"ARO k2={cfg.aro.k2} is clamped to the gallery's {num_g} rows")
     return found
@@ -384,18 +413,18 @@ def _sweep_row(label: str, grid: dict, cfg: PipelineConfig, report, base) -> dic
     }
 
 
-def run_sweep(
-    query_path,
-    gallery_path,
-    query_labels_path,
-    gallery_labels_path,
-    cells: list[PipelineConfig],
-) -> tuple[list[dict], list[str]]:
-    """Hyperparameter sweep; one rerank+eval per grid cell, in the given order.
+def sweep_files(query_path, gallery_path, query_labels_path, gallery_labels_path,
+                cells: list[PipelineConfig], grid: dict, out_path, fmt: str = "csv") -> dict:
+    """Hyperparameter sweep; one rerank+eval per grid cell, in the given order,
+    each holding its Nq x Ng distance matrix in memory.
 
     The first row is the baseline (both stages off, with the first
-    cell's other settings), used for the delta columns. Also returns the
-    cells' k clamps (`clamp_warnings`), each once, in the order first met.
+    cell's other settings), used for the delta columns. The rows are
+    written to `out_path` as CSV or JSON (`fmt`), and beside them
+    `<out_path>.manifest.json`, which records `grid` (the swept lists of
+    k1, k2, gamma and orders; None records the first cell's value), the
+    first cell's config and each k clamp (`clamp_warnings`) once.
+    Returns that manifest.
     """
     if not cells:
         raise ValueError("empty sweep grid")
@@ -411,7 +440,21 @@ def run_sweep(
         report = _evaluate_config(fq, q_labels, fg, g_labels, cfg)
         rows.append(_sweep_row("grid", _grid_values(cfg), cfg, report, base))
     clamps = dict.fromkeys(line for cfg in cells for line in clamp_warnings(len(fq), len(fg), cfg))
-    return rows, list(clamps)
+
+    out = Path(out_path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(write_json(rows) if fmt == "json" else sweep_rows_to_csv(rows), encoding="utf-8")
+    manifest = _manifest(
+        "sweep",
+        {**{key: values or [rows[1][key]] for key, values in grid.items()},
+         "base": asdict(cells[0]), "format": fmt},
+        {"query": str(query_path), "gallery": str(gallery_path),
+         "query_labels": str(query_labels_path), "gallery_labels": str(gallery_labels_path)},
+        {"table": str(out)},
+        warnings=list(clamps),
+    )
+    Path(f"{out}.manifest.json").write_text(write_json(manifest), encoding="utf-8")
+    return manifest
 
 
 def sweep_rows_to_csv(rows: list[dict]) -> str:

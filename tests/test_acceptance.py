@@ -36,7 +36,13 @@ from rerankit.io_formats import (
 from rerankit.matrix_ops import l2_normalize_rows, pairwise_sq_euclidean
 from rerankit.metrics import SampleLabels, average_precision, evaluate
 from rerankit.optimize import AroConfig, asymmetric_similarity, neighborhood_filter, optimize
-from rerankit.pipeline import PipelineConfig, compute_refined_distances, run_pipeline, synth_files
+from rerankit.pipeline import (
+    PipelineConfig,
+    batch_bounds,
+    compute_refined_distances,
+    run_pipeline,
+    synth_files,
+)
 from rerankit.synthetic import SynthSpec
 
 from naive_impl import dense_filtered, naive_enhance, naive_optimize, naive_pairwise_sq, sq_norms
@@ -119,9 +125,10 @@ def test_criterion_1_oracle_equivalence():
         gq, gg = (l2_normalize_rows(fq), l2_normalize_rows(fg)) if pre_norm else (fq, fg)
         cfg = DmonConfig(
             k1=k1, orders=orders, gamma=gamma, sigma=sigma if sigma_mode == "fixed" else None,
-            batch_size=batch,
         )
-        got = enhance(gg, cfg)
+        # the gallery chunks as `compute_refined_distances` enhances them
+        bounds = batch_bounds(n_g, PipelineConfig(dmon=cfg, dmon_batch_size=batch))
+        got = np.vstack([enhance(gg[a:b], cfg) for a, b in bounds])
         expected = naive_enhance(
             fg, k1=k1, num_orders=orders, gamma=gamma, sigma_mode=sigma_mode,
             sigma=sigma, batch_size=batch, pre_normalize=pre_norm,

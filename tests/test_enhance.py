@@ -23,6 +23,8 @@ from rerankit.enhance import (
     latent_features,
 )
 from rerankit.matrix_ops import l2_normalize_rows, pairwise_sq_euclidean
+from rerankit.optimize import AroConfig
+from rerankit.pipeline import PipelineConfig, batch_bounds, compute_refined_distances
 from rerankit.synthetic import SynthSpec, generate
 
 from naive_impl import dense_weights, naive_enhance, naive_neighbor_orders, sparse_rows, sq_norms
@@ -250,11 +252,15 @@ class TestEnhance:
         assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
 
     def test_single_batch_equals_unbatched_bitwise(self):
+        """A gallery batch size of at least the gallery's rows is one chunk,
+        enhanced like no batching at all."""
         rng = np.random.default_rng(113)
-        feats = rng.standard_normal((20, 4))
-        whole = enhance(feats, DmonConfig())
-        batched = enhance(feats, DmonConfig(batch_size=20))
-        assert_array_equal(whole, batched)
+        fq, fg = rng.standard_normal((6, 4)), rng.standard_normal((20, 4))
+        cfg = PipelineConfig(aro=AroConfig(enabled=False))
+        batched = replace(cfg, dmon_batch_size=20)
+        assert batch_bounds(20, batched) == [(0, 20)]
+        assert_array_equal(compute_refined_distances(fq, fg, cfg),
+                           compute_refined_distances(fq, fg, batched))
 
     @pytest.mark.parametrize("n, batch_size, chunks", [
         (23, 8, [8, 8, 7]),
@@ -264,14 +270,12 @@ class TestEnhance:
         rng = np.random.default_rng(127)
         feats = rng.standard_normal((n, 4))
         unit = l2_normalize_rows(feats)
-        cfg = DmonConfig(k1=2, orders=2, batch_size=batch_size)
-        out = enhance(unit, cfg)
+        cfg = PipelineConfig(dmon=DmonConfig(k1=2, orders=2), dmon_batch_size=batch_size)
+        bounds = batch_bounds(n, cfg)
+        assert [b - a for a, b in bounds] == chunks
+        out = np.vstack([enhance(unit[a:b], cfg.dmon) for a, b in bounds])
         expected = naive_enhance(feats, k1=2, num_orders=2, batch_size=batch_size)
         assert_allclose(out, expected, atol=1e-6)
-        bounds = np.cumsum([0, *chunks])
-        whole = replace(cfg, batch_size=None)
-        parts = [enhance(unit[a:b], whole) for a, b in zip(bounds, bounds[1:])]
-        assert_array_equal(out, np.vstack(parts))
 
     def test_fixed_sigma_mode(self):
         rng = np.random.default_rng(131)
@@ -357,5 +361,3 @@ class TestDmonConfig:
             DmonConfig(sigma=0.0)
         with pytest.raises(ValueError, match="sigma"):
             DmonConfig(sigma=float("nan"))
-        with pytest.raises(ValueError, match="batch_size"):
-            DmonConfig(batch_size=0)

@@ -60,6 +60,11 @@ class TestSynthCommand:
         for name in ("q.npy", "g.npy", "q_labels.csv", "g_labels.csv"):
             assert (out / name).exists()
 
+    @pytest.mark.parametrize("command", ["synth", "pipeline"])
+    def test_flags_default_to_synth_spec(self, command):
+        args = cli._build_parser().parse_args([command, "--out", "x"])
+        assert cli._spec_from_args(args) == SynthSpec()
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(synth_args(a)) == EXIT_OK
@@ -117,7 +122,8 @@ class TestRerankCommand:
         manifest = read_json((out / "manifest.json").read_text())
         assert manifest["params"]["dmon"]["k1"] == 5
         assert manifest["params"]["aro"]["k2"] == 2
-        assert manifest["params"]["dmon"]["batch_size"] == 10000
+        assert manifest["params"]["dmon_batch_size"] == 10000
+        assert "batch_size" not in manifest["params"]["dmon"]
 
     def test_dukemtmc_preset(self, data_dir, tmp_path):
         out = tmp_path / "run"
@@ -355,6 +361,8 @@ class TestParameterSurface:
         ("adaptive", 1.0, "true", {"dmon": {"pre_normalize": False}}, ["--no-pre-normalize"]),
         ("adaptive", 1.0, "true", {"dmon": {"pre_normalize": False}, "dmon_on": False},
          ["--no-dmon"]),
+        # the gallery batching moved from `dmon.batch_size` to `dmon_batch_size`
+        ("adaptive", 1.0, "true", {"dmon": {"batch_size": 7}}, ["--batch-size", "7"]),
     ])
     def test_old_manifest_replays_like_the_new_flags(
         self, data_dir, tmp_path, capsys, sigma_mode, sigma, aro_on, edit, expect
@@ -379,6 +387,32 @@ class TestParameterSurface:
         assert replay(old, tmp_path / "old") == EXIT_OK
         assert main(rerank_args(data_dir, tmp_path / "new", *expect)) == EXIT_OK
         assert params_of(tmp_path / "old") == params_of(tmp_path / "new")
+        assert (tmp_path / "old" / "dist.npy").read_bytes() == (
+            tmp_path / "new" / "dist.npy").read_bytes()
+
+    def test_manifest_with_top_level_pre_normalize_maps_dmon_batch_size(
+        self, data_dir, tmp_path
+    ):
+        """A manifest that records the gallery batching as `dmon.batch_size`
+        beside a top-level `pre_normalize` replays to the params and bytes
+        of a new `--batch-size` run, which records it as `dmon_batch_size`."""
+        manifest = {
+            "command": "rerank", "seed": None, "tool": "rerankit", "version": "0.1.0",
+            "inputs": {"query": str(data_dir / "q.npy"), "gallery": str(data_dir / "g.npy")},
+            "outputs": {"distance_kind": "squared_euclidean_minus_similarity",
+                        "distances": "dist.npy"},
+            "params": {
+                "aro": {"enabled": True, "fill_value": 1.0, "k2": 20},
+                "dmon": {"batch_size": 7, "gamma": 0.75, "k1": 2, "orders": 3, "sigma": None},
+                "dmon_joint": False, "dmon_on": True, "pre_normalize": True,
+            },
+        }
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        assert replay(old, tmp_path / "old") == EXIT_OK
+        assert main(rerank_args(data_dir, tmp_path / "new", "--batch-size", "7")) == EXIT_OK
+        assert params_of(tmp_path / "old") == params_of(tmp_path / "new")
+        assert params_of(tmp_path / "new")["dmon_batch_size"] == 7
         assert (tmp_path / "old" / "dist.npy").read_bytes() == (
             tmp_path / "new" / "dist.npy").read_bytes()
 
@@ -451,6 +485,9 @@ class TestManifestErrors:
         ({"aro": {"pre_normalize": True}}, "aro.pre_normalize"),
         ({"dmon": {"pre_normalize": False}}, "dmon.pre_normalize"),
         ({"max_rank": 50}, "max_rank"),
+        # a manifest with `dmon_batch_size` is new, and has no `dmon.batch_size`
+        ({"dmon": {"batch_size": 7}}, "unknown field dmon.batch_size"),
+        ({"dmon_batch_size": 0}, "dmon_batch_size must be >= 1"),
     ])
     def test_config_from_dict_names_the_field(self, params, field):
         good = asdict(PipelineConfig())
@@ -461,8 +498,8 @@ class TestManifestErrors:
 
     def test_config_from_dict_inverts_asdict(self):
         cfg = PipelineConfig(
-            dmon=DmonConfig(sigma=0.3, batch_size=9),
-            aro=AroConfig(fill_value=0.0, enabled=False), dmon_joint=True, pre_normalize=False,
+            dmon=DmonConfig(sigma=0.3), aro=AroConfig(fill_value=0.0, enabled=False),
+            dmon_joint=True, dmon_batch_size=9, pre_normalize=False,
         )
         assert config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
@@ -472,7 +509,7 @@ class TestConfigErrorsBeforeData:
 
     @pytest.mark.parametrize("flags", [
         ["--k1", "0"], ["--gamma", "2"], ["--k1", "2,0"], ["--max-rank", "0"], ["--sigma", "0"],
-        ["--no-dmon", "--no-aro"],
+        ["--no-dmon", "--no-aro"], ["--batch-size", "0"],
     ])
     def test_sweep(self, tmp_path, flags):
         absent = str(tmp_path / "absent")
@@ -848,12 +885,16 @@ class TestComputeRefinedDistances:
         assert not np.allclose(separate, joint)
 
     def test_batch_flag_only_chunks_gallery(self):
-        fq, _, fg, _ = generate(SynthSpec(num_ids=8, imgs_per_id=5, dim=8, seed=9))
-        cfg = PipelineConfig(
-            dmon=DmonConfig(batch_size=7), aro=AroConfig(enabled=False)
-        )
-        out = compute_refined_distances(fq, fg, cfg)
-        assert np.all(np.isfinite(out))
+        """The query set is enhanced whole and the gallery chunk by chunk."""
+        rng = np.random.default_rng(9)
+        fq, fg = rng.standard_normal((9, 8)), rng.standard_normal((23, 8))
+        cfg = PipelineConfig(aro=AroConfig(k2=5), dmon_batch_size=4)
+        q, g = l2_normalize_rows(fq), l2_normalize_rows(fg)
+        bounds = pipeline.batch_bounds(len(g), cfg)
+        assert len(bounds) == 6
+        chunked = np.vstack([enhance(g[a:b], cfg.dmon) for a, b in bounds])
+        expected = optimize(enhance(q, cfg.dmon), chunked, cfg.aro)
+        assert_array_equal(compute_refined_distances(fq, fg, cfg), expected)
 
 
 class TestClampWarnings:
