@@ -13,10 +13,11 @@ and reports name the same paths. The cases:
 - `synth` at `--ids 800` and `--ids 1600` with the benchmark's
   `SYNTH_FLAGS` (perfbench/run.py), data seeds 0-9;
 - `rerank` of the seed-1 data of both sizes with the defaults, `--no-dmon`,
-  `--no-aro`, `--baseline`, `--joint --fill 0 --no-pre-normalize`,
-  `--preset msmt17` (gallery batches of 10,000 rows), `--joint
-  --batch-size 1000` and `--gamma 1 --batch-size 1000`, each with
-  `OPENBLAS_NUM_THREADS=2` (two kNN lanes) and `OPENBLAS_NUM_THREADS=1`;
+  `--no-aro`, `--baseline`, `--fill 0`, `--joint --fill 0
+  --no-pre-normalize`, `--preset msmt17` (gallery batches of 10,000
+  rows), `--joint --batch-size 1000` and `--gamma 1 --batch-size 1000`,
+  each with `OPENBLAS_NUM_THREADS=2` (two kNN lanes) and
+  `OPENBLAS_NUM_THREADS=1`;
 - `rerank --from-manifest` of each of those runs in this tree, against
   the parent's run;
 - `rerank --from-manifest` in this tree of the parent's manifest of each
@@ -28,7 +29,8 @@ and reports name the same paths. The cases:
   from its first 128, so that each row has about 50 exact copies;
 - `rerank --k1 8 --orders 4` of the seed-1 `--ids 800` data, a large
   DMON support;
-- README's canonical `sweep`;
+- README's canonical `sweep`, and a one-cell `sweep --k1 2 --k2 20` of the
+  seed-1 `--ids 1600` data (Nq 3,200 x Ng 12,800);
 - `pipeline --ablation`.
 
 Prints one line per case and exits 1 if any case differs or a command
@@ -76,6 +78,7 @@ RERANK_FLAGS = (
     ("--no-dmon",),
     ("--no-aro",),
     ("--baseline",),
+    ("--fill", "0"),
     ("--joint", "--fill", "0", "--no-pre-normalize"),
     ("--preset", "msmt17"),
     ("--joint", "--batch-size", "1000"),
@@ -278,6 +281,13 @@ def main() -> int:
                         "--gallery", str(gallery / "g.npy"), *flags, "--out", "rerank"),
                        labels=("--query-labels", str(data / "q_labels.csv"),
                                "--gallery-labels", str(gallery / "g_labels.csv")))
+
+        data = check.change.work / f"synth-1600-{RERANK_SEED}"
+        check.case("sweep --ids 1600 --k1 2 --k2 20", "sweep",
+                   ("sweep", "--query", str(data / "q.npy"), "--gallery", str(data / "g.npy"),
+                    "--query-labels", str(data / "q_labels.csv"),
+                    "--gallery-labels", str(data / "g_labels.csv"),
+                    "--k1", "2", "--k2", "20", "--out", "sweep/sweep.csv"))
 
         data = ("--query", "sweep/data/q.npy", "--gallery", "sweep/data/g.npy",
                 "--query-labels", "sweep/data/q_labels.csv",

@@ -9,7 +9,7 @@ seeded synthetic data generator and a multi-command CLI.
 __version__ = "0.1.0"
 
 from .enhance import DmonConfig
-from .metrics import EvalReport, SampleLabels, average_precision, evaluate
+from .metrics import EvalReport, Evaluator, SampleLabels, average_precision, evaluate
 from .optimize import AroConfig
 from .synthetic import SynthSpec, generate
 
@@ -18,6 +18,7 @@ __all__ = [
     "AroConfig",
     "DmonConfig",
     "EvalReport",
+    "Evaluator",
     "SampleLabels",
     "SynthSpec",
     "average_precision",

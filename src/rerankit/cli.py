@@ -139,8 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-labels", required=True)
     p.add_argument("--gallery-labels", required=True)
     _add_config_flags(p, grid=True)
-    p.add_argument("--out", required=True, help="table path (.csv or .json)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--out", required=True, help="table path: JSON if it ends in .json, else CSV")
 
     p = sub.add_parser("pipeline", help="synth -> rerank -> eval in one run")
     _add_synth_spec_flags(p)
@@ -230,7 +229,7 @@ def _cmd_sweep(args) -> int:
         for values in itertools.product(*(getattr(args, key) or [None] for key in keys))
     ]
     manifest = sweep_files(args.query, args.gallery, args.query_labels, args.gallery_labels,
-                           cells, {key: getattr(args, key) for key in keys}, args.out, args.format)
+                           cells, {key: getattr(args, key) for key in keys}, args.out)
     print(manifest["outputs"]["table"])
     return EXIT_OK
 

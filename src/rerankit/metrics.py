@@ -3,6 +3,8 @@
 Follows the standard cross-camera protocol: for each query, gallery
 samples sharing both its identity and its camera are removed before
 scoring, and queries left with no positives are excluded (and counted).
+`Evaluator` scores the matrix as row stripes reach it, from `optimize`'s
+sink or from `evaluate`, which feeds it a matrix or a file in stripes.
 """
 
 from dataclasses import dataclass
@@ -94,89 +96,103 @@ def evaluate(
     gallery_labels: SampleLabels,
     max_rank: int = MAX_RANK,
 ) -> EvalReport:
-    """Score a query-gallery distance matrix with CMC and mAP.
-
-    For each query row, the gallery is ranked ascending (ties by index),
-    same-pid/same-camid entries are dropped, and the query contributes to
-    CMC/mAP if at least one positive remains.
-
-    No distance row is sorted: the rank of a positive is the number of
-    non-junk gallery entries whose (distance, index) pair comes before its
-    own, counted with one compare pass per positive over a stripe of query
-    rows; only each query's few same-pid entries are sorted. Work is
-    O(Nq * Ng * positives per query) and scratch memory is one stripe,
-    independent of the matrix size.
+    """Score a query-gallery distance matrix with CMC and mAP (`Evaluator`).
 
     `distances` is only read through `np.shape` and row slices
-    `distances[i0:i1]`, one stripe at a time, so an array and a file read
-    by `io_formats.NpyRows` take the same path.
+    `distances[i0:i1]`, which an `Evaluator` scores one at a time, so an
+    array and a file read by `io_formats.NpyRows` take the same path as
+    the stripes `optimize` hands a sink.
 
     Args:
         distances: (Nq, Ng) matrix, +-inf allowed; only ordering matters.
         query_labels / gallery_labels: per-sample pid and camid.
         max_rank: CMC curve length (clamped to the gallery size).
 
-    Returns:
-        EvalReport.
-
     Raises:
         ValueError: shape/label mismatch, NaN distances, or no valid query.
     """
-    shape = np.shape(distances)
-    if len(shape) != 2:
-        raise ValueError(f"distance matrix must be 2-D, got ndim={len(shape)}")
-    num_q, num_g = shape
-    if len(query_labels) != num_q:
-        raise ValueError(
-            f"query label count {len(query_labels)} != distance rows {num_q}"
-        )
-    if len(gallery_labels) != num_g:
-        raise ValueError(
-            f"gallery label count {len(gallery_labels)} != distance cols {num_g}"
-        )
-    if max_rank < 1:
-        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
-    num_ranks = min(max_rank, num_g)
+    shape, counts = np.shape(distances), (len(query_labels), len(gallery_labels))
+    if shape != counts:
+        raise ValueError(f"label counts {counts} != distance shape {shape}")
+    evaluator = Evaluator(query_labels, gallery_labels, max_rank)
+    for i0 in range(0, shape[0], evaluator.stripe_rows):
+        evaluator(i0, distances[i0 : i0 + evaluator.stripe_rows])
+    return evaluator.report()
 
-    # gallery indices grouped by pid, ascending index inside each group
-    g_order = np.argsort(gallery_labels.pids, kind="stable")
-    grouped_pids = gallery_labels.pids[g_order]
-    seg_lo = np.searchsorted(grouped_pids, query_labels.pids, side="left")
-    seg_len = np.searchsorted(grouped_pids, query_labels.pids, side="right") - seg_lo
 
-    stripe_rows = max(1, _STRIPE_ENTRIES // max(num_g, 1))
-    mask = np.empty((min(stripe_rows, num_q), num_g), dtype=bool)
-    first_hits = []
-    ap_values = []
-    for i0 in range(0, num_q, stripe_rows):
-        i1 = min(i0 + stripe_rows, num_q)
-        stripe = np.asarray(distances[i0:i1], dtype=np.float64)
-        hit = mask[: i1 - i0]
-        if np.isnan(stripe, out=hit).any():
-            raise ValueError("distance matrix contains NaN")
-        ranks, num_pos = _stripe_ranks(
-            stripe,
-            g_order,
-            seg_lo[i0:i1],
-            seg_len[i0:i1],
-            query_labels.camids[i0:i1],
-            gallery_labels.camids,
-            hit,
-        )
-        for r in np.flatnonzero(num_pos):
-            row = ranks[r, : num_pos[r]]
-            ap_values.append(_ap_from_ranks(row))
-            first_hits.append(row[0])
+class Evaluator:
+    """A sink that scores a query-gallery distance matrix one row stripe at a time.
 
-    num_valid = len(ap_values)
-    if num_valid == 0:
-        raise ValueError("no valid query: every query lacks a cross-camera positive")
-    first = np.asarray(first_hits, dtype=np.int64)
-    first_hit_counts = np.bincount(first[first < num_ranks], minlength=num_ranks)
-    cmc = np.cumsum(first_hit_counts) / num_valid
-    return EvalReport(
-        cmc=cmc, mean_ap=float(np.mean(ap_values)), num_valid_queries=num_valid
-    )
+    `evaluator(start, stripe)` scores the (rows, Ng) stripe of query rows
+    from `start`: each row's gallery is ranked ascending (ties by index)
+    without its same-pid/same-camid entries, and the query is scored if a
+    positive remains. Its AP and first-hit rank are stored at its row, so
+    `report()` is bit-identical at any stripe height and in any order.
+    Calls follow `optimize`'s sink protocol: they never overlap but may
+    come from any thread, and no stripe is kept past its call.
+
+    No distance row is sorted: a positive's rank is the number of non-junk
+    entries whose (distance, index) pair comes before its own, counted by
+    one compare pass per positive over `stripe_rows` rows at a time. Work
+    is O(Nq * Ng * positives per query); scratch memory is those rows.
+
+    Raises:
+        ValueError: max_rank below 1; a stripe that does not fit the
+            (Nq, Ng) matrix, overlaps scored rows or holds a NaN; in
+            `report()`, a row never scored or no valid query.
+    """
+
+    def __init__(self, query_labels: SampleLabels, gallery_labels: SampleLabels, max_rank=MAX_RANK):
+        if max_rank < 1:
+            raise ValueError(f"max_rank must be >= 1, got {max_rank}")
+        num_q, num_g = self.shape = len(query_labels), len(gallery_labels)
+        self.num_ranks = min(max_rank, num_g)
+        self.stripe_rows = max(1, _STRIPE_ENTRIES // max(num_g, 1))
+        self._q_camids, self._g_camids = query_labels.camids, gallery_labels.camids
+        # gallery indices grouped by pid, ascending index inside each group
+        self._g_order = np.argsort(gallery_labels.pids, kind="stable")
+        grouped_pids = gallery_labels.pids[self._g_order]
+        self._seg_lo = np.searchsorted(grouped_pids, query_labels.pids, side="left")
+        self._seg_len = np.searchsorted(grouped_pids, query_labels.pids, "right") - self._seg_lo
+        self._mask = np.empty((min(self.stripe_rows, num_q), num_g), dtype=bool)
+        self._scored = np.zeros(num_q, dtype=bool)
+        self._ap = np.full(num_q, np.nan)  # NaN: no positive
+        self._first_hit = np.zeros(num_q, dtype=np.int64)
+
+    def __call__(self, start: int, stripe) -> None:
+        stripe = np.asarray(stripe, dtype=np.float64)
+        end = start + len(stripe)
+        if not 0 <= start <= end <= self.shape[0] or stripe.shape[1:] != self.shape[1:]:
+            raise ValueError(f"a stripe {stripe.shape} at row {start} does not fit {self.shape}")
+        if self._scored[start:end].any():
+            raise ValueError(f"rows {start} to {end - 1} overlap rows already scored")
+        for i0 in range(start, end, self.stripe_rows):
+            i1 = min(i0 + self.stripe_rows, end)
+            part, hit = stripe[i0 - start : i1 - start], self._mask[: i1 - i0]
+            if np.isnan(part, out=hit).any():
+                raise ValueError("distance matrix contains NaN")
+            ranks, num_pos = _stripe_ranks(part, self._g_order, self._seg_lo[i0:i1],
+                                           self._seg_len[i0:i1], self._q_camids[i0:i1],
+                                           self._g_camids, hit)
+            for r in np.flatnonzero(num_pos):
+                row = ranks[r, : num_pos[r]]
+                self._ap[i0 + r] = _ap_from_ranks(row)
+                self._first_hit[i0 + r] = row[0]
+        self._scored[start:end] = True
+
+    def report(self) -> EvalReport:
+        """CMC and mAP over the valid queries, once every row is scored."""
+        missing = np.flatnonzero(~self._scored)
+        if missing.size:
+            raise ValueError(f"rows never scored: {missing.size}, from row {missing[0]}")
+        valid = ~np.isnan(self._ap)
+        num_valid = int(np.count_nonzero(valid))
+        if num_valid == 0:
+            raise ValueError("no valid query: every query lacks a cross-camera positive")
+        first = self._first_hit[valid]
+        cmc = np.cumsum(np.bincount(first[first < self.num_ranks], minlength=self.num_ranks))
+        mean_ap = float(np.mean(self._ap[valid]))
+        return EvalReport(cmc=cmc / num_valid, mean_ap=mean_ap, num_valid_queries=num_valid)
 
 
 def _stripe_ranks(stripe, g_order, seg_lo, seg_len, q_camids, g_camids, hit):

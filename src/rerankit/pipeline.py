@@ -30,7 +30,7 @@ from .io_formats import (
     write_npy,
 )
 from .matrix_ops import l2_normalize_rows
-from .metrics import MAX_RANK, EvalReport, SampleLabels, evaluate
+from .metrics import MAX_RANK, Evaluator, SampleLabels, evaluate
 from .optimize import AroConfig, as_query_gallery, optimize
 from .synthetic import SynthSpec, generate
 
@@ -391,10 +391,6 @@ def _read_label_file(path) -> SampleLabels:
         raise LabelFormatError(f"{path}: {exc}") from None
 
 
-def _evaluate_config(fq, q_labels, fg, g_labels, cfg: PipelineConfig) -> EvalReport:
-    return evaluate(compute_refined_distances(fq, fg, cfg), q_labels, g_labels)
-
-
 def _grid_values(cfg: PipelineConfig) -> dict:
     """The values of the swept parameters in `cfg`, keyed by their sweep column."""
     return {"k1": cfg.dmon.k1, "k2": cfg.aro.k2, "gamma": cfg.dmon.gamma, "orders": cfg.dmon.orders}
@@ -414,35 +410,42 @@ def _sweep_row(label: str, grid: dict, cfg: PipelineConfig, report, base) -> dic
 
 
 def sweep_files(query_path, gallery_path, query_labels_path, gallery_labels_path,
-                cells: list[PipelineConfig], grid: dict, out_path, fmt: str = "csv") -> dict:
+                cells: list[PipelineConfig], grid: dict, out_path) -> dict:
     """Hyperparameter sweep; one rerank+eval per grid cell, in the given order,
-    each holding its Nq x Ng distance matrix in memory.
+    each scoring ARO's row stripes with an `Evaluator` as they are refined.
 
     The first row is the baseline (both stages off, with the first
     cell's other settings), used for the delta columns. The rows are
-    written to `out_path` as CSV or JSON (`fmt`), and beside them
-    `<out_path>.manifest.json`, which records `grid` (the swept lists of
-    k1, k2, gamma and orders; None records the first cell's value), the
-    first cell's config and each k clamp (`clamp_warnings`) once.
-    Returns that manifest.
+    written to `out_path`, as JSON if it ends in `.json`, else as CSV, and
+    beside them `<out_path>.manifest.json`, which records `grid` (the
+    swept lists of k1, k2, gamma and orders; None records the first
+    cell's value), the first cell's config, the format and each k clamp
+    (`clamp_warnings`) once. Returns that manifest.
     """
     if not cells:
         raise ValueError("empty sweep grid")
     fq = read_npy(Path(query_path).read_bytes())
     fg = read_npy(Path(gallery_path).read_bytes())
-    q_labels = _read_label_file(query_labels_path)
-    g_labels = _read_label_file(gallery_labels_path)
+    q_labels, g_labels = _read_label_file(query_labels_path), _read_label_file(gallery_labels_path)
+    counts = (len(q_labels), len(g_labels))
+    if counts != (len(fq), len(fg)):
+        raise ValueError(f"label counts {counts} != feature rows {(len(fq), len(fg))}")
+
+    def score(cfg: PipelineConfig):
+        evaluator = Evaluator(q_labels, g_labels)
+        compute_refined_distances(fq, fg, cfg, sink=evaluator)
+        return evaluator.report()
 
     base_cfg = cells[0].with_stages(False, False)
-    base = _evaluate_config(fq, q_labels, fg, g_labels, base_cfg)
+    base = score(base_cfg)
     rows = [_sweep_row("baseline", dict.fromkeys(_grid_values(base_cfg), ""), base_cfg, base, base)]
     for cfg in cells:
-        report = _evaluate_config(fq, q_labels, fg, g_labels, cfg)
-        rows.append(_sweep_row("grid", _grid_values(cfg), cfg, report, base))
+        rows.append(_sweep_row("grid", _grid_values(cfg), cfg, score(cfg), base))
     clamps = dict.fromkeys(line for cfg in cells for line in clamp_warnings(len(fq), len(fg), cfg))
 
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
+    fmt = "json" if out.suffix.lower() == ".json" else "csv"
     out.write_text(write_json(rows) if fmt == "json" else sweep_rows_to_csv(rows), encoding="utf-8")
     manifest = _manifest(
         "sweep",

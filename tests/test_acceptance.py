@@ -41,6 +41,7 @@ from rerankit.pipeline import (
     batch_bounds,
     compute_refined_distances,
     run_pipeline,
+    sweep_files,
     synth_files,
 )
 from rerankit.synthetic import SynthSpec
@@ -368,6 +369,28 @@ def test_criterion_7_performance_evaluate():
         f"evaluate scratch {peak} B is not below a quarter of the matrix ({dist.nbytes} B)"
     )
     print(f"[criterion 7c] PASS - evaluate on {num_q} x {num_g} peaks at {peak} B of scratch")
+
+
+def test_criterion_7_performance_sweep_cell(tmp_path):
+    """A sweep cell scores ARO's stripes as they come and holds no Nq x Ng matrix.
+
+    At Nq 1,600 x Ng 6,400 the matrix is 82 MB; the tracemalloc peak of a
+    one-cell sweep (the baseline and the cell, each scored) stays below it.
+    """
+    spec = SynthSpec(num_ids=800, imgs_per_id=10, dim=32, num_cams=4, query_fraction=0.2,
+                     seed=1)
+    data = synth_files(spec, tmp_path / "data")
+    num_q, num_g = 1_600, 6_400
+    assert read_labels(Path(data["gallery_labels"]).read_text()).pids.size == num_g
+
+    tracemalloc.start()
+    sweep_files(data["query"], data["gallery"], data["query_labels"], data["gallery_labels"],
+                [PipelineConfig()], {}, tmp_path / "sweep.csv")
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    matrix = num_q * num_g * 8
+    assert peak < matrix, f"sweep cell peak {peak} B is not below the matrix ({matrix} B)"
+    print(f"[criterion 7e] PASS - one sweep cell on {num_q} x {num_g} peaks at {peak} B")
 
 
 def _peak_rss_of_cli(cli_args: list, preload: str = "") -> int:

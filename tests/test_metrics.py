@@ -214,6 +214,91 @@ class TestEvaluate:
                 evaluate(dist, q, g)
 
 
+
+def assert_same_report(report, expected):
+    assert_array_equal(report.cmc, expected.cmc)
+    assert report.mean_ap == expected.mean_ap
+    assert report.num_valid_queries == expected.num_valid_queries
+
+
+class TestEvaluator:
+    """`Evaluator` takes row stripes in any order as a sink; `evaluate` feeds it."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_shuffled_stripes_match_evaluate_bitwise(self, data):
+        num_q = data.draw(st.integers(1, 12), label="num_q")
+        num_g = data.draw(st.integers(1, 16), label="num_g")
+        entries = st.one_of(
+            st.integers(-2, 2).map(float),
+            st.floats(-1.0, 1.0),
+            st.sampled_from([np.inf, -np.inf]),
+        )
+        dist = data.draw(arrays(np.float64, (num_q, num_g), elements=entries), label="dist")
+        ids = st.integers(0, 3)
+        q_pids, q_cams, g_pids, g_cams = (
+            data.draw(arrays(np.int64, n, elements=ids), label=name)
+            for n, name in ((num_q, "q_pids"), (num_q, "q_cams"), (num_g, "g_pids"), (num_g, "g_cams"))
+        )
+        max_rank = data.draw(st.integers(1, num_g + 2), label="max_rank")
+        cuts = data.draw(st.sets(st.integers(1, num_q - 1)), label="cuts") if num_q > 1 else set()
+        bounds = list(zip([0, *sorted(cuts)], [*sorted(cuts), num_q]))
+        order = data.draw(st.permutations(bounds), label="stripe order")
+        # the evaluator's own stripes: one to three rows
+        scan = data.draw(st.integers(1, 3 * num_g), label="stripe_entries")
+        q, g = labels(q_pids, q_cams), labels(g_pids, g_cams)
+        with mock.patch.object(metrics, "_STRIPE_ENTRIES", scan):
+            evaluator = metrics.Evaluator(q, g, max_rank)
+        for a, b in order:
+            evaluator(a, dist[a:b])
+        try:
+            expected = evaluate(dist, q, g, max_rank=max_rank)
+        except ValueError:
+            with pytest.raises(ValueError, match="no valid query"):
+                evaluator.report()
+            return
+        assert_same_report(evaluator.report(), expected)
+
+    def test_many_queries_in_random_stripes_match_evaluate_bitwise(self):
+        """1,000 queries, so the mAP is a pairwise float sum of many APs."""
+        rng = np.random.default_rng(20240029)
+        num_q, num_g = 1_000, 400
+        dist = rng.random((num_q, num_g))
+        dist[::5] = np.round(dist[::5] * 20.0)  # ties
+        q = labels(rng.integers(0, 60, num_q), rng.integers(0, 4, num_q))
+        g = labels(rng.integers(0, 60, num_g), rng.integers(0, 4, num_g))
+        expected = evaluate(dist, q, g)
+        cuts = np.unique(rng.integers(1, num_q, 40))
+        bounds = list(zip([0, *cuts], [*cuts, num_q]))
+        evaluator = metrics.Evaluator(q, g)
+        for j in rng.permutation(len(bounds)):
+            a, b = bounds[j]
+            evaluator(int(a), dist[a:b])
+        assert_same_report(evaluator.report(), expected)
+
+    def test_bad_stripes_are_value_errors(self):
+        q, g = labels([1, 1, 2], [0, 0, 0]), labels([1, 2, 1], [1, 1, 1])
+        dist = np.arange(9, dtype=np.float64).reshape(3, 3)
+        evaluator = metrics.Evaluator(q, g)
+        evaluator(0, dist[:2])
+        with pytest.raises(ValueError, match="overlap rows already scored"):
+            evaluator(1, dist[1:])
+        with pytest.raises(ValueError, match="does not fit"):
+            evaluator(2, dist[2:, :2])  # wrong width
+        with pytest.raises(ValueError, match="does not fit"):
+            evaluator(2, dist[:2])  # past the last row
+        with pytest.raises(ValueError, match="does not fit"):
+            evaluator(-1, dist[:1])
+        with pytest.raises(ValueError, match="NaN"):
+            evaluator(2, np.array([[0.0, np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="rows never scored: 1, from row 2"):
+            evaluator.report()
+        evaluator(2, dist[2:])
+        assert_same_report(evaluator.report(), evaluate(dist, q, g))
+        with pytest.raises(ValueError, match="max_rank must be >= 1"):
+            metrics.Evaluator(q, g, max_rank=0)
+
+
 @pytest.mark.slow
 def test_matches_argsort_oracle_at_benchmark_scale():
     """3,200 x 12,800 with ties, +-inf and junk: identical to a full stable argsort."""

@@ -747,6 +747,12 @@ class TestEvalCommand:
         assert code == EXIT_DATA
 
 
+def sweep_args(data, out, *flags):
+    return ["sweep", "--query", str(data / "q.npy"), "--gallery", str(data / "g.npy"),
+            "--query-labels", str(data / "q_labels.csv"),
+            "--gallery-labels", str(data / "g_labels.csv"), "--out", str(out), *flags]
+
+
 class TestSweepCommand:
     def test_grid_rows_and_baseline(self, data_dir, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -788,17 +794,33 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG
 
     def test_json_format(self, data_dir, tmp_path):
+        """The table format follows the suffix of --out."""
         out = tmp_path / "sweep.json"
-        assert main([
-            "sweep", "--query", str(data_dir / "q.npy"),
-            "--gallery", str(data_dir / "g.npy"),
-            "--query-labels", str(data_dir / "q_labels.csv"),
-            "--gallery-labels", str(data_dir / "g_labels.csv"),
-            "--k1", "2", "--out", str(out), "--format", "json",
-        ]) == EXIT_OK
+        assert main(sweep_args(data_dir, out, "--k1", "2")) == EXIT_OK
         rows = read_json(out.read_text())
         assert rows[0]["label"] == "baseline"
         assert {"mAP", "rank1", "delta_mAP"} <= set(rows[1])
+        manifest = read_json(Path(f"{out}.manifest.json").read_text())
+        assert manifest["params"]["format"] == "json"
+
+    def test_other_suffixes_write_csv(self, data_dir, tmp_path):
+        out = tmp_path / "sweep.txt"
+        assert main(sweep_args(data_dir, out, "--k1", "2")) == EXIT_OK
+        assert out.read_text().startswith("label,k1,k2,gamma,orders")
+        assert read_json(Path(f"{out}.manifest.json").read_text())["params"]["format"] == "csv"
+
+    def test_format_flag_is_gone(self, data_dir, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert main(sweep_args(data_dir, out, "--format", "json")) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_label_count_mismatch_is_data_error_before_any_cell(self, data_dir, tmp_path, capsys):
+        args = sweep_args(data_dir, tmp_path / "sweep.csv")
+        args[args.index("--query-labels") + 1] = str(data_dir / "g_labels.csv")
+        with mock.patch.object(pipeline, "compute_refined_distances") as compute:
+            assert main(args) == EXIT_DATA
+        compute.assert_not_called()
+        assert "label counts" in capsys.readouterr().err
 
     def test_writes_manifest(self, data_dir, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -895,6 +917,35 @@ class TestComputeRefinedDistances:
         chunked = np.vstack([enhance(g[a:b], cfg.dmon) for a, b in bounds])
         expected = optimize(enhance(q, cfg.dmon), chunked, cfg.aro)
         assert_array_equal(compute_refined_distances(fq, fg, cfg), expected)
+
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    @pytest.mark.parametrize("cfg", [PipelineConfig(), PipelineConfig(dmon_joint=True),
+                                     PipelineConfig(dmon_batch_size=10)],
+                             ids=["defaults", "joint", "batched"])
+    def test_evaluator_sink_equals_evaluate_of_the_matrix(self, monkeypatch, threads, cfg):
+        """Scoring the refined stripes as they arrive, on one lane or on two
+        (so from a helper thread too, in any order), reports what
+        `evaluate` of the collected matrix reports, bit for bit."""
+        fq, q_labels, fg, g_labels = generate(
+            SynthSpec(num_ids=12, imgs_per_id=6, dim=8, num_cams=3, seed=5))
+        monkeypatch.setattr(matrix_ops, "_blas_threads",
+                            lambda: threads and FakeBlasThreads(threads))
+        evaluator = metrics_module.Evaluator(q_labels, g_labels)
+        seen = set()
+
+        def sink(start, stripe):
+            seen.add(threading.current_thread())
+            evaluator(start, stripe)
+
+        with stripes_of(2, len(fg)):
+            expected = evaluate(compute_refined_distances(fq, fg, cfg), q_labels, g_labels)
+            assert compute_refined_distances(fq, fg, cfg, sink=sink) is None
+        report = evaluator.report()
+        assert len(seen) == (threads or 1)
+        assert_array_equal(report.cmc, expected.cmc)
+        assert report.mean_ap == expected.mean_ap
+        assert report.num_valid_queries == expected.num_valid_queries
 
 
 class TestClampWarnings:
