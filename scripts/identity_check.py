@@ -15,7 +15,8 @@ and reports name the same paths. The cases:
 - `rerank` of the seed-1 data of both sizes with the defaults, `--no-dmon`,
   `--no-aro`, `--baseline`, `--fill 0`, `--joint --fill 0
   --no-pre-normalize`, `--preset msmt17` (gallery batches of 10,000
-  rows), `--joint --batch-size 1000` and `--gamma 1 --batch-size 1000`,
+  rows), `--preset dukemtmc`, `--preset dukemtmc --k1 3` (a flag over a
+  preset), `--joint --batch-size 1000` and `--gamma 1 --batch-size 1000`,
   each with `OPENBLAS_NUM_THREADS=2` (two kNN lanes) and
   `OPENBLAS_NUM_THREADS=1`;
 - `rerank --from-manifest` of each of those runs in this tree, against
@@ -29,8 +30,10 @@ and reports name the same paths. The cases:
   from its first 128, so that each row has about 50 exact copies;
 - `rerank --k1 8 --orders 4` of the seed-1 `--ids 800` data, a large
   DMON support;
-- README's canonical `sweep`, and a one-cell `sweep --k1 2 --k2 20` of the
-  seed-1 `--ids 1600` data (Nq 3,200 x Ng 12,800);
+- README's canonical `sweep`, a one-cell `sweep --k1 2 --k2 20` of the
+  seed-1 `--ids 1600` data (Nq 3,200 x Ng 12,800), and `sweep --preset
+  msmt17 --k1 2,5 --k2 2,20` of the seed-1 `--ids 800` data, a grid over
+  a preset;
 - `pipeline --ablation`.
 
 Prints one line per case and exits 1 if any case differs or a command
@@ -81,6 +84,8 @@ RERANK_FLAGS = (
     ("--fill", "0"),
     ("--joint", "--fill", "0", "--no-pre-normalize"),
     ("--preset", "msmt17"),
+    ("--preset", "dukemtmc"),
+    ("--preset", "dukemtmc", "--k1", "3"),
     ("--joint", "--batch-size", "1000"),
     ("--gamma", "1", "--batch-size", "1000"),
 )
@@ -282,12 +287,15 @@ def main() -> int:
                        labels=("--query-labels", str(data / "q_labels.csv"),
                                "--gallery-labels", str(gallery / "g_labels.csv")))
 
-        data = check.change.work / f"synth-1600-{RERANK_SEED}"
-        check.case("sweep --ids 1600 --k1 2 --k2 20", "sweep",
-                   ("sweep", "--query", str(data / "q.npy"), "--gallery", str(data / "g.npy"),
-                    "--query-labels", str(data / "q_labels.csv"),
-                    "--gallery-labels", str(data / "g_labels.csv"),
-                    "--k1", "2", "--k2", "20", "--out", "sweep/sweep.csv"))
+        sweeps = ((1600, ("--k1", "2", "--k2", "20")),
+                  (800, ("--preset", "msmt17", "--k1", "2,5", "--k2", "2,20")))
+        for ids, grid in sweeps:
+            data = check.change.work / f"synth-{ids}-{RERANK_SEED}"
+            check.case(f"sweep --ids {ids} {' '.join(grid)}", "sweep",
+                       ("sweep", "--query", str(data / "q.npy"), "--gallery", str(data / "g.npy"),
+                        "--query-labels", str(data / "q_labels.csv"),
+                        "--gallery-labels", str(data / "g_labels.csv"),
+                        *grid, "--out", "sweep/sweep.csv"))
 
         data = ("--query", "sweep/data/q.npy", "--gallery", "sweep/data/g.npy",
                 "--query-labels", "sweep/data/q_labels.csv",

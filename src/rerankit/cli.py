@@ -7,19 +7,18 @@ Subcommands: synth, rerank, eval, sweep, pipeline. Exit codes:
 import argparse
 import itertools
 import sys
-from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .enhance import DmonConfig
 from .io_formats import write_json
 from .metrics import MAX_RANK
-from .optimize import AroConfig
 from .pipeline import (
     PRESETS,
     ConfigError,
     PipelineConfig,
+    build_config,
+    config_from_dict,
     eval_files,
     rerank_files,
     rerank_from_manifest,
@@ -44,15 +43,6 @@ _VALUE_FLAGS = {
     "k2": ("aro", "k2"),
     "fill": ("aro", "fill_value"),
 }
-
-
-@contextmanager
-def _config_errors():
-    """Report a ValueError from building a config as a configuration error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _add_synth_spec_flags(p: argparse.ArgumentParser):
@@ -155,26 +145,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> SynthSpec:
-    given = {f.name: getattr(args, f.name) for f in fields(SynthSpec)}
-    with _config_errors():
-        return SynthSpec(**{name: value for name, value in given.items() if value is not None})
+    """The SynthSpec of the flags given over its defaults."""
+    params = asdict(SynthSpec())
+    params.update((name, getattr(args, name)) for name in params if getattr(args, name) is not None)
+    return build_config(SynthSpec, params)
 
 
 def _config_from_args(args) -> PipelineConfig:
-    """The config of the flags given, over the preset, over the dataclass defaults."""
+    """The config of the flags given, over the preset, over the dataclass
+    defaults, built as a manifest's `params` are by `config_from_dict`."""
     if args.no_dmon and args.no_aro and not args.baseline:
         raise ConfigError("both stages disabled: plain ranking must be requested with --baseline")
-    parts = {"dmon": {}, "aro": {"enabled": not (args.baseline or args.no_aro)},
-             None: {"dmon_on": not (args.baseline or args.no_dmon), "dmon_joint": args.joint,
-                    "pre_normalize": not args.no_pre_normalize}}
+    params = asdict(PipelineConfig())
     given = {key: getattr(args, key) for key in _VALUE_FLAGS if getattr(args, key) is not None}
     for key, value in {**PRESETS.get(args.preset, {}), **given}.items():
         section, name = _VALUE_FLAGS[key]
-        parts[section][name] = value
-    with _config_errors():
-        return PipelineConfig(
-            dmon=DmonConfig(**parts["dmon"]), aro=AroConfig(**parts["aro"]), **parts[None]
-        )
+        (params[section] if section else params)[name] = value
+    params["aro"]["enabled"] = not (args.baseline or args.no_aro)
+    params.update(dmon_on=not (args.baseline or args.no_dmon), dmon_joint=args.joint,
+                  pre_normalize=not args.no_pre_normalize)
+    return config_from_dict(params)
 
 
 def _cmd_synth(args) -> int:

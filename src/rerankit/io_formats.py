@@ -27,6 +27,7 @@ import ast
 import io
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -273,11 +274,16 @@ class NpyRows:
         return rows.reshape(stop - start, cols).astype(np.float64, copy=False)
 
 
+_LABEL_ROW = re.compile(r"\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*")
+
+
 def read_labels(text) -> SampleLabels:
     """Parse a label CSV into SampleLabels.
 
     The header must contain exactly the columns pid and camid (either
-    order); each data row holds two integers in [0, 2**63).
+    order); each data row holds two integers in [0, 2**63), written as
+    ASCII decimal digits with surrounding spaces allowed (no sign but a
+    minus, which the range then refuses, and no underscores).
     """
     if isinstance(text, bytes):
         try:
@@ -300,18 +306,15 @@ def read_labels(text) -> SampleLabels:
     pids = []
     camids = []
     for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.rstrip("\r").split(",")
-        if len(fields) != 2:
+        line = line.rstrip("\r")
+        row = _LABEL_ROW.fullmatch(line)
+        if row is None:
+            fields = line.split(",")
             raise LabelFormatError(
-                f"expected 2 fields, got {len(fields)}", line=lineno
+                f"expected 2 fields, got {len(fields)}" if len(fields) != 2
+                else f"non-integer field in row {fields}", line=lineno
             )
-        try:
-            pid = int(fields[pid_col])
-            cam = int(fields[cam_col])
-        except ValueError:
-            raise LabelFormatError(
-                f"non-integer field in row {fields}", line=lineno
-            ) from None
+        pid, cam = int(row[pid_col + 1]), int(row[cam_col + 1])
         if not (0 <= pid < 2**63 and 0 <= cam < 2**63):
             raise LabelFormatError(
                 "pid and camid must be non-negative and below 2**63", line=lineno

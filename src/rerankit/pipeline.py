@@ -90,7 +90,8 @@ class PipelineConfig:
 
 
 def config_from_dict(params) -> PipelineConfig:
-    """The PipelineConfig that `asdict` recorded as a manifest's `params`.
+    """The PipelineConfig that `asdict` recorded as a manifest's `params`;
+    the CLI builds the config of its flags and presets here too.
 
     Every field must be present and of its declared type (JSON integers
     are read as floats where a float is declared). Manifests of earlier
@@ -139,11 +140,14 @@ def config_from_dict(params) -> PipelineConfig:
             params.pop("max_rank", None)
         if "dmon_batch_size" not in params and "batch_size" in dmon:
             params["dmon_batch_size"] = dmon.pop("batch_size")
-    return _build(PipelineConfig, params, "")
+    return build_config(PipelineConfig, params)
 
 
-def _build(cls, data, where: str):
-    """An instance of the config dataclass `cls` from the fields in `data`."""
+def build_config(cls, data, where: str = ""):
+    """An instance of the config dataclass `cls` from the fields in `data`,
+    each present and of its declared type; a nested config is an object
+    of its own fields. Every error is a ConfigError that names the field
+    by its dotted path from `where`."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where.rstrip('.') or 'params'} must be an object, got {data!r}")
     hints = typing.get_type_hints(cls)
@@ -151,7 +155,7 @@ def _build(cls, data, where: str):
     if odd:
         raise ConfigError(f"{'unknown' if odd[0] in data else 'missing'} field {where}{odd[0]}")
     values = {
-        name: _build(hint, data[name], f"{where}{name}.")
+        name: build_config(hint, data[name], f"{where}{name}.")
         if is_dataclass(hint)
         else _typed(data[name], hint, where + name)
         for name, hint in hints.items()
@@ -229,10 +233,11 @@ def clamp_warnings(num_q: int, num_g: int, cfg: PipelineConfig) -> list[str]:
     return found
 
 
-def _manifest(command: str, params: dict, inputs: dict, outputs: dict, seed=None, warnings=()):
-    """A command's manifest, with a top-level `warnings` list (of k clamps)
-    only when `warnings` is not empty."""
-    return {
+def _manifest(path, command: str, params: dict, inputs: dict, outputs: dict, seed=None,
+              warnings=()) -> dict:
+    """Write a command's manifest to `path` and return it, with a top-level
+    `warnings` list (of k clamps) only when `warnings` is not empty."""
+    doc = {
         "tool": "rerankit",
         "version": __version__,
         "command": command,
@@ -241,6 +246,8 @@ def _manifest(command: str, params: dict, inputs: dict, outputs: dict, seed=None
         "params": params,
         "outputs": outputs,
     } | ({"warnings": warnings} if warnings else {})
+    Path(path).write_text(write_json(doc), encoding="utf-8")
+    return doc
 
 
 def synth_files(spec: SynthSpec, out_dir) -> dict:
@@ -258,11 +265,8 @@ def synth_files(spec: SynthSpec, out_dir) -> dict:
     paths["gallery"].write_bytes(write_npy(fg, precision="float32"))
     paths["query_labels"].write_text(write_labels(q_labels), encoding="utf-8")
     paths["gallery_labels"].write_text(write_labels(g_labels), encoding="utf-8")
-    manifest = _manifest(
-        "synth", asdict(spec), {}, {k: str(v.name) for k, v in paths.items()},
-        seed=spec.seed,
-    )
-    (out / MANIFEST_FILENAME).write_text(write_json(manifest), encoding="utf-8")
+    _manifest(out / MANIFEST_FILENAME, "synth", asdict(spec), {},
+              {k: str(v.name) for k, v in paths.items()}, seed=spec.seed)
     return {k: str(v) for k, v in paths.items()}
 
 
@@ -311,7 +315,8 @@ def rerank_files(
     distance_kind = (
         "squared_euclidean_minus_similarity" if cfg.aro.enabled else "squared_euclidean"
     )
-    manifest = _manifest(
+    return _manifest(
+        out / MANIFEST_FILENAME,
         "rerank",
         asdict(cfg),
         {"query": str(query_path), "gallery": str(gallery_path)},
@@ -319,8 +324,6 @@ def rerank_files(
         seed=seed,
         warnings=clamp_warnings(*shape, cfg),
     )
-    (out / MANIFEST_FILENAME).write_text(write_json(manifest), encoding="utf-8")
-    return manifest
 
 
 def rerank_from_manifest(manifest_path, out_dir) -> dict:
@@ -447,7 +450,8 @@ def sweep_files(query_path, gallery_path, query_labels_path, gallery_labels_path
     out.parent.mkdir(parents=True, exist_ok=True)
     fmt = "json" if out.suffix.lower() == ".json" else "csv"
     out.write_text(write_json(rows) if fmt == "json" else sweep_rows_to_csv(rows), encoding="utf-8")
-    manifest = _manifest(
+    return _manifest(
+        f"{out}.manifest.json",
         "sweep",
         {**{key: values or [rows[1][key]] for key, values in grid.items()},
          "base": asdict(cells[0]), "format": fmt},
@@ -456,8 +460,6 @@ def sweep_files(query_path, gallery_path, query_labels_path, gallery_labels_path
         {"table": str(out)},
         warnings=list(clamps),
     )
-    Path(f"{out}.manifest.json").write_text(write_json(manifest), encoding="utf-8")
-    return manifest
 
 
 def sweep_rows_to_csv(rows: list[dict]) -> str:
@@ -501,12 +503,12 @@ def run_pipeline(
         rows.append({"variant": label, "mAP": doc["mAP"], "rank1": doc["cmc"][0]})
     name = "ablation.csv" if ablation else "comparison.csv"
     (out / name).write_text(sweep_rows_to_csv(rows), encoding="utf-8")
-    manifest = _manifest(
+    _manifest(
+        out / "pipeline_manifest.json",
         "pipeline",
         {"spec": asdict(spec), "config": asdict(cfg), "ablation": ablation, "max_rank": max_rank},
         {},
         {"table": name, "variants": [subdir for _, subdir, _, _ in variants]},
         seed=spec.seed,
     )
-    (out / "pipeline_manifest.json").write_text(write_json(manifest), encoding="utf-8")
     return rows

@@ -406,6 +406,14 @@ class TestLabels:
         with pytest.raises(LabelFormatError, match="line 3"):
             read_labels("pid,camid\n1,2\n1,x\n")
 
+    @pytest.mark.parametrize("field", ["1_0", "\u0663", "+3", "3.0", ""])
+    def test_only_plain_decimal_integers(self, field):
+        """A field is ASCII digits with an optional minus sign and surrounding
+        spaces; `int` would read "1_0" as 10, and Arabic-Indic three and "+3" as 3."""
+        assert_array_equal(read_labels("pid,camid\n 3 ,\t2\n").pids, [3])
+        with pytest.raises(LabelFormatError, match=r"non-integer field .*\(line 3\)"):
+            read_labels(f"pid,camid\n1,2\n{field},2\n")
+
     def test_negative_rejected(self):
         with pytest.raises(LabelFormatError, match="non-negative"):
             read_labels("pid,camid\n-1,0\n")

@@ -507,15 +507,33 @@ class TestManifestErrors:
 class TestConfigErrorsBeforeData:
     """Bad parameters exit 2 before any input is read: the inputs here do not exist."""
 
-    @pytest.mark.parametrize("flags", [
-        ["--k1", "0"], ["--gamma", "2"], ["--k1", "2,0"], ["--max-rank", "0"], ["--sigma", "0"],
-        ["--no-dmon", "--no-aro"], ["--batch-size", "0"],
+    @pytest.mark.parametrize("command, flags, field", [
+        ("sweep", ["--k1", "0"], "dmon.k1"),
+        ("sweep", ["--gamma", "2"], "dmon.gamma"),
+        ("sweep", ["--k1", "2,0"], "dmon.k1"),
+        ("sweep", ["--k2", "5,0"], "aro.k2"),
+        ("sweep", ["--max-rank", "0"], "unrecognized arguments: --max-rank"),
+        ("sweep", ["--sigma", "0"], "dmon.sigma"),
+        ("sweep", ["--no-dmon", "--no-aro"], "--baseline"),
+        ("sweep", ["--batch-size", "0"], "dmon_batch_size"),
+        ("rerank", ["--k1", "0"], "dmon.k1"),
+        ("rerank", ["--batch-size", "0"], "dmon_batch_size"),
+        # a flag over a preset
+        ("rerank", ["--preset", "dukemtmc", "--k2", "0"], "aro.k2"),
+        ("pipeline", ["--gamma", "2"], "dmon.gamma"),
+        ("pipeline", ["--ids", "1"], "num_ids"),
     ])
-    def test_sweep(self, tmp_path, flags):
-        absent = str(tmp_path / "absent")
-        code = main(["sweep", "--query", absent, "--gallery", absent, "--query-labels", absent,
-                     "--gallery-labels", absent, "--out", str(tmp_path / "s.csv"), *flags])
-        assert code == EXIT_CONFIG
+    def test_bad_flag_names_its_field(self, tmp_path, capsys, command, flags, field):
+        """A bad flag value is the configuration error a manifest's would be,
+        naming the field by its path in the manifest's `params`."""
+        absent, out = str(tmp_path / "absent"), tmp_path / "out"
+        args = {"sweep": ["--query", absent, "--gallery", absent, "--query-labels", absent,
+                          "--gallery-labels", absent, "--out", str(out / "s.csv")],
+                "rerank": ["--query", absent, "--gallery", absent, "--out", str(out)],
+                "pipeline": ["--out", str(out)]}[command]
+        assert main([command, *args, *flags]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pipeline", "eval"])
     def test_max_rank_zero(self, tmp_path, capsys, command):
