@@ -84,7 +84,7 @@ def _add_config_flags(p: argparse.ArgumentParser, grid: bool = False):
     p.add_argument("--orders", type=ints, help=f"{each}number of neighbor orders")
     p.add_argument("--sigma", type=float, help="fixed kernel bandwidth (default: adaptive)")
     p.add_argument("--batch-size", type=int, help="gallery (or --joint stack) chunk size")
-    p.add_argument("--fill", type=float, choices=[0.0, 1.0], help="filter fill value")
+    p.add_argument("--fill", type=float, help="filter fill value, 0 or 1")
     p.add_argument("--baseline", action="store_true", help="bypass both stages")
     p.add_argument("--no-dmon", action="store_true", help="skip feature enhancement")
     p.add_argument("--no-aro", action="store_true", help="skip distance optimization")
@@ -259,6 +259,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as exc:  # NpyFormatError and LabelFormatError too
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # an input too large for this machine
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

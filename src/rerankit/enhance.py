@@ -74,8 +74,8 @@ class DmonConfig:
             raise ValueError(f"orders must be >= 1, got {self.orders}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.sigma is not None and not self.sigma > 0.0:
-            raise ValueError(f"sigma must be > 0 or None, got {self.sigma}")
+        if self.sigma is not None and not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and > 0, or None, got {self.sigma}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,10 +207,12 @@ def gaussian_weights(
 
     The order-h weight of neighbor y of sample x is
     exp(-d(x, y)^2 / (2 * sigma_h^2)) with sigma_h = sigma * 1.5**h, and
-    zero off the neighbor sets. Each nonempty row is then rescaled to
-    sum to 1 (entries stay in (0, 1]), so each order's aggregate is a
-    weighted neighbor average; a ValueError reports a row whose weights
-    all underflow to zero, before any rescaling.
+    zero off the neighbor sets. A sigma_h whose square overflows a float
+    reads as infinite, so every weight of its order is 1, the kernel's
+    limit. Each nonempty row is then rescaled to sum to 1 (entries stay
+    in (0, 1]), so each order's aggregate is a weighted neighbor average;
+    a ValueError reports a row whose weights all underflow to zero,
+    before any rescaling.
 
     Args:
         feats: (N, d) features; d(x, y)^2 is their squared Euclidean
@@ -226,9 +228,12 @@ def gaussian_weights(
     weights = []
     for h, level in enumerate(orders.levels, start=1):
         rows, cols = level.rows, level.cols
-        sigma_h = sigma * _BANDWIDTH_GROWTH**h
+        try:
+            scale = -2.0 * (sigma * _BANDWIDTH_GROWTH**h) ** 2
+        except OverflowError:  # an infinite bandwidth: every weight is exp(-0) = 1
+            scale = -np.inf
         with np.errstate(all="ignore"):  # a row of vanished weights is reported below
-            vals = np.exp(pair_sq_euclidean(feats, sq_norms, rows, cols) / (-2.0 * sigma_h**2))
+            vals = np.exp(pair_sq_euclidean(feats, sq_norms, rows, cols) / scale)
         sums = np.bincount(rows, weights=vals, minlength=n)[rows]
         if not (sums > 0.0).all():
             raise ValueError(

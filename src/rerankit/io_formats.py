@@ -17,7 +17,8 @@ Three formats are supported:
 * CSV for sample labels: UTF-8, header ``pid,camid``, one integer pair
   per line, LF or CRLF.
 * JSON for reports and manifests, written in a canonical form (sorted
-  keys) so identical content produces identical bytes.
+  keys) so identical content produces identical bytes, and strict (RFC
+  8259): a NaN or infinite float is a ValueError, never `NaN` or `Infinity`.
 
 Every malformed input raises a typed error carrying a byte offset (NPY)
 or line number (CSV); parsing never crashes with an untyped exception.
@@ -333,9 +334,5 @@ def write_labels(labels: SampleLabels) -> str:
 
 
 def write_json(obj) -> str:
-    """Canonical JSON text: sorted keys, 2-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def read_json(text):
-    return json.loads(text)
+    """Canonical, strict JSON text: sorted keys, 2-space indent, trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -22,7 +22,6 @@ from .io_formats import (
     NpyRows,
     NpyRowWriter,
     npy_header,
-    read_json,
     read_labels,
     read_npy,
     write_json,
@@ -334,7 +333,7 @@ def rerank_from_manifest(manifest_path, out_dir) -> dict:
             missing, unknown, ill-typed or out of range.
     """
     try:
-        manifest = read_json(Path(manifest_path).read_text(encoding="utf-8"))
+        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ConfigError(f"{manifest_path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):

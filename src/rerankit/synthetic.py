@@ -56,10 +56,12 @@ class SynthSpec:
             raise ValueError(
                 f"num_cams must be >= 2 (no cross-camera queries otherwise), got {self.num_cams}"
             )
-        if self.intra_noise < 0:
-            raise ValueError(f"intra_noise must be >= 0, got {self.intra_noise}")
-        if self.cam_offset_scale < 0:
-            raise ValueError(f"cam_offset_scale must be >= 0, got {self.cam_offset_scale}")
+        if not 0.0 <= self.intra_noise < math.inf:
+            raise ValueError(f"intra_noise must be finite and >= 0, got {self.intra_noise}")
+        if not 0.0 <= self.cam_offset_scale < math.inf:
+            raise ValueError(
+                f"cam_offset_scale must be finite and >= 0, got {self.cam_offset_scale}"
+            )
         if not 0.0 < self.query_fraction < 1.0:
             raise ValueError(
                 f"query_fraction must lie in (0, 1), got {self.query_fraction}"

@@ -205,6 +205,29 @@ class TestKernelUnderflow:
             enhance(feats, DmonConfig(sigma=1e-200))
 
 
+class TestKernelOverflow:
+    """A bandwidth whose square overflows a float reads as infinite: every
+    weight of its order is exp(-0) = 1 before the rows are rescaled."""
+
+    def test_huge_sigma_gives_equal_weights(self):
+        feats = np.random.default_rng(7).standard_normal((20, 4))
+        orders = expand_order(expand_order(build_first_order(feats, k1=3)))
+        for mat in gaussian_weights(feats, orders, sigma=1e160):
+            assert_array_equal(mat.vals, 1.0 / np.diff(mat.offsets)[mat.rows])
+        assert np.isfinite(enhance(feats, DmonConfig(sigma=1e160))).all()
+
+    def test_orders_past_the_float_range(self):
+        """At sigma 0.5, sigma_h's square overflows from h = 877 on and 1.5**h
+        itself from h = 1751."""
+        feats = np.random.default_rng(8).standard_normal((8, 3))
+        orders = build_first_order(feats, k1=2)
+        for _ in range(1, 1800):
+            orders = expand_order(orders)
+        last = gaussian_weights(feats, orders, sigma=0.5)[-1]
+        assert_array_equal(last.vals, 1.0 / np.diff(last.offsets)[last.rows])
+        assert np.isfinite(enhance(feats, DmonConfig(orders=1800))).all()
+
+
 class TestLatentFeatures:
     def test_zero_weights_give_zero(self):
         weights = [sparse_rows([[], [], []], vals=[[], [], []])]
@@ -361,3 +384,5 @@ class TestDmonConfig:
             DmonConfig(sigma=0.0)
         with pytest.raises(ValueError, match="sigma"):
             DmonConfig(sigma=float("nan"))
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            DmonConfig(sigma=float("inf"))

@@ -19,7 +19,7 @@ from rerankit import matrix_ops, pipeline
 from rerankit import cli
 from rerankit.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from rerankit.enhance import DmonConfig, enhance
-from rerankit.io_formats import npy_header, read_json, read_npy, write_labels, write_npy
+from rerankit.io_formats import npy_header, read_npy, write_labels, write_npy
 from rerankit.matrix_ops import l2_normalize_rows, pairwise_sq_euclidean
 from rerankit.metrics import SampleLabels, evaluate
 from rerankit.optimize import AroConfig, optimize
@@ -78,7 +78,7 @@ class TestSynthCommand:
     def test_writes_manifest_with_version(self, tmp_path):
         out = tmp_path / "d"
         assert main(synth_args(out)) == EXIT_OK
-        manifest = read_json((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "synth"
         assert manifest["version"]
         assert manifest["params"]["num_ids"] == 10
@@ -104,7 +104,7 @@ class TestRerankCommand:
             str(data_dir / "g.npy"), "--out", str(out), "--preset", "market1501",
         ])
         assert code == EXIT_OK
-        manifest = read_json((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["params"]["dmon"]["k1"] == 2
         assert manifest["params"]["dmon"]["orders"] == 3
         assert manifest["params"]["dmon"]["gamma"] == 0.75
@@ -119,7 +119,7 @@ class TestRerankCommand:
             str(data_dir / "g.npy"), "--out", str(out), "--preset", "msmt17",
         ])
         assert code == EXIT_OK
-        manifest = read_json((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["params"]["dmon"]["k1"] == 5
         assert manifest["params"]["aro"]["k2"] == 2
         assert manifest["params"]["dmon_batch_size"] == 10000
@@ -132,7 +132,7 @@ class TestRerankCommand:
             str(data_dir / "g.npy"), "--out", str(out), "--preset", "dukemtmc",
         ])
         assert code == EXIT_OK
-        manifest = read_json((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["params"]["dmon"]["k1"] == 5
         assert manifest["params"]["aro"]["k2"] == 20
 
@@ -144,7 +144,7 @@ class TestRerankCommand:
             "--k1", "4", "--gamma", "0.5",
         ])
         assert code == EXIT_OK
-        manifest = read_json((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["params"]["dmon"]["k1"] == 4
         assert manifest["params"]["dmon"]["gamma"] == 0.5
         assert manifest["params"]["aro"]["k2"] == 20
@@ -157,7 +157,7 @@ class TestRerankCommand:
             "--joint", "--no-pre-normalize",
         ])
         assert code == EXIT_OK
-        params = read_json((out / "manifest.json").read_text())["params"]
+        params = json.loads((out / "manifest.json").read_text())["params"]
         assert params["dmon_joint"] is True
         assert params["pre_normalize"] is False
 
@@ -283,7 +283,7 @@ def replay(manifest, out, *flags):
 
 
 def params_of(run):
-    return read_json((run / "manifest.json").read_text())["params"]
+    return json.loads((run / "manifest.json").read_text())["params"]
 
 
 def field_paths(cfg) -> dict:
@@ -460,7 +460,7 @@ class TestManifestErrors:
     ])
     def test_bad_field_is_config_error(self, data_dir, tmp_path, capsys, edit, field):
         assert main(rerank_args(data_dir, tmp_path / "run")) == EXIT_OK
-        manifest = read_json((tmp_path / "run" / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         edit_params(manifest["params"], edit)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(manifest))
@@ -607,7 +607,7 @@ class TestStreamedRerank:
         out = tmp_path / "run"
         with stripes_of(rows, fg.shape[0]):
             assert main(rerank_args(data, out, *flags)) == EXIT_OK
-            cfg = config_from_dict(read_json((out / "manifest.json").read_text())["params"])
+            cfg = config_from_dict(json.loads((out / "manifest.json").read_text())["params"])
             expected = compute_refined_distances(
                 read_npy((data / "q.npy").read_bytes()),
                 read_npy((data / "g.npy").read_bytes()),
@@ -615,7 +615,7 @@ class TestStreamedRerank:
             )
             assert (out / "dist.npy").read_bytes() == write_npy(expected, precision="float64")
             assert main(eval_args(data, out)) == EXIT_OK
-        report = read_json((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text())
         exp_cmc, exp_map, exp_valid = naive_evaluate(expected, *q_labels, *g_labels)
         np.testing.assert_allclose(report["cmc"], exp_cmc, rtol=0, atol=1e-12)
         assert abs(report["mAP"] - exp_map) <= 1e-12
@@ -745,7 +745,7 @@ class TestEvalCommand:
             "--out", str(report_path),
         ])
         assert code == EXIT_OK
-        doc = read_json(report_path.read_text())
+        doc = json.loads(report_path.read_text())
         assert set(doc) >= {"cmc", "mAP", "valid_queries"}
         assert doc["mAP"] == 1.0
         printed = json.loads(capsys.readouterr().out)
@@ -815,17 +815,17 @@ class TestSweepCommand:
         """The table format follows the suffix of --out."""
         out = tmp_path / "sweep.json"
         assert main(sweep_args(data_dir, out, "--k1", "2")) == EXIT_OK
-        rows = read_json(out.read_text())
+        rows = json.loads(out.read_text())
         assert rows[0]["label"] == "baseline"
         assert {"mAP", "rank1", "delta_mAP"} <= set(rows[1])
-        manifest = read_json(Path(f"{out}.manifest.json").read_text())
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["params"]["format"] == "json"
 
     def test_other_suffixes_write_csv(self, data_dir, tmp_path):
         out = tmp_path / "sweep.txt"
         assert main(sweep_args(data_dir, out, "--k1", "2")) == EXIT_OK
         assert out.read_text().startswith("label,k1,k2,gamma,orders")
-        assert read_json(Path(f"{out}.manifest.json").read_text())["params"]["format"] == "csv"
+        assert json.loads(Path(f"{out}.manifest.json").read_text())["params"]["format"] == "csv"
 
     def test_format_flag_is_gone(self, data_dir, tmp_path):
         out = tmp_path / "sweep.json"
@@ -849,7 +849,7 @@ class TestSweepCommand:
             "--gallery-labels", str(data_dir / "g_labels.csv"),
             "--k1", "1,2", "--out", str(out),
         ]) == EXIT_OK
-        manifest = read_json(Path(f"{out}.manifest.json").read_text())
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["command"] == "sweep"
         assert manifest["params"]["k1"] == [1, 2]
         assert "warnings" not in manifest  # nothing clamps
@@ -885,10 +885,10 @@ class TestPipelineCommand:
             "pipeline", "--ids", "8", "--per-id", "6", "--dim", "12",
             "--cams", "3", "--seed", "11", "--out", str(out), "--ablation",
         ]) == EXIT_OK
-        manifest = read_json((out / "pipeline_manifest.json").read_text())
+        manifest = json.loads((out / "pipeline_manifest.json").read_text())
         assert manifest["params"]["ablation"] is True
         assert manifest["outputs"]["variants"] == ["baseline", "aro", "dmon", "dmon_aro"]
-        report = read_json((out / "dmon_aro" / "report.json").read_text())
+        report = json.loads((out / "dmon_aro" / "report.json").read_text())
         assert report["config"]["variant"] == "+DMON+ARO"
         assert report["config"]["version"]
 
@@ -1000,7 +1000,7 @@ class TestClampWarnings:
                            rng.standard_normal((ng, 5)), *labels)
         run, again = tmp_path / "run", tmp_path / "again"
         assert main(rerank_args(data, run, *flags)) == EXIT_OK
-        manifest = read_json((run / "manifest.json").read_text())
+        manifest = json.loads((run / "manifest.json").read_text())
         assert manifest.get("warnings", "absent") == (expected or "absent")
         cfg = config_from_dict(manifest["params"])
         expected_dist = compute_refined_distances(
@@ -1023,7 +1023,7 @@ class TestClampWarnings:
             "--k1", "1,2,5", "--out", str(out),
         ]) == EXIT_OK
         assert capsys.readouterr().err == ""
-        assert read_json(Path(f"{out}.manifest.json").read_text())["warnings"] == [
+        assert json.loads(Path(f"{out}.manifest.json").read_text())["warnings"] == [
             "ARO k2=20 is clamped to the gallery's 4 rows",
             "DMON k1=2 is clamped to 1 in 1 query batch(es) of 2 rows",
             "DMON k1=5 is clamped to 1 in 1 query batch(es) of 2 rows",
@@ -1120,6 +1120,98 @@ class TestKernelUnderflow:
         err = capsys.readouterr().err
         assert err.startswith(
             "data error: order-1 kernel weights of row 120 all underflow at adaptive sigma "), err
+
+
+def strict_json(text: str):
+    """`json.loads` that refuses `NaN`, `Infinity` and `-Infinity`."""
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestOneRulePerValue:
+    """A bad value from a flag or a replayed manifest takes one path: a
+    one-line configuration error naming its field, exit 2, no file written.
+    What the config dataclasses accept runs, and every JSON file written is
+    strict."""
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("rerank", ["--fill", "0.5"], "aro.fill_value must be 0.0 or 1.0, got 0.5"),
+        ("rerank", ["--sigma", "inf"], "dmon.sigma must be finite and > 0, or None, got inf"),
+        ("rerank", ["--sigma", "nan"], "dmon.sigma must be finite and > 0, or None, got nan"),
+        ("synth", ["--intra-noise", "nan"], "intra_noise must be finite and >= 0, got nan"),
+        ("synth", ["--intra-noise", "inf"], "intra_noise must be finite and >= 0, got inf"),
+        ("synth", ["--cam-offset", "inf"], "cam_offset_scale must be finite and >= 0, got inf"),
+        ("pipeline", ["--intra-noise", "inf"], "intra_noise must be finite and >= 0, got inf"),
+        ("replay", ["Infinity"], "dmon.sigma must be finite and > 0, or None, got inf"),
+        ("replay", ["NaN"], "dmon.sigma must be finite and > 0, or None, got nan"),
+    ])
+    def test_bad_value_is_one_config_error_line(
+        self, data_dir, tmp_path, capsys, command, flags, message
+    ):
+        out = tmp_path / "out"
+        if command == "replay":
+            assert main(rerank_args(data_dir, tmp_path / "run")) == EXIT_OK
+            text = (tmp_path / "run" / "manifest.json").read_text()
+            assert '"sigma": null' in text
+            bad = tmp_path / "bad.json"
+            bad.write_text(text.replace('"sigma": null', f'"sigma": {flags[0]}'))
+            args = ["rerank", "--from-manifest", str(bad), "--out", str(out)]
+        else:
+            args = {"rerank": rerank_args(data_dir, out, *flags),
+                    "synth": ["synth", "--out", str(out), *flags],
+                    "pipeline": ["pipeline", "--out", str(out), *flags]}[command]
+        capsys.readouterr()
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--sigma", "1e160"], ["--orders", "1800"]])
+    def test_overflowing_bandwidth_runs(self, data_dir, tmp_path, flags):
+        assert main(rerank_args(data_dir, tmp_path / "run", *flags)) == EXIT_OK
+        assert np.isfinite(read_npy((tmp_path / "run" / "dist.npy").read_bytes())).all()
+
+    @pytest.mark.parametrize("command", ["synth", "rerank"])
+    def test_out_of_memory_is_a_data_error(self, data_dir, tmp_path, capsys, monkeypatch, command):
+        """Simulated: a real allocation this large could get the test runner killed."""
+        text = "Unable to allocate 47.7 GiB for an array with shape (100000000, 64)"
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(pipeline, "generate", exhausted)
+        monkeypatch.setattr(pipeline, "compute_refined_distances", exhausted)
+        out = tmp_path / "out"
+        args = (["synth", "--out", str(out)] if command == "synth"
+                else rerank_args(data_dir, out))
+        capsys.readouterr()
+        assert main(args) == EXIT_DATA
+        assert capsys.readouterr() == ("", f"data error: out of memory: {text}\n")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_every_json_written_is_strict(self, data_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        for args in (
+            synth_args(tmp_path / "synth"),
+            rerank_args(data_dir, run, "--sigma", "1e160"),
+            eval_args(data_dir, run),
+            sweep_args(data_dir, tmp_path / "sweep.json", "--k1", "2,3"),
+            sweep_args(data_dir, tmp_path / "sweep.csv"),
+            ["pipeline", "--ids", "8", "--per-id", "4", "--dim", "8", "--ablation",
+             "--out", str(tmp_path / "pipeline")],
+        ):
+            capsys.readouterr()
+            assert main(args) == EXIT_OK
+            if args[0] == "eval":
+                strict_json(capsys.readouterr().out)
+        written = sorted(tmp_path.rglob("*.json"))
+        # two synth manifests, the rerank's, the eval report, the JSON table and
+        # two sweep manifests, and the pipeline's own, its synth's and 4 x 2 variant files
+        assert len(written) == 17
+        for path in written:
+            strict_json(path.read_text())
 
 
 def bad_label_run(data_dir, tmp_path, command, side, content: bytes):

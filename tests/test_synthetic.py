@@ -24,6 +24,12 @@ class TestSynthSpec:
         with pytest.raises(ValueError, match="imgs_per_id"):
             SynthSpec(imgs_per_id=1)
 
+    @pytest.mark.parametrize("field", ["intra_noise", "cam_offset_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_or_negative_scale(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0, got {value}$"):
+            SynthSpec(**{field: value})
+
     def test_queries_leave_gallery_nonempty(self):
         spec = SynthSpec(imgs_per_id=2, query_fraction=0.9)
         assert spec.queries_per_id == 1
