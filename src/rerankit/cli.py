@@ -7,6 +7,7 @@ Subcommands: synth, rerank, eval, sweep, pipeline. Exit codes:
 import argparse
 import itertools
 import sys
+import typing
 from dataclasses import asdict
 from pathlib import Path
 
@@ -47,27 +48,29 @@ _VALUE_FLAGS = {
 
 def _add_synth_spec_flags(p: argparse.ArgumentParser):
     """SynthSpec's flags, each stored under its field's name and defaulting to None."""
-    p.add_argument("--ids", dest="num_ids", type=int, help="number of identities")
-    p.add_argument("--per-id", dest="imgs_per_id", type=int, help="samples per identity")
-    p.add_argument("--dim", type=int, help="embedding dimension")
-    p.add_argument("--cams", dest="num_cams", type=int, help="number of cameras")
-    p.add_argument("--intra-noise", type=float)
-    p.add_argument("--cam-offset", dest="cam_offset_scale", type=float)
-    p.add_argument("--query-fraction", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--ids", dest="num_ids", help="number of identities")
+    p.add_argument("--per-id", dest="imgs_per_id", help="samples per identity")
+    p.add_argument("--dim", help="embedding dimension")
+    p.add_argument("--cams", dest="num_cams", help="number of cameras")
+    p.add_argument("--intra-noise")
+    p.add_argument("--cam-offset", dest="cam_offset_scale")
+    p.add_argument("--query-fraction")
+    p.add_argument("--seed")
 
 
-def _grid(cast):
-    """An argparse type: a comma-separated list of `cast` values."""
-
-    def parse(text: str) -> list:
-        values = [cast(v) for v in text.split(",") if v.strip()]
-        if not values:
-            raise argparse.ArgumentTypeError("empty grid")
-        return values
-
-    parse.__name__ = f"{cast.__name__} list"
-    return parse
+def _from_text(text, owner, name: str):
+    """Flag text as the int or float that `owner`, a config class or a
+    function, declares for `name`. Any other text, and a value that is not
+    text, is returned as it is, for `build_config` to refuse by name."""
+    if isinstance(text, str):
+        hint = typing.get_type_hints(owner)[name]
+        for option in typing.get_args(hint) or (hint,):
+            if option in (int, float):
+                try:
+                    return option(text)
+                except ValueError:
+                    pass
+    return text
 
 
 def _add_config_flags(p: argparse.ArgumentParser, grid: bool = False):
@@ -75,16 +78,15 @@ def _add_config_flags(p: argparse.ArgumentParser, grid: bool = False):
     to None (or False), so only the flags given override the defaults of
     PipelineConfig and the preset. With `grid`, --k1/--k2/--gamma/--orders
     take comma-separated lists."""
-    ints, floats = (_grid(int), _grid(float)) if grid else (int, float)
     each = "comma-separated values of " if grid else ""
     p.add_argument("--preset", choices=sorted(PRESETS), help="published parameter bundle")
-    p.add_argument("--k1", type=ints, help=f"{each}first-order neighborhood size")
-    p.add_argument("--k2", type=ints, help=f"{each}distance-filter neighborhood size")
-    p.add_argument("--gamma", type=floats, help=f"{each}original-feature fusion weight")
-    p.add_argument("--orders", type=ints, help=f"{each}number of neighbor orders")
-    p.add_argument("--sigma", type=float, help="fixed kernel bandwidth (default: adaptive)")
-    p.add_argument("--batch-size", type=int, help="gallery (or --joint stack) chunk size")
-    p.add_argument("--fill", type=float, help="filter fill value, 0 or 1")
+    p.add_argument("--k1", help=f"{each}first-order neighborhood size")
+    p.add_argument("--k2", help=f"{each}distance-filter neighborhood size")
+    p.add_argument("--gamma", help=f"{each}original-feature fusion weight")
+    p.add_argument("--orders", help=f"{each}number of neighbor orders")
+    p.add_argument("--sigma", help="fixed kernel bandwidth (default: adaptive)")
+    p.add_argument("--batch-size", help="gallery (or --joint stack) chunk size")
+    p.add_argument("--fill", help="filter fill value, 0 or 1")
     p.add_argument("--baseline", action="store_true", help="bypass both stages")
     p.add_argument("--no-dmon", action="store_true", help="skip feature enhancement")
     p.add_argument("--no-aro", action="store_true", help="skip distance optimization")
@@ -109,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", help="query feature NPY")
     p.add_argument("--gallery", help="gallery feature NPY")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="recorded in the manifest")
+    p.add_argument("--seed", help="recorded in the manifest")
     p.add_argument(
         "--from-manifest",
         help="re-run a previous manifest's inputs and parameters (no other flag but --out)",
@@ -120,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True, help="distance NPY")
     p.add_argument("--query-labels", required=True)
     p.add_argument("--gallery-labels", required=True)
-    p.add_argument("--max-rank", type=int, default=MAX_RANK, help="CMC length")
+    p.add_argument("--max-rank", default=MAX_RANK, help="CMC length")
     p.add_argument("--out", help="report JSON path (printed to stdout regardless)")
 
     p = sub.add_parser("sweep", help="cartesian hyperparameter sweep")
@@ -134,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="synth -> rerank -> eval in one run")
     _add_synth_spec_flags(p)
     _add_config_flags(p)
-    p.add_argument("--max-rank", type=int, default=MAX_RANK, help="CMC length")
+    p.add_argument("--max-rank", default=MAX_RANK, help="CMC length")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
         "--ablation",
@@ -147,7 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _spec_from_args(args) -> SynthSpec:
     """The SynthSpec of the flags given over its defaults."""
     params = asdict(SynthSpec())
-    params.update((name, getattr(args, name)) for name in params if getattr(args, name) is not None)
+    params.update((name, _from_text(getattr(args, name), SynthSpec, name))
+                  for name in params if getattr(args, name) is not None)
     return build_config(SynthSpec, params)
 
 
@@ -160,7 +163,8 @@ def _config_from_args(args) -> PipelineConfig:
     given = {key: getattr(args, key) for key in _VALUE_FLAGS if getattr(args, key) is not None}
     for key, value in {**PRESETS.get(args.preset, {}), **given}.items():
         section, name = _VALUE_FLAGS[key]
-        (params[section] if section else params)[name] = value
+        owner = typing.get_type_hints(PipelineConfig)[section] if section else PipelineConfig
+        (params[section] if section else params)[name] = _from_text(value, owner, name)
     params["aro"]["enabled"] = not (args.baseline or args.no_aro)
     params.update(dmon_on=not (args.baseline or args.no_dmon), dmon_joint=args.joint,
                   pre_normalize=not args.no_pre_normalize)
@@ -194,7 +198,8 @@ def _cmd_rerank(args) -> int:
         if not args.query or not args.gallery:
             raise ConfigError("--query and --gallery are required (or --from-manifest)")
         cfg = _config_from_args(args)
-        manifest = rerank_files(args.query, args.gallery, args.out, cfg, seed=args.seed)
+        seed = _from_text(args.seed, rerank_files, "seed")
+        manifest = rerank_files(args.query, args.gallery, args.out, cfg, seed=seed)
     print(str(Path(args.out) / manifest["outputs"]["distances"]))
     return EXIT_OK
 
@@ -204,7 +209,7 @@ def _cmd_eval(args) -> int:
         args.dist,
         args.query_labels,
         args.gallery_labels,
-        max_rank=args.max_rank,
+        max_rank=_from_text(args.max_rank, eval_files, "max_rank"),
         report_path=args.out,
     )
     sys.stdout.write(write_json(doc))
@@ -212,14 +217,21 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    """Every cell's config is built, and so checked, before any data is read."""
-    keys = ("k1", "k2", "gamma", "orders")
+    """--k1/--k2/--gamma/--orders are comma-separated lists; every cell's
+    config is built, and so checked, before any data is read."""
+    grid = {}
+    for key in ("k1", "k2", "gamma", "orders"):
+        text = getattr(args, key)
+        grid[key] = [None] if text is None else [v for v in text.split(",") if v.strip()]
+        if not grid[key]:
+            raise ConfigError(f"{'.'.join(filter(None, _VALUE_FLAGS[key]))} must list at least "
+                              f"one value, got {text!r}")
     cells = [
-        _config_from_args(argparse.Namespace(**{**vars(args), **dict(zip(keys, values))}))
-        for values in itertools.product(*(getattr(args, key) or [None] for key in keys))
+        _config_from_args(argparse.Namespace(**{**vars(args), **dict(zip(grid, values))}))
+        for values in itertools.product(*grid.values())
     ]
     manifest = sweep_files(args.query, args.gallery, args.query_labels, args.gallery_labels,
-                           cells, {key: getattr(args, key) for key in keys}, args.out)
+                           cells, args.out)
     print(manifest["outputs"]["table"])
     return EXIT_OK
 
@@ -227,7 +239,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_pipeline(args) -> int:
     spec = _spec_from_args(args)
     cfg = _config_from_args(args)
-    rows = run_pipeline(spec, cfg, args.out, ablation=args.ablation, max_rank=args.max_rank)
+    max_rank = _from_text(args.max_rank, run_pipeline, "max_rank")
+    rows = run_pipeline(spec, cfg, args.out, ablation=args.ablation, max_rank=max_rank)
     width = max(len(r["variant"]) for r in rows)
     print(f"{'variant'.ljust(width)}  {'mAP':>10}  {'rank1':>10}")
     for row in rows:

@@ -27,6 +27,7 @@ graph (the gallery batching of `pipeline.batch_bounds`) is the caller's
 decision.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,10 @@ _BANDWIDTH_GROWTH = 1.5
 
 
 def default_decay(num_orders: int) -> tuple[float, ...]:
-    """Halving decay coefficients: 1, 0.5, 0.25, ..."""
-    return tuple(0.5**h for h in range(num_orders))
+    """Halving decay coefficients 1, 0.5, 0.25, ... of the first `num_orders`
+    orders, up to the last that is not 0.0 (order 1,075): a later order
+    would add exactly zero."""
+    return tuple(itertools.takewhile(bool, (0.5**h for h in range(num_orders))))
 
 
 @dataclass(frozen=True)
@@ -277,7 +280,7 @@ def enhance(features, cfg: DmonConfig) -> np.ndarray:
     if feats.shape[0] < 2:
         return l2_normalize_rows(cfg.gamma * feats)
     orders = build_first_order(feats, cfg.k1)
-    for _ in range(1, cfg.orders):
+    for _ in range(1, len(default_decay(cfg.orders))):  # the orders that reach the output
         orders = expand_order(orders)
     sigma = cfg.sigma
     if sigma is None:

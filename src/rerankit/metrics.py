@@ -20,6 +20,13 @@ _STRIPE_ENTRIES = 1 << 17
 MAX_RANK = 50
 
 
+def check_max_rank(max_rank: int) -> None:
+    """The one rule of a CMC length, shared by `Evaluator` and the commands
+    that take one: ranks 1..max_rank, so at least 1."""
+    if max_rank < 1:
+        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
+
+
 @dataclass(frozen=True)
 class SampleLabels:
     """Identity and camera ids for a set of samples, in sample order."""
@@ -143,8 +150,7 @@ class Evaluator:
     """
 
     def __init__(self, query_labels: SampleLabels, gallery_labels: SampleLabels, max_rank=MAX_RANK):
-        if max_rank < 1:
-            raise ValueError(f"max_rank must be >= 1, got {max_rank}")
+        check_max_rank(max_rank)
         num_q, num_g = self.shape = len(query_labels), len(gallery_labels)
         self.num_ranks = min(max_rank, num_g)
         self.stripe_rows = max(1, _STRIPE_ENTRIES // max(num_g, 1))

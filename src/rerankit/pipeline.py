@@ -10,6 +10,7 @@ import json
 import os
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from . import __version__
 from .enhance import DmonConfig, enhance
 from .io_formats import (
     LabelFormatError,
+    NpyFormatError,
     NpyRows,
     NpyRowWriter,
     npy_header,
@@ -29,7 +31,7 @@ from .io_formats import (
     write_npy,
 )
 from .matrix_ops import l2_normalize_rows
-from .metrics import MAX_RANK, Evaluator, SampleLabels, evaluate
+from .metrics import MAX_RANK, Evaluator, check_max_rank, evaluate
 from .optimize import AroConfig, as_query_gallery, optimize
 from .synthetic import SynthSpec, generate
 
@@ -172,8 +174,20 @@ def _typed(value, hint, name: str):
         if type(value) is option:
             return value
         if option is float and type(value) is int:
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise ConfigError(f"{name} is an integer beyond the float range") from None
     raise ConfigError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
+
+
+def _check_max_rank(max_rank) -> None:
+    """`metrics.check_max_rank` of `max_rank`, an int; a ConfigError otherwise."""
+    max_rank = _typed(max_rank, int, "max_rank")
+    try:
+        check_max_rank(max_rank)
+    except ValueError as exc:
+        raise ConfigError(exc) from None
 
 
 def compute_refined_distances(
@@ -286,13 +300,15 @@ def rerank_files(
     never clobbered by a partial one.
 
     Raises:
+        ConfigError: before anything is read or written, when `seed` is
+            neither an int nor None.
         InsufficientSpaceError: before any computation, when the output
             directory has less free space than `dist.npy` needs.
     """
+    _typed(seed, int | None, "seed")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fq = read_npy(Path(query_path).read_bytes())
-    fg = read_npy(Path(gallery_path).read_bytes())
+    fq, fg = _read_file(query_path, read_npy), _read_file(gallery_path, read_npy)
     shape = (fq.shape[0], fg.shape[0])
     needed = len(npy_header(shape)) + shape[0] * shape[1] * 8
     st = os.statvfs(out)
@@ -344,7 +360,7 @@ def rerank_from_manifest(manifest_path, out_dir) -> dict:
         _typed(inputs.get("gallery"), str, "inputs.gallery"),
         out_dir,
         config_from_dict(manifest.get("params")),
-        seed=_typed(manifest.get("seed"), int | None, "seed"),
+        seed=manifest.get("seed"),
     )
 
 
@@ -359,14 +375,15 @@ def eval_files(
     """Evaluate a distance file against labels, optionally write the report.
 
     The distance file is read in row stripes (`NpyRows`), never whole. A
-    `max_rank` below 1 is a ConfigError, raised before any file is read.
+    `max_rank` that is not an int >= 1 is a ConfigError, raised before any
+    file is read.
     """
-    if max_rank < 1:
-        raise ConfigError(f"max_rank must be >= 1, got {max_rank}")
+    _check_max_rank(max_rank)
     with open(dist_path, "rb") as fh:
-        dist = NpyRows(fh)
-        q_labels = _read_label_file(query_labels_path)
-        g_labels = _read_label_file(gallery_labels_path)
+        with _naming(dist_path):
+            dist = NpyRows(fh)
+        q_labels = _read_file(query_labels_path, read_labels)
+        g_labels = _read_file(gallery_labels_path, read_labels)
         report = evaluate(dist, q_labels, g_labels, max_rank=max_rank)
     effective = {
         "tool": "rerankit",
@@ -385,12 +402,20 @@ def eval_files(
     return doc
 
 
-def _read_label_file(path) -> SampleLabels:
-    """`read_labels` of the bytes of a label file; an error names the file."""
+@contextmanager
+def _naming(path):
+    """A malformed-file error raised inside, prefixed with the file's path."""
     try:
-        return read_labels(Path(path).read_bytes())
-    except LabelFormatError as exc:
-        raise LabelFormatError(f"{path}: {exc}") from None
+        yield
+    except (NpyFormatError, LabelFormatError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _read_file(path, read):
+    """`read` (`read_npy` or `read_labels`) of the bytes of the file at
+    `path`; a malformed file's error names it."""
+    with _naming(path):
+        return read(Path(path).read_bytes())
 
 
 def _grid_values(cfg: PipelineConfig) -> dict:
@@ -412,23 +437,24 @@ def _sweep_row(label: str, grid: dict, cfg: PipelineConfig, report, base) -> dic
 
 
 def sweep_files(query_path, gallery_path, query_labels_path, gallery_labels_path,
-                cells: list[PipelineConfig], grid: dict, out_path) -> dict:
+                cells: list[PipelineConfig], out_path) -> dict:
     """Hyperparameter sweep; one rerank+eval per grid cell, in the given order,
     each scoring ARO's row stripes with an `Evaluator` as they are refined.
 
     The first row is the baseline (both stages off, with the first
     cell's other settings), used for the delta columns. The rows are
     written to `out_path`, as JSON if it ends in `.json`, else as CSV, and
-    beside them `<out_path>.manifest.json`, which records `grid` (the
-    swept lists of k1, k2, gamma and orders; None records the first
-    cell's value), the first cell's config, the format and each k clamp
-    (`clamp_warnings`) once. Returns that manifest.
+    beside them `<out_path>.manifest.json`, which records the grid the
+    cells ran (each of k1, k2, gamma and orders as the list of its distinct
+    values, in the order the cells first take them), the first cell's
+    config, the format and each k clamp (`clamp_warnings`) once. Returns
+    that manifest.
     """
     if not cells:
         raise ValueError("empty sweep grid")
-    fq = read_npy(Path(query_path).read_bytes())
-    fg = read_npy(Path(gallery_path).read_bytes())
-    q_labels, g_labels = _read_label_file(query_labels_path), _read_label_file(gallery_labels_path)
+    fq, fg = _read_file(query_path, read_npy), _read_file(gallery_path, read_npy)
+    q_labels = _read_file(query_labels_path, read_labels)
+    g_labels = _read_file(gallery_labels_path, read_labels)
     counts = (len(q_labels), len(g_labels))
     if counts != (len(fq), len(fg)):
         raise ValueError(f"label counts {counts} != feature rows {(len(fq), len(fg))}")
@@ -440,9 +466,10 @@ def sweep_files(query_path, gallery_path, query_labels_path, gallery_labels_path
 
     base_cfg = cells[0].with_stages(False, False)
     base = score(base_cfg)
-    rows = [_sweep_row("baseline", dict.fromkeys(_grid_values(base_cfg), ""), base_cfg, base, base)]
-    for cfg in cells:
-        rows.append(_sweep_row("grid", _grid_values(cfg), cfg, score(cfg), base))
+    grid = [_grid_values(cfg) for cfg in cells]
+    rows = [_sweep_row("baseline", dict.fromkeys(grid[0], ""), base_cfg, base, base)]
+    for values, cfg in zip(grid, cells):
+        rows.append(_sweep_row("grid", values, cfg, score(cfg), base))
     clamps = dict.fromkeys(line for cfg in cells for line in clamp_warnings(len(fq), len(fg), cfg))
 
     out = Path(out_path)
@@ -452,7 +479,7 @@ def sweep_files(query_path, gallery_path, query_labels_path, gallery_labels_path
     return _manifest(
         f"{out}.manifest.json",
         "sweep",
-        {**{key: values or [rows[1][key]] for key, values in grid.items()},
+        {**{key: list(dict.fromkeys(values[key] for values in grid)) for key in grid[0]},
          "base": asdict(cells[0]), "format": fmt},
         {"query": str(query_path), "gallery": str(gallery_path),
          "query_labels": str(query_labels_path), "gallery_labels": str(gallery_labels_path)},
@@ -477,11 +504,10 @@ def run_pipeline(
 
     Default mode compares the baseline against the configured stages;
     `ablation` runs the four-variant grid (baseline, +ARO, +DMON,
-    +DMON+ARO) and writes ablation.csv. A `max_rank` below 1 is a
-    ConfigError, raised before anything is written.
+    +DMON+ARO) and writes ablation.csv. A `max_rank` that is not an int
+    >= 1 is a ConfigError, raised before anything is written.
     """
-    if max_rank < 1:
-        raise ConfigError(f"max_rank must be >= 1, got {max_rank}")
+    _check_max_rank(max_rank)
     out = Path(out_dir)
     paths = synth_files(spec, out / "data")
     configured = ("configured", "configured", cfg.dmon_on, cfg.aro.enabled)

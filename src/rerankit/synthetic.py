@@ -33,7 +33,7 @@ class SynthSpec:
         query_fraction: fraction of each identity's samples used as
             queries, in (0, 1); at least one gallery sample per identity
             is always retained.
-        seed: PCG64 seed.
+        seed: PCG64 seed (>= 0).
     """
 
     num_ids: int = 50
@@ -66,6 +66,8 @@ class SynthSpec:
             raise ValueError(
                 f"query_fraction must lie in (0, 1), got {self.query_fraction}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def queries_per_id(self) -> int:

@@ -385,7 +385,7 @@ def test_criterion_7_performance_sweep_cell(tmp_path):
 
     tracemalloc.start()
     sweep_files(data["query"], data["gallery"], data["query_labels"], data["gallery_labels"],
-                [PipelineConfig()], {}, tmp_path / "sweep.csv")
+                [PipelineConfig()], tmp_path / "sweep.csv")
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     matrix = num_q * num_g * 8

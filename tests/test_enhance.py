@@ -227,6 +227,17 @@ class TestKernelOverflow:
         assert_array_equal(last.vals, 1.0 / np.diff(last.offsets)[last.rows])
         assert np.isfinite(enhance(feats, DmonConfig(orders=1800))).all()
 
+    def test_orders_past_the_last_nonzero_decay_are_not_built(self):
+        """The decay 0.5**(h-1) is 0.0 from order 1,076 on, so enhance stops at
+        order 1,075 and gives its bits at any larger `orders`."""
+        assert len(default_decay(2000)) == 1075 and default_decay(2000)[-1] > 0.0
+        feats = np.random.default_rng(9).standard_normal((8, 3))
+        last = enhance(feats, DmonConfig(orders=1075)).tobytes()
+        for orders in (1076, 2000):
+            with mock.patch("rerankit.enhance.expand_order", wraps=expand_order) as expand:
+                assert enhance(feats, DmonConfig(orders=orders)).tobytes() == last
+            assert expand.call_count == 1074
+
 
 class TestLatentFeatures:
     def test_zero_weights_give_zero(self):

@@ -189,6 +189,11 @@ class TestRerankCommand:
         ])
         assert code == EXIT_IO
 
+    def test_orders_without_bound_stop_at_the_last_nonzero_decay(self, data_dir, tmp_path):
+        run = tmp_path / "run"
+        assert main(rerank_args(data_dir, run, "--orders", "100000000")) == EXIT_OK
+        assert params_of(run)["dmon"]["orders"] == 100000000
+
     def test_corrupt_npy_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.npy"
         bad.write_bytes(b"not an npy at all")
@@ -447,6 +452,8 @@ def edit_params(params, edit):
         del params["dmon"]["k1"]
     elif edit == "unknown":
         params["aro"]["k3"] = 4
+    elif edit == "huge_integer":  # beyond the float range
+        params["dmon"]["gamma"] = 10**400
     else:
         params["aro"]["k2"] = "x"
 
@@ -457,6 +464,7 @@ class TestManifestErrors:
 
     @pytest.mark.parametrize("edit, field", [
         ("missing", "dmon.k1"), ("unknown", "aro.k3"), ("ill_typed", "aro.k2"),
+        ("huge_integer", "dmon.gamma is an integer beyond the float range"),
     ])
     def test_bad_field_is_config_error(self, data_dir, tmp_path, capsys, edit, field):
         assert main(rerank_args(data_dir, tmp_path / "run")) == EXIT_OK
@@ -522,17 +530,38 @@ class TestConfigErrorsBeforeData:
         ("rerank", ["--preset", "dukemtmc", "--k2", "0"], "aro.k2"),
         ("pipeline", ["--gamma", "2"], "dmon.gamma"),
         ("pipeline", ["--ids", "1"], "num_ids"),
+        # ill-typed text is the same error as an out-of-range value
+        ("rerank", ["--k1", "abc"], "dmon.k1 must be int, got 'abc'"),
+        ("rerank", ["--k1", "2.5"], "dmon.k1 must be int, got '2.5'"),
+        ("rerank", ["--gamma=-1e-3"], "dmon.gamma"),
+        ("rerank", ["--sigma=-inf"], "dmon.sigma"),
+        ("rerank", ["--seed", "x"], "seed"),
+        ("sweep", ["--k1", "2,x"], "dmon.k1 must be int, got 'x'"),
+        ("synth", ["--ids", "x"], "num_ids"),
+        ("synth", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("pipeline", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("eval", ["--max-rank", "abc"], "max_rank must be int, got 'abc'"),
     ])
     def test_bad_flag_names_its_field(self, tmp_path, capsys, command, flags, field):
         """A bad flag value is the configuration error a manifest's would be,
-        naming the field by its path in the manifest's `params`."""
+        naming the field by its path in the manifest's `params`: one stderr
+        line, and no file written. An option the command lacks is argparse's
+        usage error instead, and only that."""
         absent, out = str(tmp_path / "absent"), tmp_path / "out"
         args = {"sweep": ["--query", absent, "--gallery", absent, "--query-labels", absent,
                           "--gallery-labels", absent, "--out", str(out / "s.csv")],
                 "rerank": ["--query", absent, "--gallery", absent, "--out", str(out)],
+                "eval": ["--dist", absent, "--query-labels", absent, "--gallery-labels", absent,
+                         "--out", str(out / "report.json")],
+                "synth": ["--out", str(out)],
                 "pipeline": ["--out", str(out)]}[command]
         assert main([command, *args, *flags]) == EXIT_CONFIG
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err
+        if field.startswith("unrecognized arguments"):
+            assert err.startswith("usage:"), err
+        else:
+            assert err.startswith("configuration error: ") and err.count("\n") == 1, err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pipeline", "eval"])
@@ -841,17 +870,22 @@ class TestSweepCommand:
         assert "label counts" in capsys.readouterr().err
 
     def test_writes_manifest(self, data_dir, tmp_path):
+        """The manifest records the grid the cells ran, each value of the
+        type its field declares."""
         out = tmp_path / "sweep.csv"
         assert main([
             "sweep", "--query", str(data_dir / "q.npy"),
             "--gallery", str(data_dir / "g.npy"),
             "--query-labels", str(data_dir / "q_labels.csv"),
             "--gallery-labels", str(data_dir / "g_labels.csv"),
-            "--k1", "1,2", "--out", str(out),
+            "--k1", "1,2", "--gamma", "1,0.75", "--out", str(out),
         ]) == EXIT_OK
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["command"] == "sweep"
         assert manifest["params"]["k1"] == [1, 2]
+        assert manifest["params"]["gamma"] == [1.0, 0.75]
+        assert [type(v) for v in manifest["params"]["gamma"]] == [float, float]
+        assert manifest["params"]["k2"] == [20] and manifest["params"]["orders"] == [3]
         assert "warnings" not in manifest  # nothing clamps
 
 
@@ -1256,6 +1290,25 @@ class TestLabelFileErrors:
         err = capsys.readouterr().err
         assert err == (f"data error: {labels}: pid and camid must be non-negative "
                        "and below 2**63 (line 3)\n")
+
+
+@pytest.mark.parametrize("command, name", [
+    ("rerank", "q.npy"), ("rerank", "g.npy"), ("sweep", "q.npy"), ("sweep", "g.npy"),
+    ("eval", "dist.npy"),
+])
+def test_malformed_npy_names_the_file(data_dir, tmp_path, capsys, command, name):
+    """A feature or distance file that is not NPY is a data error that names
+    the file, as a label file's is."""
+    run = tmp_path / "run"
+    if command == "eval":
+        assert main(rerank_args(data_dir, run, "--baseline")) == EXIT_OK
+    bad = (run if name == "dist.npy" else data_dir) / name
+    bad.write_bytes(b"not an npy at all")
+    args = {"rerank": rerank_args(data_dir, run), "sweep": sweep_args(data_dir, run / "s.csv"),
+            "eval": eval_args(data_dir, run)}[command]
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: {bad}: not an NPY file: bad magic (byte offset 0)\n"
 
 
 class TestReadOnlyInputs:
