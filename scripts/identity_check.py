@@ -11,14 +11,18 @@ in its own scratch directory with relative output paths, so manifests
 and reports name the same paths. The cases:
 
 - `synth` at `--ids 800` and `--ids 1600` with the benchmark's
-  `SYNTH_FLAGS` (perfbench/run.py), data seeds 0-9;
+  `SYNTH_FLAGS` (perfbench/run.py), data seeds 0-9, and at `--ids 400`
+  (800 x 3,200), data seed 1;
 - `rerank` of the seed-1 data of both sizes with the defaults, `--no-dmon`,
   `--no-aro`, `--baseline`, `--fill 0`, `--joint --fill 0
   --no-pre-normalize`, `--preset msmt17` (gallery batches of 10,000
   rows), `--preset dukemtmc`, `--preset dukemtmc --k1 3` (a flag over a
   preset), `--joint --batch-size 1000` and `--gamma 1 --batch-size 1000`,
   each with `OPENBLAS_NUM_THREADS=2` (two kNN lanes) and
-  `OPENBLAS_NUM_THREADS=1`;
+  `OPENBLAS_NUM_THREADS=1`, and of the `--ids 400` data with the
+  defaults and `--fill 0`, alike: with 2 * k2 * _TILE_COLS = 5,120
+  columns above its 3,200, ARO's gallery scan and query-gallery filter
+  select over whole rows there;
 - `rerank --from-manifest` of each of those runs in this tree, against
   the parent's run;
 - `rerank --from-manifest` in this tree of the parent's manifest of each
@@ -75,6 +79,7 @@ from run import SYNTH_FLAGS  # noqa: E402
 
 SIZES = (800, 1600)
 DATA_SEEDS = range(10)
+WHOLE_ROW_IDS = 400
 RERANK_SEED = 1
 RERANK_FLAGS = (
     (),
@@ -89,6 +94,7 @@ RERANK_FLAGS = (
     ("--joint", "--batch-size", "1000"),
     ("--gamma", "1", "--batch-size", "1000"),
 )
+WHOLE_ROW_FLAGS = ((), ("--fill", "0"))
 BLAS_THREADS = ("2", "1")
 SWEEP_GRID = ("--k1", "1,2,3,5,8", "--k2", "2,5,10,20", "--gamma", "0.5,0.75,0.9",
               "--orders", "3")
@@ -251,13 +257,18 @@ def main() -> int:
                 check.case(f"synth --ids {ids} --seed {seed}", out,
                            ("synth", "--ids", str(ids), *SYNTH_FLAGS, "--seed", str(seed),
                             "--out", out), keep=seed == RERANK_SEED)
+        out = f"synth-{WHOLE_ROW_IDS}-{RERANK_SEED}"
+        check.case(f"synth --ids {WHOLE_ROW_IDS} --seed {RERANK_SEED}", out,
+                   ("synth", "--ids", str(WHOLE_ROW_IDS), *SYNTH_FLAGS, "--seed",
+                    str(RERANK_SEED), "--out", out), keep=True)
 
-        for ids in SIZES:
+        reranks = [(ids, RERANK_FLAGS) for ids in SIZES] + [(WHOLE_ROW_IDS, WHOLE_ROW_FLAGS)]
+        for ids, rerank_flags in reranks:
             data = check.change.work / f"synth-{ids}-{RERANK_SEED}"
             inputs = ("--query", str(data / "q.npy"), "--gallery", str(data / "g.npy"))
             labels = ("--query-labels", str(data / "q_labels.csv"),
                       "--gallery-labels", str(data / "g_labels.csv"))
-            for flags in RERANK_FLAGS:
+            for flags in rerank_flags:
                 for threads in BLAS_THREADS:
                     label = (f"--ids {ids} {' '.join(flags) or 'defaults'}, "
                              f"OPENBLAS_NUM_THREADS={threads}")

@@ -218,7 +218,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """--k1/--k2/--gamma/--orders are comma-separated lists; every cell's
-    config is built, and so checked, before any data is read."""
+    config is built, and so checked, before any data is read, and a cell
+    equal to an earlier one, once typed, is dropped."""
     grid = {}
     for key in ("k1", "k2", "gamma", "orders"):
         text = getattr(args, key)
@@ -226,10 +227,10 @@ def _cmd_sweep(args) -> int:
         if not grid[key]:
             raise ConfigError(f"{'.'.join(filter(None, _VALUE_FLAGS[key]))} must list at least "
                               f"one value, got {text!r}")
-    cells = [
+    cells = list(dict.fromkeys(
         _config_from_args(argparse.Namespace(**{**vars(args), **dict(zip(grid, values))}))
         for values in itertools.product(*grid.values())
-    ]
+    ))
     manifest = sweep_files(args.query, args.gallery, args.query_labels, args.gallery_labels,
                            cells, args.out)
     print(manifest["outputs"]["table"])

@@ -20,10 +20,13 @@ of twice the height (a full stripe of float32 entries), and a block it
 sends back to float64 runs as half-stripe sub-blocks. Results do not
 depend on the number of lanes.
 
-Selection works on column tiles of _TILE_COLS entries, cut as residue
-classes (column c in tile c mod F, for F = N // _TILE_COLS), whose
-minima are one vectorised reduction; the exact float64 top-k
-(`_topk_tiled`) and the float32 prefilter search the same tiles.
+Every smallest-k selection keeps each row's candidates, its entries
+up to a limit, in column order and orders them by one stable sort
+(`_select_packed`). On wide rows the limit comes from column tiles of
+_TILE_COLS entries, cut as residue classes (column c in tile c mod F,
+for F = N // _TILE_COLS), whose minima are one vectorised reduction;
+the exact float64 top-k (`_topk_block`) and the float32 prefilter
+search the same tiles.
 
 Every function here, and every stage function of `enhance` and
 `optimize` below their entry points, takes prepared arrays: a feature
@@ -218,10 +221,11 @@ def topk_smallest(arr: np.ndarray, k: int) -> TopKResult:
     blocks of about _STRIPE_ELEMS / 8 entries.
 
     When 2 * k * _TILE_COLS <= M, selection runs through column tiles
-    (see `_topk_tiled`): only the entries no larger than the k-th
+    (see `_topk_block`): only the entries no larger than the k-th
     smallest tile minimum are searched, gathered from the tiles whose
     minimum is that small. Narrower matrices, relative to k, and rows
-    whose tiles tie too often, are searched whole.
+    whose tiles tie too often, keep the entries up to each row's own
+    k-th smallest value.
 
     Args:
         arr: (N, M) distance matrix, M >= 1.
@@ -234,39 +238,33 @@ def topk_smallest(arr: np.ndarray, k: int) -> TopKResult:
 
 
 def _topk_block(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-min(k, width) of each row, k >= 1: through tiles when each
-    row has at least 2k of them, else over the whole row (`_topk_rows`)."""
-    select = _topk_tiled if 2 * k * _TILE_COLS <= work.shape[1] else _topk_rows
-    return select(work, k)
+    """Smallest-min(k, width) of each row, k >= 1, ordered by `_select_packed`.
 
+    A row's candidates are its entries no larger than a limit that its
+    k-th smallest entry cannot exceed. When each row has at least 2k
+    column tiles, the limit is T, the k-th smallest residue-class tile
+    minimum, and only the tiles whose minimum is <= T are searched
+    (`_tile_candidates` with no margin). When the searched tiles exceed
+    2k per row on average, or the row is narrower, the limit is the
+    row's own k-th smallest value, from `np.partition`, and every entry
+    tied with it is kept.
 
-def _topk_tiled(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_topk_rows` through column tiles; needs at least k tiles per row.
-
-    The candidates of `_tile_candidates` with no margin: the entries no
-    larger than T, the k-th smallest residue-class tile minimum, found in
-    the tiles whose minimum is <= T and sorted into column order. They
-    are packed with +inf padding and `_topk_rows` selects from the packed
-    rows; packed positions map back to columns. When the searched tiles
-    exceed 2k per row on average, the rows are searched whole instead,
-    so the gather never exceeds the rows' own size.
-
-    Why it is exact: the argument of `_prefiltered_block` with a zero
-    margin. The k tiles with the smallest minima hold k distinct columns
-    <= T, so the row's k-th smallest entry is <= T, and every entry at or
-    before it in (value, column) order is <= T, as is its tile's minimum.
-    Packed in column order, the candidates keep that order under
-    `_topk_rows`' (value, index) rule; a pad comes after every candidate,
-    so with at least k candidates no pad is selected, even when T is inf.
+    Why it is exact: the k tiles with the smallest minima hold k distinct
+    columns <= T, so the row's k-th smallest entry is <= T, and every
+    entry at or before it in (value, column) order is <= T, as is its
+    tile's minimum. Under either limit, every such entry is a candidate,
+    and at least k candidates exist, so no pad is selected.
     """
     n, m = work.shape
-    found = _tile_candidates(work, k, 0.0, 2 * k * n, n * m)
+    k = min(k, m)
+    found = None
+    if 2 * k * _TILE_COLS <= m:
+        found = _tile_candidates(work, k, 0.0, 2 * k * n, n * m)
     if found is None:
-        return _topk_rows(work, k)
+        limit = np.partition(work, k - 1, axis=1)[:, k - 1 : k]
+        found = np.divmod(np.flatnonzero(work <= limit), m)
     rows, cols = found
-    packed, packed_cols = _pack_rows(n, rows, cols, work[rows, cols])
-    picked, vals = _topk_rows(packed, k)
-    return np.take_along_axis(packed_cols, picked, axis=1), vals
+    return _select_packed(n, rows, cols, work[rows, cols], k)
 
 
 def _tile_candidates(block: np.ndarray, k: int, margin, tile_budget: int, budget: int):
@@ -307,52 +305,26 @@ def _tile_candidates(block: np.ndarray, k: int, margin, tile_budget: int, budget
     return np.divmod(keys, n)
 
 
-def _pack_rows(n: int, rows, cols, values) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter the entries (rows[t], cols[t], values[t]), sorted by row, into
-    n rows: each row's entries in the given order, then +inf padding.
-    Returns the packed values and their columns (0 under the padding)."""
+def _select_packed(n: int, rows, cols, values, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first k of the entries (rows[t], cols[t], values[t]) in
+    (value, column) order, as (columns, values), both (n, k).
+
+    The entries, sorted by row and then by column, are packed into n
+    rows at least k wide: each row's entries in column order, then +inf
+    padding. One stable sort by value then orders each row by (value,
+    column), as packed positions follow the columns; a pad comes after
+    every entry, so none is selected from a row with k entries or more.
+    """
     counts = np.bincount(rows, minlength=n)
     pos = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-    width = counts.max()
+    width = max(k, counts.max(initial=0))
     packed = np.full((n, width), np.inf)
     packed[rows, pos] = values
     packed_cols = np.zeros((n, width), dtype=np.int64)
     packed_cols[rows, pos] = cols
-    return packed, packed_cols
-
-
-def _topk_rows(work: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-k of each row with (value, index) ordering. `work` may hold inf.
-
-    argpartition picks an arbitrary subset when values tie at a row's k-th
-    value T. A row where it passed over a tie at T is selected again in
-    linear time: every entry below T, then the lowest-index entries equal
-    to T up to k in all, ordered by (value, column).
-    """
-    n, m = work.shape
-    if k >= m:
-        idx = np.argsort(work, axis=1, kind="stable").astype(np.int64)
-    else:
-        idx = np.argpartition(work, k - 1, axis=1)[:, :k].astype(np.int64)
-        vals = np.take_along_axis(work, idx, axis=1)
-        order = np.lexsort((idx, vals), axis=1)
-        idx = np.take_along_axis(idx, order, axis=1)
-        vals = np.take_along_axis(vals, order, axis=1)
-        boundary = vals[:, -1:]
-        selected_eq = (vals == boundary).sum(axis=1)
-        total_eq = (work == boundary).sum(axis=1)
-        redo = np.flatnonzero(total_eq > selected_eq)
-        if len(redo):
-            rows, bound = work[redo], boundary[redo]
-            below, tied = rows < bound, rows == bound
-            room = k - below.sum(axis=1, keepdims=True)
-            keep = below | (tied & (np.cumsum(tied, axis=1) <= room))
-            cols = np.nonzero(keep)[1].reshape(len(redo), k)
-            kept = np.take_along_axis(rows, cols, axis=1)
-            idx[redo] = np.take_along_axis(cols, np.lexsort((cols, kept), axis=1), axis=1)
-    idx = idx[:, :k]
-    vals = np.take_along_axis(work, idx, axis=1)
-    return idx, vals
+    picked = np.argsort(packed, axis=1, kind="stable")[:, :k]
+    return (np.take_along_axis(packed_cols, picked, axis=1),
+            np.take_along_axis(packed, picked, axis=1))
 
 
 def knn_scan(arr: np.ndarray, k: int, exclude_self: bool) -> TopKResult:
@@ -383,8 +355,7 @@ def knn_scan(arr: np.ndarray, k: int, exclude_self: bool) -> TopKResult:
     the float64 height, and returns that kernel's values. A block's route
     depends on its own rows alone. Every block of a narrower matrix, or
     of 2^23 or more columns, is measured in float64 by one GEMM and
-    searched as in `topk_smallest` (through column tiles when
-    2 * k * _TILE_COLS <= N, see `_topk_tiled`).
+    searched as in `topk_smallest` (by `_topk_block`).
 
     Args:
         arr: (N, d) feature matrix.
@@ -489,8 +460,7 @@ def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratc
     column order per row (both by `_tile_candidates`); (5) the
     candidates re-scored in float64 by `pair_sq_euclidean`, own
     columns set to `self_value`; (6) the smallest k of each row's
-    candidates by (value, column), through `_topk_block` on the
-    candidates packed in column order and padded with inf. Returns
+    candidates by (value, column), by `_select_packed`. Returns
     (indices, values), or None when the block holds more than
     k + _SCAN_CANDIDATES tiles or candidates per row on average.
 
@@ -523,13 +493,10 @@ def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratc
     order has V <= T + 2 eps_i: it is a candidate, and its tile, whose
     minimum is no larger, is searched, whichever residue class holds it.
     T + 2 eps_i is rounded once in float64, by far less than u P, and
-    compared with V exactly. Sorted into ascending column order before
-    packing, the candidates' packed positions follow their columns, so
-    `_topk_block`'s (value, index) order on the packed row is the
-    (value, column) order on the whole row; a pad comes after every
-    candidate, and at least k candidates are finite (the k with V <= T
-    are; T is finite because at least 2k tiles exist and one holds the
-    own column), so no pad is selected.
+    compared with V exactly. The candidates are in column order, and
+    there are at least k of them (the k with V <= T; T is finite because
+    at least 2k tiles exist and one holds the own column), as
+    `_select_packed` needs.
     """
     n = arr.shape[0]
     r = stop - start
@@ -545,9 +512,7 @@ def _prefiltered_block(coarse, arr, sq_norms, start, stop, k, self_value, scratc
     cand_rows, cand_cols = found
     scores = pair_sq_euclidean(arr, sq_norms, cand_rows + start, cand_cols)
     scores[cand_cols == cand_rows + start] = self_value
-    packed, packed_cols = _pack_rows(r, cand_rows, cand_cols, scores)
-    picked, values = _topk_block(packed, k)
-    return np.take_along_axis(packed_cols, picked, axis=1), values
+    return _select_packed(r, cand_rows, cand_cols, scores, k)
 
 
 def _run_lanes(task: Callable[[int, np.ndarray], None], count: int, scratch_shape) -> None:

@@ -442,7 +442,8 @@ def sweep_files(query_path, gallery_path, query_labels_path, gallery_labels_path
     each scoring ARO's row stripes with an `Evaluator` as they are refined.
 
     The first row is the baseline (both stages off, with the first
-    cell's other settings), used for the delta columns. The rows are
+    cell's other settings), used for the delta columns; a cell equal to
+    it reuses its report instead of running again. The rows are
     written to `out_path`, as JSON if it ends in `.json`, else as CSV, and
     beside them `<out_path>.manifest.json`, which records the grid the
     cells ran (each of k1, k2, gamma and orders as the list of its distinct
@@ -469,7 +470,7 @@ def sweep_files(query_path, gallery_path, query_labels_path, gallery_labels_path
     grid = [_grid_values(cfg) for cfg in cells]
     rows = [_sweep_row("baseline", dict.fromkeys(grid[0], ""), base_cfg, base, base)]
     for values, cfg in zip(grid, cells):
-        rows.append(_sweep_row("grid", values, cfg, score(cfg), base))
+        rows.append(_sweep_row("grid", values, cfg, base if cfg == base_cfg else score(cfg), base))
     clamps = dict.fromkeys(line for cfg in cells for line in clamp_warnings(len(fq), len(fg), cfg))
 
     out = Path(out_path)

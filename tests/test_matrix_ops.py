@@ -236,37 +236,42 @@ class TestTopkSmallest:
         (12_800, 2, False), (12_800, 20, False), (3_200, 20, True),
     ])
     def test_tile_path_routing(self, width, k, full_rows, equal):
-        """Below the cutoff 2 * k * _TILE_COLS <= width, no row reaches
-        `_topk_rows` at full width: it sees only the packed entries that
-        are at most T, the k-th smallest residue-class tile minimum. When
-        every entry ties, every tile qualifies, more than 2k per row, and
-        the rows are searched whole, as they are above the cutoff."""
+        """Below the cutoff 2 * k * _TILE_COLS <= width, each row hands
+        `_select_packed` only its entries that are at most T, the k-th
+        smallest residue-class tile minimum. When every entry ties, every
+        tile qualifies, more than 2k per row, and `_tile_candidates` gives
+        up; then, as above the cutoff, the limit is the row's own k-th
+        smallest value over the whole row, so a row of ties is kept whole."""
         d = np.random.default_rng(47).random((156, width))
         if equal:
             d[:] = 1.0
-        widths, packed = [], []
-        real = matrix_ops._topk_rows
-        real_pack = matrix_ops._pack_rows
+        tiled, counts = [], []
+        real_tiles = matrix_ops._tile_candidates
+        real_select = matrix_ops._select_packed
 
-        def spy(work, kk):
-            widths.append(work.shape[1])
-            return real(work, kk)
+        def tile_spy(*args):
+            found = real_tiles(*args)
+            tiled.append(found is not None)
+            return found
 
-        def pack_spy(*args):
-            packed.append(len(args[1]))
-            return real_pack(*args)
+        def select_spy(n, rows, *args):
+            counts.append(np.bincount(rows, minlength=n))
+            return real_select(n, rows, *args)
 
-        with mock.patch.object(matrix_ops, "_topk_rows", spy), \
-                mock.patch.object(matrix_ops, "_pack_rows", pack_spy):
+        with mock.patch.object(matrix_ops, "_tile_candidates", tile_spy), \
+                mock.patch.object(matrix_ops, "_select_packed", select_spy):
             res = topk_smallest(d, k)
         tile = matrix_ops._TILE_COLS
-        assert len(packed) == (0 if full_rows or equal else 1)
+        assert tiled == ([] if full_rows else [not equal])
         if full_rows or equal:
-            assert widths == [width]
+            limit = np.sort(d, axis=1)[:, k - 1 : k]
         else:
             mins = d.reshape(len(d), tile, width // tile).min(axis=1)
             limit = np.sort(mins, axis=1)[:, k - 1 : k]
-            assert widths == [(d <= limit).sum(axis=1).max()]
+        assert len(counts) == 1
+        assert_array_equal(counts[0], (d <= limit).sum(axis=1))
+        if equal:
+            assert (counts[0] == width).all()
         exp_idx = np.argsort(d, axis=1, kind="stable")[:, :k]
         assert_array_equal(res.indices, exp_idx)
 
@@ -720,7 +725,8 @@ class TestScanLanes:
         blas = FakeBlasThreads(threads)
         monkeypatch.setattr(matrix_ops, "_blas_threads", lambda: blas)
         seen = []
-        _spy_threads(monkeypatch, matrix_ops, "_topk_block", seen)
+        # each block, on either route, ends in one `_select_packed` call
+        _spy_threads(monkeypatch, matrix_ops, "_select_packed", seen)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -801,20 +801,40 @@ def sweep_args(data, out, *flags):
 
 
 class TestSweepCommand:
+    @staticmethod
+    def counted_sweep(args):
+        """Run `main(args)` and return its exit code and the configs it ran."""
+        runs = []
+        real = pipeline.compute_refined_distances
+
+        def spy(fq, fg, cfg, **kwargs):
+            runs.append(cfg)
+            return real(fq, fg, cfg, **kwargs)
+
+        with mock.patch.object(pipeline, "compute_refined_distances", spy):
+            return main(args), runs
+
     def test_grid_rows_and_baseline(self, data_dir, tmp_path):
+        """One row and one run per distinct cell: a repeated cell, equal
+        once typed, is dropped, and a cell equal to the baseline reuses its
+        report, so each table equals that of a sweep of the distinct cells."""
         out = tmp_path / "sweep.csv"
-        code = main([
-            "sweep", "--query", str(data_dir / "q.npy"),
-            "--gallery", str(data_dir / "g.npy"),
-            "--query-labels", str(data_dir / "q_labels.csv"),
-            "--gallery-labels", str(data_dir / "g_labels.csv"),
-            "--k1", "1,2", "--out", str(out),
-        ])
-        assert code == EXIT_OK
+        code, runs = self.counted_sweep(sweep_args(data_dir, out, "--k1", "1,2"))
+        assert code == EXIT_OK and len(runs) == 3
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("label,k1,k2,gamma,orders")
         assert len(lines) == 1 + 1 + 2  # header, baseline, two grid cells
         assert lines[1].split(",")[0] == "baseline"
+        for flags, distinct, count in [
+            (("--k1", "2,2", "--gamma", "0.75,0.750"), ("--k1", "2", "--gamma", "0.75"), 2),
+            (("--baseline",), ("--baseline",), 1),
+        ]:
+            code, runs = self.counted_sweep(sweep_args(data_dir, out, *flags))
+            assert code == EXIT_OK and len(runs) == len(set(runs)) == count
+            assert main(sweep_args(data_dir, tmp_path / "distinct.csv", *distinct)) == EXIT_OK
+            table = out.read_text()
+            assert [line.split(",")[0] for line in table.splitlines()[1:]] == ["baseline", "grid"]
+            assert table == (tmp_path / "distinct.csv").read_text()
 
     def test_deterministic(self, data_dir, tmp_path):
         outs = []
